@@ -58,9 +58,16 @@ bench:
 bench-record:
 	$(GO) run ./cmd/flexbench $(BENCH_RECORD_FLAGS) -bench-out BENCH_new.json > /dev/null
 
-# Gate BENCH_new.json against the newest committed trajectory point.
+# Gate BENCH_new.json against the newest committed trajectory point:
+# benchdiff reports any regression, then cmp demands byte identity, so a
+# count that dropped (a fake modeled speedup) fails too. A change meant to
+# move modeled numbers commits a new BENCH_N.json (docs/BENCHMARKING.md).
 benchdiff: bench-record
-	$(GO) run ./cmd/benchdiff -op-tol 0 \
-		$$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1) BENCH_new.json
+	@latest=$$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1); \
+	$(GO) run ./cmd/benchdiff -op-tol 0 $$latest BENCH_new.json && \
+	if ! cmp $$latest BENCH_new.json; then \
+		echo "BENCH_new.json differs from $$latest: commit it as the next BENCH_N.json if the change is meant to move modeled numbers" >&2; \
+		exit 1; \
+	fi
 
 ci: build lint race fuzz bench benchdiff

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	flex "github.com/flex-eda/flex"
 )
@@ -144,6 +145,53 @@ func TestShardedJobStitchesLegalResult(t *testing.T) {
 	}
 	if st := svc.Stats(); st.ShardedJobs != 1 {
 		t.Fatalf("ShardedJobs = %d, want 1", st.ShardedJobs)
+	}
+}
+
+// TestShardedTelemetrySumsBands pins BatchResult's contract for sharded
+// jobs: queue wait, board wait and hold, and reconfigurations are each the
+// sum over the job's bands.
+func TestShardedTelemetrySumsBands(t *testing.T) {
+	svc := flex.NewService(flex.WithWorkers(2), flex.WithFPGAs(1),
+		flex.WithReconfigCost(time.Millisecond))
+	defer svc.Close()
+	jobs := []flex.BatchJob{
+		{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineFLEX, Shards: 3},
+		{Design: "pci_b_a_md2", Scale: 0.01, Engine: flex.EngineFLEX, Shards: 2},
+	}
+	sum, err := svc.Submit(context.Background(), jobs, flex.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reconfigs, queued := 0, time.Duration(0)
+	for j, r := range sum.Results {
+		if r.Err != nil || len(r.Shards) != jobs[j].Shards {
+			t.Fatalf("job %d: err=%v, %d shards", j, r.Err, len(r.Shards))
+		}
+		var want flex.BatchResult
+		for _, sr := range r.Shards {
+			want.SchedWait += sr.SchedWait
+			want.DeviceWait += sr.DeviceWait
+			want.DeviceHold += sr.DeviceHold
+			want.DeviceReconfigs += sr.DeviceReconfigs
+		}
+		if r.SchedWait != want.SchedWait || r.DeviceWait != want.DeviceWait ||
+			r.DeviceHold != want.DeviceHold || r.DeviceReconfigs != want.DeviceReconfigs {
+			t.Fatalf("job %d: got sched %v wait %v hold %v reconfigs %d, band sums %v %v %v %d", j,
+				r.SchedWait, r.DeviceWait, r.DeviceHold, r.DeviceReconfigs,
+				want.SchedWait, want.DeviceWait, want.DeviceHold, want.DeviceReconfigs)
+		}
+		if r.DeviceReconfigs == 0 {
+			t.Fatalf("job %d: no reconfigurations; each job's first band programs the board", j)
+		}
+		reconfigs += r.DeviceReconfigs
+		queued += r.SchedWait
+	}
+	if queued <= 0 {
+		t.Fatal("no band recorded any queue wait")
+	}
+	if st := svc.Stats(); st.Reconfigs != reconfigs {
+		t.Fatalf("service counted %d reconfigs, jobs carry %d", st.Reconfigs, reconfigs)
 	}
 }
 

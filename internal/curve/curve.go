@@ -23,7 +23,7 @@
 package curve
 
 import (
-	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -92,7 +92,7 @@ type merged struct {
 // insertion point; a per-call Evaluator keeps that loop allocation-free.
 // The zero value is ready to use. Not safe for concurrent use.
 type Evaluator struct {
-	xs   []Breakpoint // with-bounds sort scratch
+	keys []int64 // packed sort keys: position above, hinge index below
 	ms   []merged
 	vR   []int // streamed forward partials
 	sR   []int // original pipeline: cumulative right slopes
@@ -103,29 +103,44 @@ type Evaluator struct {
 // sortAndMerge sorts the hinges by position (with zero-slope sentinels at
 // lo and hi so the constrained minimum is attained at a breakpoint) and
 // merges equal positions into e.ms. Both pipelines share it; Original
-// charges the passes separately on top. The sort is unstable, which is
-// output-identical here: equal-position hinges merge by commutative slope
-// addition, so their relative order never reaches the traversals.
+// charges the passes separately on top. The sort runs over packed int64
+// keys, position in the high bits and hinge index in the low bits, so it
+// moves 8-byte words instead of 32-byte structs; site positions fit the
+// remaining 40-odd bits by a wide margin. Equal-position hinges merge by
+// commutative slope addition, so their relative order never reaches the
+// traversals.
 func (e *Evaluator) sortAndMerge(bps []Breakpoint, lo, hi int, st *Stats) []merged {
-	e.xs = append(e.xs[:0], bps...)
-	e.xs = append(e.xs, Breakpoint{X: lo}, Breakpoint{X: hi})
-	st.RawBps += len(e.xs)
-	slices.SortFunc(e.xs, func(a, b Breakpoint) int { return cmp.Compare(a.X, b.X) })
-	if n := len(e.xs); n > 1 {
+	n := len(bps)
+	shift := bits.Len(uint(n + 1)) // index bits; n and n+1 are the sentinels
+	mask := int64(1)<<shift - 1
+	keys := e.keys[:0]
+	for i := range bps {
+		keys = append(keys, int64(bps[i].X)<<shift|int64(i))
+	}
+	keys = append(keys, int64(lo)<<shift|int64(n), int64(hi)<<shift|int64(n+1))
+	e.keys = keys
+	st.RawBps += len(keys)
+	slices.Sort(keys)
+	if m := len(keys); m > 1 {
 		// n log n comparison units, the cost charged to "sort bp".
 		logn := 0
-		for v := n; v > 1; v >>= 1 {
+		for v := m; v > 1; v >>= 1 {
 			logn++
 		}
-		st.SortOps += n * logn
+		st.SortOps += m * logn
 	}
 	out := e.ms[:0]
-	for _, b := range e.xs {
-		if len(out) > 0 && out[len(out)-1].x == b.X {
-			out[len(out)-1].sl += b.SL
-			out[len(out)-1].sr += b.SR
+	for _, k := range keys {
+		x := int(k >> shift)
+		var sl, sr int
+		if i := int(k & mask); i < n {
+			sl, sr = bps[i].SL, bps[i].SR
+		}
+		if len(out) > 0 && out[len(out)-1].x == x {
+			out[len(out)-1].sl += sl
+			out[len(out)-1].sr += sr
 		} else {
-			out = append(out, merged{x: b.X, sl: b.SL, sr: b.SR})
+			out = append(out, merged{x: x, sl: sl, sr: sr})
 		}
 	}
 	e.ms = out

@@ -181,3 +181,41 @@ func TestSumBase(t *testing.T) {
 		t.Fatal("SumBase wrong")
 	}
 }
+
+// TestSortAndMergeMatchesReference checks the packed-key sort against a
+// map-based merge: negative and duplicate positions, hinge counts that
+// change the index width, and one Evaluator reused across every call.
+func TestSortAndMergeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	var e Evaluator
+	for iter := 0; iter < 300; iter++ {
+		n := r.Intn(12)
+		if iter%10 == 0 {
+			n = 1000 + r.Intn(3000)
+		}
+		bps := make([]Breakpoint, n)
+		for i := range bps {
+			bps[i] = Breakpoint{X: r.Intn(61) - 30 - 1<<30*(r.Intn(3)-1), SL: r.Intn(5) - 2, SR: r.Intn(5) - 2}
+		}
+		lo := r.Intn(41) - 20
+		hi := lo + r.Intn(30)
+		sums := map[int][2]int{lo: {}, hi: {}}
+		for _, b := range bps {
+			s := sums[b.X]
+			sums[b.X] = [2]int{s[0] + b.SL, s[1] + b.SR}
+		}
+		var st Stats
+		ms := e.sortAndMerge(bps, lo, hi, &st)
+		if len(ms) != len(sums) || st.MergedBps != len(sums) || st.RawBps != n+2 {
+			t.Fatalf("iter %d: %d merged (stats %+v), want %d of %d raw", iter, len(ms), st, len(sums), n+2)
+		}
+		for i, m := range ms {
+			if i > 0 && ms[i-1].x >= m.x {
+				t.Fatalf("iter %d: merged positions not strictly ascending at %d", iter, i)
+			}
+			if s := sums[m.x]; m.sl != s[0] || m.sr != s[1] {
+				t.Fatalf("iter %d: x=%d slopes (%d,%d), want (%d,%d)", iter, m.x, m.sl, m.sr, s[0], s[1])
+			}
+		}
+	}
+}

@@ -12,6 +12,13 @@
 // emission, and the sort/merge/sum-slopes/calculate-value pipeline from
 // internal/curve, in either the original five-operator or the restructured
 // streaming organization.
+//
+// Stats count the modeled hardware's work: the FPGA sweeps every region
+// cell, in both offset sweeps, at every insertion point. The host skips the
+// cells it can prove never chain — those outside every row a multi-row cell
+// can connect to the target's rows — and charges their visits in bulk, so
+// the counts equal those of a dense sweep while the host does only the
+// work that can change the result.
 package fop
 
 import (
@@ -51,8 +58,8 @@ type Candidate struct {
 	Feasible  bool
 }
 
-// Better reports whether c beats o (lower cost; ties broken by lower x
-// then lower y for determinism).
+// Better reports whether c beats o (lower cost; ties broken by lower y
+// then lower x for determinism).
 func (c Candidate) Better(o Candidate) bool {
 	if !c.Feasible {
 		return false
@@ -113,13 +120,25 @@ type chainEntry struct {
 	o  int
 }
 
-// scratch holds the per-Best-call working memory so the triple loop runs
-// allocation-free: every evalPoint reuses the same chain lists, row-offset
-// array, hinge buffer, and curve evaluator. One scratch is private to one
-// Best invocation, so concurrent Best calls (the batched engine's frozen
-// evaluations) never share state.
-type scratch struct {
-	order   []int
+// skipCount totals the cells one candidate row's sweeps leave out.
+type skipCount struct {
+	cells, subcells int
+	byH             [5]int
+}
+
+// Finder runs Best while reusing its working memory across calls: every
+// insertion point reuses the same chain lists, row-offset array, hinge
+// buffer, and curve evaluator, and every target reuses them again. The
+// zero value is ready to use. Not safe for concurrent use; concurrent Best
+// calls (the batched engine's frozen evaluations) each need their own.
+type Finder struct {
+	order   []int // region cells ascending by x, shared by every point
+	sub     []int // the cells the current candidate row's sweeps visit
+	skip    skipCount
+	rowLo   []int // per window row: first row of any cell touching it
+	rowHi   []int // per window row: end row of any cell touching it
+	spanLo  int   // the current sweep set's row span, as window rows
+	spanHi  int
 	rowOff  []int
 	left    []chainEntry
 	right   []chainEntry
@@ -132,18 +151,25 @@ type scratch struct {
 }
 
 // Best evaluates every insertion point in the region and returns the best
-// candidate. The region's cell positions are left untouched.
+// candidate, on a throwaway Finder. The region's cell positions are left
+// untouched.
 func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
+	var f Finder
+	return f.Best(reg, t, opt, st)
+}
+
+// Best evaluates every insertion point in the region and returns the best
+// candidate. The region's cell positions are left untouched.
+func (f *Finder) Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 	if st == nil {
 		st = &Stats{}
 	}
 	best := Candidate{Feasible: false}
 	win := reg.Window
-	var sc scratch
 
 	// Ahead sort: one x-sort of the region's cells shared by every
 	// insertion point, mirroring the hardware's single per-region sorter.
-	order := sc.xOrder(reg)
+	order := f.xOrder(reg)
 	st.Shift.SortedCells += len(order)
 	if n := len(order); n > 1 {
 		logn := 0
@@ -152,8 +178,11 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 		}
 		st.Shift.SortOps += n * logn
 	}
-	sc.rowOff = make([]int, len(reg.Segments))
-	sc.inLeft = make([]bool, len(reg.Cells))
+	f.rowOff = grow(f.rowOff, len(reg.Segments))
+	f.inLeft = grow(f.inLeft, len(reg.Cells))
+	clear(f.inLeft)
+	f.rowReach(reg)
+	f.spanLo, f.spanHi = 0, 0 // empty: matches no candidate row's span
 
 	for y := win.Y; y+t.H <= win.Y+win.H; y++ {
 		if t.ParityOK != nil && !t.ParityOK(y) {
@@ -177,9 +206,19 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 		st.CandidateRows++
 		vbase := t.RowHeight * geom.Abs(y-t.GY)
 
-		for _, b2 := range sc.slotBoundaries(reg, y, t.H) {
+		bounds := f.slotBoundaries(reg, y, t.H)
+		f.sweepSet(reg, order, y, t.H)
+		// The skipped cells never chain, but the modeled hardware visits
+		// each of them once per sweep at every insertion point.
+		n := 2 * len(bounds)
+		st.ChainCells += n * f.skip.cells
+		st.Shift.SubcellVisits += n * f.skip.subcells
+		for h, k := range f.skip.byH {
+			st.ChainVisitsByH[h] += n * k
+		}
+		for _, b2 := range bounds {
 			st.InsertionPoints++
-			c := sc.evalPoint(reg, order, t, y, b2, lo0, hi0, vbase, opt, st)
+			c := f.evalPoint(reg, t, y, b2, lo0, hi0, vbase, opt, st)
 			if c.Better(best) {
 				best = c
 			}
@@ -188,15 +227,75 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 	return best
 }
 
+// rowReach records, for every window row, the row span (clipped to the
+// window) of the cells touching it: the step sweepSet closes over.
+func (f *Finder) rowReach(reg *region.Region) {
+	n := len(reg.Segments)
+	f.rowLo = grow(f.rowLo, n)
+	f.rowHi = grow(f.rowHi, n)
+	for si := 0; si < n; si++ {
+		f.rowLo[si], f.rowHi[si] = si, si+1
+	}
+	wy := reg.Window.Y
+	for i := range reg.Cells {
+		c := &reg.Cells[i]
+		a, b := geom.Max(c.Y-wy, 0), geom.Min(c.Y+c.H-wy, n)
+		for si := a; si < b; si++ {
+			f.rowLo[si] = geom.Min(f.rowLo[si], a)
+			f.rowHi[si] = geom.Max(f.rowHi[si], b)
+		}
+	}
+}
+
+// sweepSet selects the cells the sweeps of candidate row y must visit. A
+// cell chains only through a target row or a row of a cell that already
+// chained, so every chain stays inside the smallest row span that holds
+// the target's rows and every row of each cell touching the span. The
+// cells touching that span, in shared x-order, become f.sub; the rest are
+// totalled in f.skip. A row whose span equals the previous row's reuses it.
+func (f *Finder) sweepSet(reg *region.Region, order []int, y, h int) {
+	lo, hi := y-reg.Window.Y, y-reg.Window.Y+h
+	// Rows [s, e) have had their reach folded in; widen until closed.
+	for s, e := lo, lo; s > lo || e < hi; {
+		si := e
+		if e < hi {
+			e++
+		} else {
+			s--
+			si = s
+		}
+		lo = geom.Min(lo, f.rowLo[si])
+		hi = geom.Max(hi, f.rowHi[si])
+	}
+	if lo == f.spanLo && hi == f.spanHi {
+		return
+	}
+	f.spanLo, f.spanHi = lo, hi
+	rlo, rhi := lo+reg.Window.Y, hi+reg.Window.Y
+	sub := grow(f.sub, len(order))[:0]
+	f.skip = skipCount{}
+	for _, ci := range order {
+		c := &reg.Cells[ci]
+		if c.Y < rhi && c.Y+c.H > rlo {
+			sub = append(sub, ci)
+			continue
+		}
+		f.skip.cells++
+		f.skip.subcells += c.H
+		f.skip.byH[minInt(c.H, 4)]++
+	}
+	f.sub = sub
+}
+
 // slotBoundaries returns the doubled-x boundary values that induce every
 // distinct left/right partition of the cells in rows [y, y+h): one below
 // the smallest doubled center, then one at each distinct doubled center.
 // The returned slice is scratch memory, valid until the next call.
-func (sc *scratch) slotBoundaries(reg *region.Region, y, h int) []int {
+func (f *Finder) slotBoundaries(reg *region.Region, y, h int) []int {
 	// A cell spanning several rows contributes the same doubled center to
 	// each, so gathering per-row (with duplicates) and deduplicating after
 	// the sort yields exactly the distinct-cell center set.
-	centers := sc.centers[:0]
+	centers := f.centers[:0]
 	for row := y; row < y+h; row++ {
 		seg := reg.SegmentAt(row)
 		if seg == nil {
@@ -207,53 +306,57 @@ func (sc *scratch) slotBoundaries(reg *region.Region, y, h int) []int {
 			centers = append(centers, 2*c.X+c.W)
 		}
 	}
-	sc.centers = centers
+	f.centers = centers
 	if len(centers) == 0 {
-		sc.bounds = append(sc.bounds[:0], 0)
-		return sc.bounds // single empty partition; boundary value irrelevant
+		f.bounds = append(f.bounds[:0], 0)
+		return f.bounds // single empty partition; boundary value irrelevant
 	}
 	sortInts(centers)
-	out := append(sc.bounds[:0], centers[0]-1)
+	out := append(f.bounds[:0], centers[0]-1)
 	for i, v := range centers {
 		if i > 0 && centers[i-1] == v {
 			continue
 		}
 		out = append(out, v)
 	}
-	sc.bounds = out
+	f.bounds = out
 	return out
 }
 
 // evalPoint scores one insertion point: chain offsets (cell shifting in
-// sort-ahead form), hinge emission, and curve evaluation.
-func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, lo0, hi0, vbase int, opt Options, st *Stats) Candidate {
+// sort-ahead form) over the candidate row's sweep set, hinge emission, and
+// curve evaluation.
+func (f *Finder) evalPoint(reg *region.Region, t Target, y, b2, lo0, hi0, vbase int, opt Options, st *Stats) Candidate {
 	st.Shift.Passes += 2 // one outward sweep per phase
 
 	nSeg := len(reg.Segments)
-	rowOff := sc.rowOff
+	wy := reg.Window.Y
+	rowOff := f.rowOff
+	sub := f.sub
+	// Only rows inside the span are ever read: every swept cell's window
+	// rows lie inside it.
+	span := rowOff[f.spanLo:f.spanHi]
 
 	// Left sweep: descending x over left/none cells. A cell is in the
 	// target's rows when c.Y < y+t.H && c.Y+c.H > y; among those, the
 	// boundary b2 splits left (2x+w ≤ b2) from right.
-	for i := range rowOff {
-		rowOff[i] = negInf
+	for i := range span {
+		span[i] = negInf
 	}
 	for row := y; row < y+t.H; row++ {
-		if si := row - reg.Window.Y; si >= 0 && si < nSeg {
-			rowOff[si] = 0
-		}
+		rowOff[row-wy] = 0
 	}
 	lo, hi := lo0, hi0
-	left := sc.left[:0]
-	for k := len(order) - 1; k >= 0; k-- {
-		ci := order[k]
+	left := f.left[:0]
+	for k := len(sub) - 1; k >= 0; k-- {
+		ci := sub[k]
 		c := &reg.Cells[ci]
 		if c.Y < y+t.H && c.Y+c.H > y && 2*c.X+c.W > b2 {
 			continue // right-partition cell
 		}
 		o := negInf
 		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
+			si := row - wy
 			if si >= 0 && si < nSeg && rowOff[si] > o {
 				o = rowOff[si]
 			}
@@ -266,7 +369,7 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 		}
 		o += c.W
 		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
+			si := row - wy
 			if si >= 0 && si < nSeg {
 				if o > rowOff[si] {
 					rowOff[si] = o
@@ -278,31 +381,28 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 			}
 		}
 		left = append(left, chainEntry{ci, o})
-		sc.inLeft[ci] = true
+		f.inLeft[ci] = true
 	}
-	sc.left = left
+	f.left = left
 
 	// Right sweep: ascending x over right/none cells.
-	for i := range rowOff {
-		rowOff[i] = negInf
+	for i := range span {
+		span[i] = negInf
 	}
 	for row := y; row < y+t.H; row++ {
-		if si := row - reg.Window.Y; si >= 0 && si < nSeg {
-			rowOff[si] = t.W
-		}
+		rowOff[row-wy] = t.W
 	}
-	right := sc.right[:0]
-	for k := 0; k < len(order); k++ {
-		ci := order[k]
+	right := f.right[:0]
+	for _, ci := range sub {
 		c := &reg.Cells[ci]
-		if (c.Y < y+t.H && c.Y+c.H > y && 2*c.X+c.W <= b2) || sc.inLeft[ci] {
+		if (c.Y < y+t.H && c.Y+c.H > y && 2*c.X+c.W <= b2) || f.inLeft[ci] {
 			// Cells already claimed by the left chain cannot be squeezed
 			// from both sides; the left chain takes precedence.
 			continue
 		}
 		o := negInf
 		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
+			si := row - wy
 			if si >= 0 && si < nSeg && rowOff[si] > o {
 				o = rowOff[si]
 			}
@@ -314,7 +414,7 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 			continue
 		}
 		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
+			si := row - wy
 			if si >= 0 && si < nSeg {
 				if v := o + c.W; v > rowOff[si] {
 					rowOff[si] = v
@@ -327,9 +427,9 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 		}
 		right = append(right, chainEntry{ci, o})
 	}
-	sc.right = right
+	f.right = right
 	for _, e := range left {
-		sc.inLeft[e.ci] = false
+		f.inLeft[e.ci] = false
 	}
 
 	if lo > hi {
@@ -339,11 +439,11 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 	// Optional instrumentation: run the original multi-pass shifting on
 	// scratch positions to observe its pass structure.
 	if opt.MeasureOriginalShift {
-		sc.measureOriginal(reg, t, y, b2, lo, hi, st)
+		f.measureOriginal(reg, t, y, b2, lo, hi, st)
 	}
 
 	// Hinge emission: target V plus delta hinges for every chained cell.
-	bps := append(sc.bps[:0], curve.VHinge(t.GX, vbase))
+	bps := append(f.bps[:0], curve.VHinge(t.GX, vbase))
 	for _, e := range left {
 		c := &reg.Cells[e.ci]
 		n := len(bps)
@@ -356,13 +456,13 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 		bps = curve.AppendHingesForPush(bps, c.X, c.GX, c.X-e.o)
 		bps[n].Base = 0
 	}
-	sc.bps = bps
+	f.bps = bps
 
 	var res curve.Result
 	if opt.Streamed {
-		res = sc.eval.Streamed(bps, lo, hi, &st.Curve)
+		res = f.eval.Streamed(bps, lo, hi, &st.Curve)
 	} else {
-		res = sc.eval.Original(bps, lo, hi, &st.Curve)
+		res = f.eval.Original(bps, lo, hi, &st.Curve)
 	}
 	if !res.Feasible {
 		return Candidate{Feasible: false}
@@ -372,13 +472,13 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 
 // measureOriginal runs shift.Original at the clamped preferred position on
 // scratch positions, accumulating its stats, then restores the region.
-func (sc *scratch) measureOriginal(reg *region.Region, t Target, y, b2, lo, hi int, st *Stats) {
+func (f *Finder) measureOriginal(reg *region.Region, t Target, y, b2, lo, hi int, st *Stats) {
 	x0 := geom.Min(geom.Max(t.GX, lo), hi)
-	saved := sc.saved[:0]
+	saved := f.saved[:0]
 	for i := range reg.Cells {
 		saved = append(saved, reg.Cells[i].X)
 	}
-	sc.saved = saved
+	f.saved = saved
 	p := shift.Placement{TX: x0, TY: y, TW: t.W, TH: t.H, Boundary2: b2}
 	shift.Original(reg, p, &st.OriginalShift)
 	for i := range reg.Cells {
@@ -388,8 +488,8 @@ func (sc *scratch) measureOriginal(reg *region.Region, t Target, y, b2, lo, hi i
 }
 
 // xOrder returns region cell indices sorted ascending by current x.
-func (sc *scratch) xOrder(reg *region.Region) []int {
-	order := sc.order[:0]
+func (f *Finder) xOrder(reg *region.Region) []int {
+	order := f.order[:0]
 	for i := range reg.Cells {
 		order = append(order, i)
 	}
@@ -399,8 +499,16 @@ func (sc *scratch) xOrder(reg *region.Region) []int {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	sc.order = order
+	f.order = order
 	return order
+}
+
+// grow resizes s to n, reusing its capacity.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func minInt(a, b int) int {

@@ -67,8 +67,8 @@ func bruteBest(reg *region.Region, t Target) (int, bool) {
 		if !t.ParityOK(y) {
 			continue
 		}
-		var sc scratch
-		for _, b2 := range sc.slotBoundaries(reg, y, t.H) {
+		var f Finder
+		for _, b2 := range f.slotBoundaries(reg, y, t.H) {
 			for x := win.X; x+t.W <= win.X+win.W; x++ {
 				cost, ok := commitCost(reg, t, Candidate{X: x, Y: y, Boundary2: b2, Feasible: true})
 				if ok && cost < best {
@@ -275,5 +275,11 @@ func TestStatsAddAndBetter(t *testing.T) {
 	}
 	if !c1.Better(c2) || c2.Better(c1) {
 		t.Fatal("tie-breaking wrong")
+	}
+	// Equal cost: lower y wins before x is compared.
+	low := Candidate{Feasible: true, Cost: 5, X: 9, Y: 1}
+	high := Candidate{Feasible: true, Cost: 5, X: 0, Y: 2}
+	if !low.Better(high) || high.Better(low) {
+		t.Fatal("equal-cost ties must break by lower y before lower x")
 	}
 }

@@ -116,6 +116,7 @@ type engine struct {
 	placed []bool
 	st     mglStats
 	gst    Stats
+	fop    fop.Finder // FOP scratch; every evaluation runs serially
 }
 
 // Legalize runs the CPU-GPU baseline on a clone of l.
@@ -336,7 +337,7 @@ func (e *engine) evaluate(id int) (*region.Region, fop.Candidate, geom.Rect) {
 		}
 		cands := e.idx.Query(win, nil)
 		reg := region.ExtractFrom(e.l, e.placed, id, win, cands)
-		cand := fop.Best(reg, tg, fop.Options{}, &e.st.FOP)
+		cand := e.fop.Best(reg, tg, fop.Options{}, &e.st.FOP)
 		if cand.Feasible || n >= 4 {
 			return reg, cand, win
 		}

@@ -8,9 +8,10 @@ import (
 	"github.com/flex-eda/flex/internal/model"
 )
 
-// BenchmarkLegalize runs the full sequential MGL flow in the FLEX
-// configuration (streamed FOP + sliding-window order): the end-to-end
-// kernel the speed pass targets. One iteration legalizes a fresh clone.
+// BenchmarkLegalize runs the full sequential MGL flow with streamed FOP
+// and a 64-entry sliding window, an order-heavy setup (the FLEX engine
+// defaults to a window of 8; see core.BenchmarkLegalize). One iteration
+// legalizes a fresh clone.
 func BenchmarkLegalize(b *testing.B) {
 	l, err := gen.Small(1500, 0.7, 23).Generate(1)
 	if err != nil {

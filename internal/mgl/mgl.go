@@ -130,7 +130,9 @@ type engine struct {
 	soa     *model.SoA // geometry mirror for the extraction hot path
 	placed  []bool
 	st      Stats
-	candBuf []int // serial-path query scratch (placeOne/extract only)
+	sched   order.Scheduler // the sequential engine's target order
+	candBuf []int           // serial-path query scratch (placeOne/extract only)
+	fop     fop.Finder      // serial-path FOP scratch (placeOne only)
 }
 
 func newEngine(l *model.Layout, cfg Config) *engine {
@@ -188,16 +190,16 @@ func snapRow(gy, h int, p model.PGParity, numRows int) int {
 
 func (e *engine) scheduler() order.Scheduler {
 	if e.cfg.SlidingWindow > 0 {
-		est := order.DensityEstimator(e.l, e.idx, 96, 12)
+		est := order.NewDensityEstimator(e.l, e.idx, 96, 12)
 		return order.NewSlidingWindow(e.l, e.cfg.SlidingWindow, est)
 	}
 	return order.NewSizeOrder(e.l)
 }
 
 func (e *engine) runSequential() {
-	sched := e.scheduler()
+	e.sched = e.scheduler()
 	for {
-		id, ok := sched.Next()
+		id, ok := e.sched.Next()
 		if !ok {
 			break
 		}
@@ -207,6 +209,10 @@ func (e *engine) runSequential() {
 		beforeCommit := e.st.Commit
 		beforeCommitCells := e.st.CommitCells
 		tr := e.placeOne(id)
+		if tr.Placed {
+			// The commit moved only cells inside its window.
+			e.sched.Committed(tr.Window)
+		}
 		delta := fopDelta(e.st.FOP, beforeFOP)
 		e.st.WorkSerial += e.w.FOPWork(delta)
 		if e.cfg.TraceFn != nil {
@@ -255,7 +261,7 @@ func (e *engine) placeOne(id int) TargetTrace {
 		reg := e.extract(id, win)
 		tr.Window = win.Intersect(e.l.Die())
 		tr.LocalCells = len(reg.Cells)
-		cand := fop.Best(reg, tg, opts, &e.st.FOP)
+		cand := e.fop.Best(reg, tg, opts, &e.st.FOP)
 		if cand.Feasible && e.commit(id, reg, cand) {
 			tr.Placed = true
 			return tr

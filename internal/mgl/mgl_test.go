@@ -5,6 +5,7 @@ import (
 
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
+	"github.com/flex-eda/flex/internal/order"
 )
 
 func testLayout(t *testing.T, n int, density float64, seed int64) *model.Layout {
@@ -171,5 +172,43 @@ func TestStatsBreakdownShiftDominates(t *testing.T) {
 	frac := shiftWork / (shiftWork + curveWork)
 	if frac < 0.5 {
 		t.Fatalf("shift fraction of FOP work = %v, want > 0.5", frac)
+	}
+}
+
+// TestDensityCacheMatchesFreshEstimates runs the sequential engine in the
+// FLEX configuration and checks, before every pop, that each density the
+// sliding window holds equals a fresh estimate over the current layout.
+// TraceFn runs after each placement and nothing moves between it and the
+// next pop, so it sees exactly the cache that pop will read.
+func TestDensityCacheMatchesFreshEstimates(t *testing.T) {
+	spec, _ := gen.ByName("des_perf_1")
+	l, err := spec.Generate(1000 / float64(spec.NumCells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *engine
+	checked := 0
+	cfg := Config{Streamed: true, SlidingWindow: 8, TraceFn: func(TargetTrace) {
+		sw := e.sched.(*order.SlidingWindow)
+		fresh := order.NewDensityEstimator(e.l, e.idx, 96, 12)
+		for id := range e.l.Cells {
+			if e.placed[id] {
+				continue
+			}
+			if v, ok := sw.Cached(id); ok {
+				if want := fresh.Estimate(id); v != want {
+					t.Fatalf("cell %d: cached density %v, fresh estimate %v", id, v, want)
+				}
+				checked++
+			}
+		}
+	}}
+	e = newEngine(l, cfg)
+	e.runSequential()
+	if res := e.finish(); !res.Legal {
+		t.Fatalf("not legal: failed=%d", res.Stats.Failed)
+	}
+	if pops := len(l.MovableIDs()); checked < 2*pops {
+		t.Fatalf("only %d cached densities checked over %d pops", checked, pops)
 	}
 }

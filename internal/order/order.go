@@ -23,6 +23,10 @@ type Scheduler interface {
 	Peek() (id int, ok bool)
 	// Remaining reports how many targets are left.
 	Remaining() int
+	// Committed reports that a target was placed and that every cell the
+	// placement moved, the target included, lies inside win both before
+	// and after the move.
+	Committed(win geom.Rect)
 }
 
 // bySizeDesc sorts cell IDs by descending area, breaking ties by descending
@@ -75,28 +79,46 @@ func (s *SizeOrder) Peek() (int, bool) {
 // Remaining implements Scheduler.
 func (s *SizeOrder) Remaining() int { return len(s.queue) }
 
+// Committed implements Scheduler; a static order ignores placements.
+func (s *SizeOrder) Committed(geom.Rect) {}
+
+// Estimator estimates the current localRegion density around a cell and
+// names the area the estimate reads: an estimate stays exact until a cell
+// inside that area moves or is placed.
+type Estimator interface {
+	Estimate(id int) float64
+	Window(id int) geom.Rect
+}
+
 // SlidingWindow is the FLEX ordering: an initial size-descending sequence
 // refined on the fly. The head of the window (C_cur) is processed next and
 // the second element (C_next) stays fixed so its region can be preloaded,
 // while the remaining window entries are re-sorted by current localRegion
-// density, highest first.
+// density, highest first. Each entry's estimate is cached until a
+// committed placement touches its estimate window.
 type SlidingWindow struct {
 	queue   []int
 	w       int
-	density func(id int) float64
+	density Estimator
 	dens    []float64 // per-pop density scratch, parallel to the window tail
+	cache   []float64 // per cell ID: the last estimate
+	fresh   []bool    // per cell ID: cache still equals a fresh estimate
 }
 
 // NewSlidingWindow builds the FLEX scheduler. w is the window length
 // (w >= 3 for the reordering to have any effect); density estimates the
-// current localRegion density around a cell.
-func NewSlidingWindow(l *model.Layout, w int, density func(id int) float64) *SlidingWindow {
+// current localRegion density around a cell (nil disables reordering).
+func NewSlidingWindow(l *model.Layout, w int, density Estimator) *SlidingWindow {
 	ids := l.MovableIDs()
 	bySizeDesc(l, ids)
 	if w < 1 {
 		w = 1
 	}
-	return &SlidingWindow{queue: ids, w: w, density: density}
+	return &SlidingWindow{
+		queue: ids, w: w, density: density,
+		cache: make([]float64, len(l.Cells)),
+		fresh: make([]bool, len(l.Cells)),
+	}
 }
 
 // Next implements Scheduler: pops C_cur, then re-sorts positions
@@ -114,7 +136,7 @@ func (s *SlidingWindow) Next() (int, bool) {
 			seg := s.queue[1:hi]
 			dens := s.dens[:0]
 			for _, v := range seg {
-				dens = append(dens, s.density(v))
+				dens = append(dens, s.estimate(v))
 			}
 			s.dens = dens
 			// Stable insertion sort, density descending: same order as a
@@ -130,6 +152,36 @@ func (s *SlidingWindow) Next() (int, bool) {
 	return id, true
 }
 
+// estimate returns id's density, from the cache when it is still exact.
+func (s *SlidingWindow) estimate(id int) float64 {
+	if !s.fresh[id] {
+		s.cache[id] = s.density.Estimate(id)
+		s.fresh[id] = true
+	}
+	return s.cache[id]
+}
+
+// Committed implements Scheduler: it drops the cached estimate of every
+// window entry whose estimate window overlaps win. Queue entries past the
+// sliding window hold no estimate: an entry is estimated only inside the
+// sliding window and leaves it only by being popped.
+func (s *SlidingWindow) Committed(win geom.Rect) {
+	if s.density == nil {
+		return
+	}
+	for _, id := range s.queue[:geom.Min(s.w-1, len(s.queue))] {
+		if s.fresh[id] && s.density.Window(id).Overlaps(win) {
+			s.fresh[id] = false
+		}
+	}
+}
+
+// Cached reports the estimate the window holds for id, if it holds one:
+// the value the next reorder uses should id be in its tail.
+func (s *SlidingWindow) Cached(id int) (float64, bool) {
+	return s.cache[id], s.fresh[id]
+}
+
 // Peek implements Scheduler.
 func (s *SlidingWindow) Peek() (int, bool) {
 	if len(s.queue) == 0 {
@@ -141,25 +193,40 @@ func (s *SlidingWindow) Peek() (int, bool) {
 // Remaining implements Scheduler.
 func (s *SlidingWindow) Remaining() int { return len(s.queue) }
 
-// DensityEstimator returns a localRegion-density estimate function backed
-// by the spatial index: occupied area of indexed cells in a window around
-// the cell's global position over the window area.
-func DensityEstimator(l *model.Layout, idx *region.Index, winW, winH int) func(id int) float64 {
-	var buf []int // reused across estimates; estimator calls are serial
-	return func(id int) float64 {
-		c := &l.Cells[id]
-		win := geom.NewRect(c.GX+c.W/2-winW/2, c.GY+c.H/2-winH/2, winW, winH).Intersect(l.Die())
-		if win.Empty() {
-			return 1
-		}
-		used := c.Area()
-		buf = idx.Query(win, buf[:0])
-		for _, other := range buf {
-			if other == id {
-				continue
-			}
-			used += l.Cells[other].Rect().Intersect(win).Area()
-		}
-		return float64(used) / float64(win.Area())
+// DensityEstimator estimates localRegion density from the spatial index:
+// the occupied area of indexed cells in a winW×winH window centred on the
+// cell's global position, over the window area.
+type DensityEstimator struct {
+	l          *model.Layout
+	idx        *region.Index
+	winW, winH int
+	buf        []int // reused across estimates; estimator calls are serial
+}
+
+// NewDensityEstimator returns an estimator over l's cells in idx.
+func NewDensityEstimator(l *model.Layout, idx *region.Index, winW, winH int) *DensityEstimator {
+	return &DensityEstimator{l: l, idx: idx, winW: winW, winH: winH}
+}
+
+// Window returns the die-clipped window id's estimate reads.
+func (d *DensityEstimator) Window(id int) geom.Rect {
+	c := &d.l.Cells[id]
+	return geom.NewRect(c.GX+c.W/2-d.winW/2, c.GY+c.H/2-d.winH/2, d.winW, d.winH).Intersect(d.l.Die())
+}
+
+// Estimate returns the current density estimate around id.
+func (d *DensityEstimator) Estimate(id int) float64 {
+	win := d.Window(id)
+	if win.Empty() {
+		return 1
 	}
+	used := d.l.Cells[id].Area()
+	d.buf = d.idx.Query(win, d.buf[:0])
+	for _, other := range d.buf {
+		if other == id {
+			continue
+		}
+		used += d.l.Cells[other].Rect().Intersect(win).Area()
+	}
+	return float64(used) / float64(win.Area())
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/flex-eda/flex/internal/gen"
+	"github.com/flex-eda/flex/internal/geom"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/region"
 )
@@ -16,6 +17,13 @@ func layout(t *testing.T) *model.Layout {
 	}
 	return l
 }
+
+// fixedDensity adapts a static density function: its estimates never go
+// stale, so it names no estimate window.
+type fixedDensity func(id int) float64
+
+func (f fixedDensity) Estimate(id int) float64 { return f(id) }
+func (fixedDensity) Window(int) geom.Rect      { return geom.Rect{} }
 
 func TestSizeOrderDescending(t *testing.T) {
 	l := layout(t)
@@ -63,7 +71,7 @@ func TestSizeOrderPeekMatchesNext(t *testing.T) {
 func TestSlidingWindowReordersByDensity(t *testing.T) {
 	l := layout(t)
 	// Synthetic density: higher for higher cell IDs.
-	density := func(id int) float64 { return float64(id) }
+	density := fixedDensity(func(id int) float64 { return float64(id) })
 	sw := NewSlidingWindow(l, 6, density)
 	plain := NewSizeOrder(l)
 
@@ -100,7 +108,7 @@ func TestSlidingWindowReordersByDensity(t *testing.T) {
 
 func TestSlidingWindowYieldsAllTargets(t *testing.T) {
 	l := layout(t)
-	sw := NewSlidingWindow(l, 8, func(int) float64 { return 0 })
+	sw := NewSlidingWindow(l, 8, fixedDensity(func(int) float64 { return 0 }))
 	seen := map[int]bool{}
 	for {
 		id, ok := sw.Next()
@@ -120,12 +128,51 @@ func TestSlidingWindowYieldsAllTargets(t *testing.T) {
 func TestDensityEstimator(t *testing.T) {
 	l := layout(t)
 	idx := region.NewIndex(l, 32, 4, nil)
-	est := DensityEstimator(l, idx, 64, 8)
+	est := NewDensityEstimator(l, idx, 64, 8)
 	ids := l.MovableIDs()
 	for _, id := range ids[:10] {
-		d := est(id)
+		d := est.Estimate(id)
 		if d <= 0 || d > 4 {
 			t.Fatalf("density estimate %v out of range for cell %d", d, id)
 		}
+	}
+}
+
+// countingDensity gives cell id the estimate window [id, id+1) × [0, 1)
+// and counts how often each estimate is computed.
+type countingDensity map[int]int
+
+func (c countingDensity) Estimate(id int) float64 { c[id]++; return float64(id % 7) }
+func (countingDensity) Window(id int) geom.Rect   { return geom.NewRect(id, 0, 1, 1) }
+
+func TestSlidingWindowCachesUntilCommitOverlaps(t *testing.T) {
+	l := layout(t)
+	calls := countingDensity{}
+	sw := NewSlidingWindow(l, 8, calls)
+	sw.Next()
+	sw.Next()
+	for id, n := range calls {
+		if n != 1 {
+			t.Fatalf("cell %d estimated %d times across two pops, want 1", id, n)
+		}
+	}
+	// A commit far from every estimate window keeps every estimate.
+	sw.Committed(geom.NewRect(-10, 5, 3, 3))
+	tail := append([]int(nil), sw.queue[1:6]...)
+	sw.Next()
+	for _, id := range tail[1:] {
+		if calls[id] != 1 {
+			t.Fatalf("cell %d re-estimated with no overlapping commit", id)
+		}
+	}
+	// A commit over one entry's window drops exactly that estimate.
+	hit := sw.queue[3]
+	sw.Committed(geom.NewRect(hit, 0, 1, 1))
+	if _, ok := sw.Cached(hit); ok {
+		t.Fatalf("cell %d still cached after an overlapping commit", hit)
+	}
+	sw.Next()
+	if calls[hit] != 2 {
+		t.Fatalf("cell %d estimated %d times, want 2", hit, calls[hit])
 	}
 }

@@ -438,7 +438,7 @@ func (c *shardCollector) sealTrace(j int, br *BatchResult) {
 // fold merges one sharded job's band results: stitch the band layouts back
 // into the original die, re-measure quality against the original global
 // placement, take the slowest band's modeled seconds (the bands ran in
-// parallel), and sum the device statistics.
+// parallel), and sum the queueing and device statistics.
 func (c *shardCollector) fold(j int) BatchResult {
 	job := c.e.jobs[j]
 	rs := c.pending[j]
@@ -455,8 +455,10 @@ func (c *shardCollector) fold(j int) BatchResult {
 		sr := job.toResult(r)
 		sr.Index = b
 		br.Shards = append(br.Shards, sr)
+		br.SchedWait += r.SchedWait
 		br.DeviceWait += r.DeviceWait
 		br.DeviceHold += r.DeviceHold
+		br.DeviceReconfigs += r.DeviceReconfigs
 		if r.Wall > br.Wall {
 			br.Wall = r.Wall
 		}
