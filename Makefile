@@ -47,6 +47,7 @@ test: fuzz
 fuzz:
 	$(GO) test ./internal/model -run=NONE -fuzz=FuzzFlexplRoundTrip -fuzztime=10s
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzSplitStitch -fuzztime=10s
+	$(GO) test ./internal/eco -run=NONE -fuzz=FuzzDecodeValue -fuzztime=10s
 
 race:
 	$(GO) test -shuffle=on -race ./...

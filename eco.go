@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/cache"
 	"github.com/flex-eda/flex/internal/eco"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
-	"github.com/flex-eda/flex/internal/sched"
+	"github.com/flex-eda/flex/internal/shard"
 )
 
 // Edit is one perturbation of a job's base layout — move, insert or delete
@@ -48,7 +47,8 @@ func WithOutcomeCacheBytes(b int64) ServiceOption {
 // written via temp file + atomic rename): entries load on start so a
 // restarted node is warm, lookups that miss memory fall back to disk, and
 // eviction is memory-only — files survive for the next start. A file that
-// fails to read or decode is skipped with a warning, never served.
+// fails to read or decode is skipped with a warning, never served, and the
+// recomputed value replaces it.
 func WithCacheDir(dir string) ServiceOption {
 	return func(c *serviceConfig) { c.cacheDir = dir }
 }
@@ -69,16 +69,16 @@ func optionsKey(o Options) string {
 }
 
 // outcomeKey builds the cache key of legalizing a layout with the given
-// content hash under the job's engine/options and a band count (0 for the
-// unsharded path).
-func (s *Service) outcomeKey(job BatchJob, hash string, bands int) (string, error) {
+// content hash under the job's engine/options and row-band plan (nil for an
+// unsharded job: bands=0, halo=0).
+func (s *Service) outcomeKey(job BatchJob, hash string, plan *shard.Plan) (string, error) {
 	name, err := engineWireName(job.Engine)
 	if err != nil {
 		return "", err
 	}
-	halo := 0
-	if bands > 0 {
-		halo = s.effectiveHalo(job)
+	bands, halo := 0, 0
+	if plan != nil {
+		bands, halo = len(plan.Bands), s.effectiveHalo(job)
 	}
 	return eco.Key(hash, name, optionsKey(job.Options), bands, halo), nil
 }
@@ -143,10 +143,10 @@ func newOutcomeCache(cfg *serviceConfig) *cache.Disk {
 	return d
 }
 
-// ecoInfo is one sharded job's incremental-reuse decision, computed once
-// next to the job's shard prep: the input's content identity, the per-band
-// input hashes, and — when a usable cached entry exists — which bands may
-// reuse its outcomes instead of re-legalizing.
+// ecoInfo is one job's incremental-reuse decision, computed once next to
+// the job's decomposition: the input's content identity, the per-band input
+// hashes, and — when a usable cached entry exists — which bands may reuse
+// its outcomes instead of re-legalizing.
 type ecoInfo struct {
 	hash   string   // input layout content hash
 	key    string   // outcome cache key for this run
@@ -156,27 +156,34 @@ type ecoInfo struct {
 	store  bool   // fold should store a fresh entry (false on an exact hit)
 }
 
-// ecoPrep computes the reuse decision for one sharded job. The halo-based
-// dirty prediction chooses which bands to re-solve; every band it predicts
-// clean must hash-match the cached entry's band input, or the whole job
-// falls back to a full run — reuse is only ever hash-verified, so an
-// incremental result is byte-identical to the full re-run by construction.
+// ecoPrep computes the reuse decision for one job. An unsharded job is one
+// band whose input is the whole layout: its key keeps bands=0 and its band
+// hash is the input hash, so it hashes once and reuses only on an exact
+// repeat. For a sharded job the halo-based dirty prediction chooses which
+// bands to re-solve; every band it predicts clean must hash-match the
+// cached entry's band input, or the whole job falls back to a full run —
+// reuse is only ever hash-verified, so an incremental result is
+// byte-identical to the full re-run by construction.
 func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
-	nb := len(p.plan.Bands)
+	nb := len(p.bands)
 	info := &ecoInfo{
 		hash:   eco.Hash(p.layout),
 		bandIn: make([]string, nb),
 		reuse:  make([]bool, nb),
 		store:  true,
 	}
-	key, err := s.outcomeKey(job, info.hash, nb)
+	if p.plan == nil {
+		info.bandIn[0] = info.hash
+	} else {
+		for i, b := range p.bands {
+			info.bandIn[i] = eco.Hash(b)
+		}
+	}
+	key, err := s.outcomeKey(job, info.hash, p.plan)
 	if err != nil {
 		return nil, err
 	}
 	info.key = key
-	for i, b := range p.bands {
-		info.bandIn[i] = eco.Hash(b)
-	}
 
 	// Exact repeat: this input already ran under this configuration.
 	if ent := s.lookupEntry(key, nb, info.bandIn, nil); ent != nil {
@@ -190,7 +197,7 @@ func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 	}
 
 	// Base splice: reuse the base outcome's hash-verified clean bands.
-	if len(job.Edits) > 0 {
+	if len(job.Edits) > 0 && p.plan != nil {
 		if s.spliceFromBase(job, p, info) {
 			s.accountEco(job, true, true)
 			return info, nil
@@ -210,7 +217,7 @@ func (s *Service) spliceFromBase(job BatchJob, p *shardPrep, info *ecoInfo) bool
 	if baseHash == "" {
 		baseHash = eco.Hash(p.base)
 	}
-	bkey, err := s.outcomeKey(job, baseHash, nb)
+	bkey, err := s.outcomeKey(job, baseHash, p.plan)
 	if err != nil {
 		return false
 	}
@@ -289,41 +296,37 @@ func (s *Service) accountEco(job BatchJob, hit, reused bool) {
 	s.mu.Unlock()
 }
 
-// cachedOutcome rebuilds a servable Outcome from stored pieces: the layout
-// is cloned (cache entries are shared; callers own their results), metrics
-// and violations are recomputed with the same pure functions every engine
-// uses, and the engine's own legal verdict and modeled seconds come from
-// the store — so a cache hit is byte-identical to the run that filled it.
-func cachedOutcome(l *model.Layout, legal bool, modeled float64, engine Engine) *Outcome {
-	cl := l.Clone()
+// rebuildOutcome turns a legalized layout that did not come straight from a
+// local engine — a fleet reply, a cached band, a stitched die — into an
+// Outcome. Metrics and violations are recomputed with the same pure
+// functions every engine uses, and the supplied legal verdict (the wire's,
+// the store's, or the bands') counts only when the layout checks clean, so
+// a faulty worker or a tampered cache file can never report Legal beside
+// violations. An engine's own verdict already implies a clean check, so an
+// honest result is byte-identical to the run that produced it.
+func rebuildOutcome(l *model.Layout, legal bool, modeled float64, engine Engine) *Outcome {
 	out := &Outcome{
 		Engine:         engine,
-		Layout:         cl,
-		Legal:          legal,
+		Layout:         l,
 		ModeledSeconds: modeled,
 	}
-	out.Metrics = model.Measure(cl)
-	out.Violations = cl.Check(16)
+	out.Metrics = model.Measure(l)
+	out.Violations = l.Check(16)
+	out.Legal = legal && len(out.Violations) == 0
 	return out
 }
 
-// storeOutcome publishes one finished sharded run into the outcome cache:
-// the entry under the run's key, and the input layout under its own content
-// address so future requests can name it as a base. Layouts are cloned into
-// the entry — the caller owns the result layouts it was handed.
-func (s *Service) storeOutcome(job BatchJob, info *ecoInfo, p *shardPrep, bandOuts []*Outcome, out *Outcome) {
+// storeOutcome publishes one finished run into the outcome cache: the
+// per-band entry under the run's key, and the input layout under its own
+// content address so future requests can name it as a base. Band layouts
+// are cloned into the entry — the caller owns the result layouts it was
+// handed.
+func (s *Service) storeOutcome(job BatchJob, info *ecoInfo, p *shardPrep, bandOuts []*Outcome) {
 	name, err := engineWireName(job.Engine)
 	if err != nil {
 		return
 	}
-	ent := &eco.Entry{
-		Engine:         name,
-		Options:        optionsKey(job.Options),
-		Halo:           s.effectiveHalo(job),
-		Result:         out.Layout.Clone(),
-		Legal:          out.Legal,
-		ModeledSeconds: out.ModeledSeconds,
-	}
+	ent := &eco.Entry{Engine: name, Options: optionsKey(job.Options)}
 	for b, o := range bandOuts {
 		ent.Bands = append(ent.Bands, eco.BandOutcome{
 			InHash:         info.bandIn[b],
@@ -336,89 +339,14 @@ func (s *Service) storeOutcome(job BatchJob, info *ecoInfo, p *shardPrep, bandOu
 	s.outcomes.Add(eco.LayoutKey(info.hash), p.layout, p.layout.ApproxBytes())
 }
 
-// plainPoolJob is the unsharded pool closure on a service with an outcome
-// cache or for a job with edits: resolve the base, apply the edits, then
-// serve the whole outcome from cache or legalize (locally or on the fleet)
-// and store it. Plain jobs have no bands to splice, so an edited job here
-// is always a whole-run — served from cache when the edited input was seen
-// before, counted as a fallback when it must legalize.
-func (s *Service) plainPoolJob(job BatchJob, class sched.Class) batch.Job[*Outcome] {
-	return func(ctx context.Context) (*Outcome, error) {
-		input, _, err := s.resolveInput(job)
-		if err != nil {
-			return nil, err
-		}
-		legalize := func() (*Outcome, error) {
-			if s.router == nil {
-				return job.legalizeOnDevice(ctx, input)
-			}
-			remote := input
-			if job.Layout == nil && !job.isEco() {
-				// Pure design references travel by name so the worker
-				// serves them from its own layout cache.
-				remote = nil
-			}
-			return s.remoteLegalize(ctx, job, remote, s.routingKey(job, class))
-		}
-		if s.outcomes == nil {
-			// Edits apply, but nothing memoizes (this path is only built
-			// for eco jobs when the cache is off).
-			return legalize()
-		}
-		hash := eco.Hash(input)
-		key, err := s.outcomeKey(job, hash, 0)
-		if err != nil {
-			return nil, err
-		}
-		ran := false
-		v, err := s.outcomes.Do(key, func() (any, int64, error) {
-			ran = true
-			out, err := legalize()
-			if err != nil {
-				return nil, 0, err
-			}
-			ent := &eco.Entry{
-				Engine:         "", // echoed by the key; set below for integrity
-				Options:        optionsKey(job.Options),
-				Result:         out.Layout.Clone(),
-				Legal:          out.Legal,
-				ModeledSeconds: out.ModeledSeconds,
-			}
-			if name, err := engineWireName(job.Engine); err == nil {
-				ent.Engine = name
-			}
-			s.outcomes.Add(eco.LayoutKey(hash), input, input.ApproxBytes())
-			return ent, ent.ApproxBytes(), nil
-		})
-		s.accountEco(job, !ran, !ran)
-		if err != nil {
-			return nil, err
-		}
-		ent := v.(*eco.Entry)
-		out := cachedOutcome(ent.Result, ent.Legal, ent.ModeledSeconds, job.Engine)
-		out.InputHash = hash
-		return out, nil
-	}
-}
-
-// cachedBand serves band b from the job's reuse decision, or reports
-// (nil, false, nil) when the band must legalize. The cached band layout is
-// cloned and re-measured exactly as cachedOutcome does for whole runs. A
-// served band records an "eco-splice" span on the job's trace — the
-// incremental path's footprint in the span tree.
-func (st *shardState) cachedBand(ctx context.Context, job BatchJob, b int) (*Outcome, bool, error) {
-	if st.eco == nil {
-		return nil, false, nil
-	}
-	info, err := st.eco()
-	if err != nil {
-		return nil, true, err
-	}
-	if info.entry == nil || b >= len(info.reuse) || !info.reuse[b] {
-		return nil, false, nil
-	}
+// servedBand serves band b from the job's cached entry: the stored layout
+// is cloned (cache entries are shared; callers own their results) and
+// rebuilt as rebuildOutcome does for every boundary. A served band records
+// an "eco-splice" span on the job's trace — the reuse filter's footprint in
+// the span tree.
+func servedBand(ctx context.Context, job BatchJob, info *ecoInfo, b int) *Outcome {
 	_, end := obs.StartSpan(ctx, "eco-splice", fmt.Sprintf("band %d from cached outcome", b))
 	defer end()
 	bo := &info.entry.Bands[b]
-	return cachedOutcome(bo.Layout, bo.Legal, bo.ModeledSeconds, job.Engine), true, nil
+	return rebuildOutcome(bo.Layout.Clone(), bo.Legal, bo.ModeledSeconds, job.Engine)
 }

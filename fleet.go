@@ -11,7 +11,6 @@ import (
 
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/fleet"
-	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
 	"github.com/flex-eda/flex/internal/sched"
@@ -106,30 +105,22 @@ func engineWireName(e Engine) (string, error) {
 	return "", fmt.Errorf("flex: unknown engine %d", int(e))
 }
 
-// routingKey is the consistent-hash key of one remote job: the layout
-// cache key for design references (so a design's traffic keeps hitting
-// workers that already generated it), the owner's batch identity for
-// explicit layouts (which no worker caches). Band jobs append their band
-// suffix via bandKeySuffix.
-func (s *Service) routingKey(job BatchJob, class sched.Class) string {
-	if job.Layout == nil {
-		if spec, ok := gen.ByName(job.Design); ok {
-			return spec.CacheKey(job.effectiveScale())
-		}
+// routingKey is the consistent-hash key band b of a job routes by on a
+// coordinator: the band's input content hash when the outcome cache computed
+// one, so repeat and edited traffic lands on workers that legalized the same
+// bytes before; else the job's decomposition key for design references, so
+// a design's traffic keeps hitting workers that already generated it; else
+// the owner's batch identity (explicit layouts, which no worker caches).
+// The band suffix spreads a sharded job across the fleet, each band stably.
+func (s *Service) routingKey(job BatchJob, class sched.Class, k, b int, info *ecoInfo) string {
+	if info != nil {
+		return "band|" + info.bandIn[b]
 	}
-	return "job=" + class.Job
-}
-
-// shardRoutingKey is the routing key of one band of a sharded job: the
-// decomposition's memo key plus the band index, so each band routes
-// independently (spreading a job across the fleet) yet stably (the same
-// band of the same job always lands on the same warm worker).
-func (s *Service) shardRoutingKey(job BatchJob, class sched.Class, k, band int) string {
 	base := "job=" + class.Job
 	if key, ok := shardMemoKey(job, k, s.effectiveHalo(job)); ok {
 		base = key
 	}
-	return fmt.Sprintf("%s#band=%d", base, band)
+	return fmt.Sprintf("%s#band=%d", base, b)
 }
 
 // remoteJob serializes one unit of work for the wire: band layouts (and
@@ -180,13 +171,15 @@ func (s *Service) remoteJob(job BatchJob, layout *Layout) (fleet.Job, error) {
 	return wire, nil
 }
 
-// remoteLegalize ships one job (layout != nil: that band or explicit
-// layout; nil: the job's design reference) to the fleet and rebuilds the
-// Outcome locally. Only the layout bytes, the engine's own legal verdict,
-// and the modeled seconds come from the wire — metrics and violations are
-// recomputed here with the same pure functions a local engine uses, so a
-// remote result is byte-identical to a local one. Worker-side device
-// telemetry folds into this job's device accounting.
+// remoteLegalize is a coordinator's executor: it ships one band (layout !=
+// nil: that band or explicit layout; nil: the job's design reference) to
+// the fleet and rebuilds the Outcome locally. Only the layout bytes, the
+// engine's legal verdict, and the modeled seconds come from the wire —
+// rebuildOutcome recomputes metrics and violations with the same pure
+// functions a local engine uses, so a remote result is byte-identical to a
+// local one. Remote jobs skip the local device model entirely (the boards
+// their engines occupy are the workers'); worker-side device telemetry
+// folds into this job's device accounting.
 func (s *Service) remoteLegalize(ctx context.Context, job BatchJob, layout *Layout, key string) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -211,67 +204,7 @@ func (s *Service) remoteLegalize(ctx context.Context, job BatchJob, layout *Layo
 	// job yields one coherent tree under one ID (a free no-op without a
 	// recorder on the context).
 	obs.AttachRemote(ctx, res.Spans)
-	out := &Outcome{
-		Engine:         job.Engine,
-		Layout:         l,
-		Legal:          res.Legal,
-		ModeledSeconds: res.ModeledSeconds,
-	}
-	out.Metrics = model.Measure(l)
-	out.Violations = l.Check(16)
-	return out, nil
-}
-
-// poolJob builds one plain (unsharded) pool closure: the local engine
-// recipe, or — on a coordinator — the remote call. Design references are
-// validated locally first so a coordinator rejects an unknown design with
-// the same error a single-process service produces, and remote jobs skip
-// the local device model entirely: the boards their engines occupy are the
-// workers'.
-func (s *Service) poolJob(job BatchJob, class sched.Class) batch.Job[*Outcome] {
-	if s.router == nil {
-		return job.job(s.generate)
-	}
-	key := s.routingKey(job, class)
-	return func(ctx context.Context) (*Outcome, error) {
-		if job.Layout == nil {
-			if _, err := lookupSpec(job.Design, job.effectiveScale()); err != nil {
-				return nil, err
-			}
-		}
-		return s.remoteLegalize(ctx, job, job.Layout, key)
-	}
-}
-
-// bandPoolJob builds one band's pool closure: split locally (the
-// coordinator owns the plan — it must stitch), then legalize the band
-// locally or ship it to the fleet. Bands served from the outcome cache
-// never leave the coordinator; with an outcome cache on, the bands that do
-// ship route by their content hash, so an edited job's untouched bands
-// hash to the workers that legalized the same bytes before.
-func (s *Service) bandPoolJob(job BatchJob, st *shardState, b int, class sched.Class, k int) batch.Job[*Outcome] {
-	if s.router == nil {
-		return bandJob(job, st, b)
-	}
-	key := s.shardRoutingKey(job, class, k, b)
-	return func(ctx context.Context) (*Outcome, error) {
-		p, err := st.prep()
-		if err != nil {
-			return nil, err
-		}
-		if b >= len(p.bands) {
-			return nil, nil
-		}
-		if out, ok, err := st.cachedBand(ctx, job, b); ok || err != nil {
-			return out, err
-		}
-		if st.eco != nil {
-			if info, err := st.eco(); err == nil && b < len(info.bandIn) {
-				key = "band|" + info.bandIn[b]
-			}
-		}
-		return s.remoteLegalize(ctx, job, p.bands[b], key)
-	}
+	return rebuildOutcome(l, res.Legal, res.ModeledSeconds, job.Engine), nil
 }
 
 // FleetWorker adapts a Service into a fleet worker: the HTTP job protocol

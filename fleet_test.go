@@ -326,3 +326,55 @@ func TestFleetDrainingWorkerExcluded(t *testing.T) {
 		t.Fatalf("survivor served %d jobs, want 1", proxyB.jobs.Load())
 	}
 }
+
+// lyingExec is a faulty fleet worker: it echoes every job's layout back
+// unlegalized and claims the result legal.
+type lyingExec struct{}
+
+func (lyingExec) Execute(_ context.Context, j fleet.Job) (*fleet.Result, error) {
+	return &fleet.Result{Layout: j.Layout, Legal: true, ModeledSeconds: 1}, nil
+}
+func (lyingExec) Load() fleet.Load { return fleet.Load{Workers: 1} }
+
+// TestFleetLyingWorkerNeverLegal: a worker's legal verdict counts only when
+// the returned layout checks clean at the coordinator, so an unlegalized
+// echo surfaces as illegal with its violations — for an unsharded job's
+// outcome, and for a sharded job's stitched outcome and every band in
+// Shards.
+func TestFleetLyingWorkerNeverLegal(t *testing.T) {
+	srv := httptest.NewServer(fleet.NewWorker(lyingExec{}).Handler())
+	defer srv.Close()
+	coord := flex.NewService(flex.WithWorkers(2), flex.WithWorkersList(srv.URL))
+	defer coord.Close()
+
+	l, err := flex.GenerateCustom(400, 0.6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := coord.Submit(context.Background(),
+		[]flex.BatchJob{{Layout: l}, {Layout: l, Shards: 3}}, flex.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNotLegal := func(label string, out *flex.Outcome) {
+		t.Helper()
+		if out.Legal && len(out.Violations) > 0 {
+			t.Fatalf("%s: Legal=true beside %d violations", label, len(out.Violations))
+		}
+	}
+	for i, r := range sum.Results {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if len(r.Outcome.Violations) == 0 {
+			t.Fatalf("job %d: an unlegalized echo checked clean; the test exercises nothing", i)
+		}
+		requireNotLegal(fmt.Sprintf("job %d", i), r.Outcome)
+		for _, sr := range r.Shards {
+			requireNotLegal(fmt.Sprintf("job %d band %d", i, sr.Index), sr.Outcome)
+		}
+	}
+	if got := len(sum.Results[1].Shards); got != 3 {
+		t.Fatalf("sharded job has %d bands, want 3", got)
+	}
+}

@@ -421,11 +421,11 @@ func (j BatchJob) resolveLayout(generate func(design string, scale float64) (*La
 	return generate(j.Design, j.effectiveScale())
 }
 
-// legalizeOnDevice is the job's engine phase: for engines that need the
-// FPGA it holds one modeled board while the engine streams l through it;
-// CPU-only engines run immediately. Plain jobs and a sharded job's band
-// jobs share this one recipe, so the device contract cannot drift between
-// them.
+// legalizeOnDevice is a single-process service's executor: the job's
+// engine phase on one band. For engines that need the FPGA it holds one
+// modeled board while the engine streams l through it; CPU-only engines run
+// immediately. Every band of every job shares this one recipe, so the
+// device contract cannot drift between them.
 func (j BatchJob) legalizeOnDevice(ctx context.Context, l *Layout) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -438,18 +438,6 @@ func (j BatchJob) legalizeOnDevice(ctx context.Context, l *Layout) (*Outcome, er
 		defer release()
 	}
 	return LegalizeWith(l, j.Engine, j.Options)
-}
-
-// job builds the worker-pool closure: a CPU generation phase that overlaps
-// freely, then the engine phase (legalizeOnDevice).
-func (j BatchJob) job(generate func(design string, scale float64) (*Layout, error)) batch.Job[*Outcome] {
-	return func(ctx context.Context) (*Outcome, error) {
-		l, err := j.resolveLayout(generate)
-		if err != nil {
-			return nil, err
-		}
-		return j.legalizeOnDevice(ctx, l)
-	}
 }
 
 func (j BatchJob) toResult(r batch.Result[*Outcome]) BatchResult {

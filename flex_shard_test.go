@@ -3,10 +3,13 @@ package flex_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	flex "github.com/flex-eda/flex"
+	"github.com/flex-eda/flex/internal/fleet"
 )
 
 // encodeLayout renders a layout in flexpl text for byte-identity checks.
@@ -19,10 +22,15 @@ func encodeLayout(t *testing.T, l *flex.Layout) []byte {
 	return buf.Bytes()
 }
 
-// TestShardsOneByteIdenticalToUnsharded is the shards=1 determinism gate:
-// a single-band job runs the full split/stitch machinery and must still
-// produce the exact layout, metrics, legality, and modeled seconds of the
-// plain path, for every engine.
+// TestShardsOneByteIdenticalToUnsharded is the shards=1 determinism gate,
+// grown into a pin of the whole job pipeline: every job runs as K >= 1 bands
+// through one pool closure, one executor and one fold, so a single-band
+// job must produce the exact layout, metrics, legality, and modeled seconds
+// of the plain engine run for every engine, and every cell of
+// {unsharded, shards=1, shards=3} x {local, coordinator} x {outcome cache
+// off, cold, warm} x {no edit, one in-halo move} must match the local
+// cacheless run of the same decomposition, with the counters each path
+// moves pinned.
 func TestShardsOneByteIdenticalToUnsharded(t *testing.T) {
 	l, err := flex.GenerateCustom(900, 0.6, 3)
 	if err != nil {
@@ -45,19 +53,184 @@ func TestShardsOneByteIdenticalToUnsharded(t *testing.T) {
 		if len(r.Shards) != 1 {
 			t.Fatalf("%v: got %d shard results, want 1", engine, len(r.Shards))
 		}
-		got := r.Outcome
-		if !bytes.Equal(encodeLayout(t, want.Layout), encodeLayout(t, got.Layout)) {
-			t.Fatalf("%v: shards=1 layout differs from unsharded", engine)
+		requireSameOutcome(t, engine.String()+" shards=1 vs engine",
+			flex.BatchResult{Outcome: want}, r)
+	}
+
+	const design, scale = "fft_a_md2", 0.01
+	base, err := flex.Generate(design, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	move := inHaloEdits(t, base, 1, 1, rand.New(rand.NewSource(5)))
+	srvA, proxyA, _ := startWorker(t)
+	srvB, proxyB, _ := startWorker(t)
+	wireJobs := func() []fleet.Job {
+		var jobs []fleet.Job
+		for _, p := range []*workerProxy{proxyA, proxyB} {
+			p.mu.Lock()
+			jobs = append(jobs, p.recorded...)
+			p.mu.Unlock()
 		}
-		if want.Metrics != got.Metrics {
-			t.Fatalf("%v: metrics differ: unsharded %+v, shards=1 %+v", engine, want.Metrics, got.Metrics)
+		return jobs
+	}
+	submit := func(t *testing.T, svc *flex.Service, job flex.BatchJob) flex.BatchResult {
+		t.Helper()
+		sum, err := svc.Submit(context.Background(), []flex.BatchJob{job}, flex.SubmitOptions{})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
 		}
-		if want.Legal != got.Legal || want.ModeledSeconds != got.ModeledSeconds ||
-			len(want.Violations) != len(got.Violations) {
-			t.Fatalf("%v: outcome fields differ: legal %v/%v modeled %v/%v violations %d/%d",
-				engine, want.Legal, got.Legal, want.ModeledSeconds, got.ModeledSeconds,
-				len(want.Violations), len(got.Violations))
+		if sum.Results[0].Err != nil {
+			t.Fatalf("job failed: %v", sum.Results[0].Err)
 		}
+		return sum.Results[0]
+	}
+
+	for _, shards := range []int{0, 1, 3} {
+		for _, edits := range [][]flex.Edit{nil, move} {
+			job := flex.BatchJob{Design: design, Scale: scale, Shards: shards, Edits: edits}
+			ref := flex.NewService(flex.WithWorkers(2))
+			want := submit(t, ref, job)
+			ref.Close()
+			for _, remote := range []bool{false, true} {
+				for _, cache := range []string{"off", "cold", "warm"} {
+					name := fmt.Sprintf("shards=%d/edits=%d/remote=%t/cache=%s", shards, len(edits), remote, cache)
+					t.Run(name, func(t *testing.T) {
+						opts := []flex.ServiceOption{flex.WithWorkers(2), flex.WithCacheBytes(64 << 20), flex.WithTracing(true)}
+						if remote {
+							opts = append(opts, flex.WithWorkersList(srvA.URL, srvB.URL))
+						}
+						if cache != "off" {
+							opts = append(opts, flex.WithOutcomeCacheBytes(64<<20))
+						}
+						svc := flex.NewService(opts...)
+						defer svc.Close()
+						submissions := 1
+						if cache == "warm" {
+							// Warm the cache with the base run of the same
+							// decomposition (for an unedited job, the job itself).
+							submit(t, svc, flex.BatchJob{Design: design, Scale: scale, Shards: shards})
+							submissions = 2
+						}
+						sent := len(wireJobs())
+						got := submit(t, svc, job)
+						requireSameOutcome(t, name, want, got)
+						// An unedited unsharded design reference travels to
+						// the fleet by name; every other band travels inline.
+						for _, wj := range wireJobs()[sent:] {
+							if byName := shards == 0 && edits == nil; (wj.Design != "") != byName || (wj.Layout != "") == byName {
+								t.Fatalf("wire job design=%q layout=%d bytes, want by name: %t", wj.Design, len(wj.Layout), byName)
+							}
+						}
+						pinPipelineCell(t, svc.Stats(), got, pipelineCell{
+							shards: shards, edited: edits != nil, remote: remote,
+							cache: cache, submissions: submissions,
+						})
+					})
+				}
+			}
+		}
+	}
+
+	// The one deliberate behaviour change: concurrent identical unsharded
+	// jobs on an outcome-cached service no longer single-flight — each job
+	// decides on its own, as sharded jobs always did — yet every result is
+	// byte-identical and every job counts exactly one hit or miss.
+	t.Run("concurrent-duplicates", func(t *testing.T) {
+		const n = 4
+		job := flex.BatchJob{Layout: l}
+		want, err := flex.LegalizeWith(l, flex.EngineFLEX, flex.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := flex.NewService(flex.WithWorkers(n), flex.WithOutcomeCacheBytes(64<<20))
+		defer svc.Close()
+		sum, err := svc.Submit(context.Background(), []flex.BatchJob{job, job, job, job}, flex.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range sum.Results {
+			requireSameOutcome(t, fmt.Sprintf("duplicate %d", i), flex.BatchResult{Outcome: want}, r)
+		}
+		if st := svc.Stats(); st.OutcomeHits+st.OutcomeMisses != n || st.OutcomeMisses < 1 {
+			t.Fatalf("outcome hits/misses = %d/%d, want %d decisions with at least one miss",
+				st.OutcomeHits, st.OutcomeMisses, n)
+		}
+	})
+}
+
+// pipelineCell is one configuration of the job-pipeline matrix.
+type pipelineCell struct {
+	shards      int // 0 = unsharded
+	edited      bool
+	remote      bool
+	cache       string // "off", "cold", "warm"
+	submissions int
+}
+
+// pinPipelineCell asserts the counters and trace shape one matrix cell
+// moves: outcome-cache hits and misses, incremental and fallback eco jobs,
+// layout-cache misses, sharded jobs, and the span names of the job's trace.
+func pinPipelineCell(t *testing.T, st flex.ServiceStats, r flex.BatchResult, c pipelineCell) {
+	t.Helper()
+	// Outcome-cache decisions: a cold cache misses; a warm unedited job is
+	// an exact hit; a warm edited job splices only when a band stays clean,
+	// which one move leaves true for three bands but never for one.
+	var hits, misses, incremental, fallbacks int64
+	switch c.cache {
+	case "cold":
+		misses = 1
+	case "warm":
+		misses = 1
+		if !c.edited || c.shards == 3 {
+			hits = 1
+		} else {
+			misses = 2
+		}
+	}
+	if c.edited && c.cache != "off" {
+		if hits == 1 {
+			incremental = 1
+		} else {
+			fallbacks = 1
+		}
+	}
+	if st.OutcomeHits != hits || st.OutcomeMisses != misses ||
+		st.Incremental != incremental || st.Fallbacks != fallbacks {
+		t.Fatalf("outcome hits/misses/incremental/fallbacks = %d/%d/%d/%d, want %d/%d/%d/%d",
+			st.OutcomeHits, st.OutcomeMisses, st.Incremental, st.Fallbacks,
+			hits, misses, incremental, fallbacks)
+	}
+	// Layout-cache misses: the design generates once per service, except
+	// that a coordinator sends an unedited unsharded reference by name
+	// when it needs no content hash; an unedited sharded run also memoizes
+	// its decomposition.
+	layoutMisses := int64(1)
+	if c.remote && c.shards == 0 && !c.edited && c.cache == "off" {
+		layoutMisses = 0
+	}
+	if c.shards > 0 && (!c.edited || c.cache == "warm") {
+		layoutMisses++
+	}
+	if st.CacheMisses != layoutMisses {
+		t.Fatalf("layout cache misses = %d, want %d", st.CacheMisses, layoutMisses)
+	}
+	sharded := int64(0)
+	if c.shards > 0 {
+		sharded = int64(c.submissions)
+	}
+	if st.ShardedJobs != sharded || len(r.Shards) != c.shards {
+		t.Fatalf("sharded jobs = %d with %d shard results, want %d with %d",
+			st.ShardedJobs, len(r.Shards), sharded, c.shards)
+	}
+	// The job's own spans (remote bands nest the worker's legalize span
+	// below their band span).
+	spans := map[string]bool{}
+	for _, sp := range r.Spans {
+		spans[sp.Name] = true
+	}
+	if unsharded := c.shards == 0; spans["legalize"] != unsharded || spans["stitch"] == unsharded {
+		t.Fatalf("top-level spans %v: want legalize and no stitch exactly when unsharded", spans)
 	}
 }
 

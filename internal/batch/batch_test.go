@@ -21,11 +21,20 @@ func squares(n int) []Job[int] {
 	return jobs
 }
 
+// runFresh runs jobs as one unclassed batch on a fresh pool of the given
+// worker count with no device model, then closes the pool — the one-shot
+// batch shape the tests below pin.
+func runFresh[T any](ctx context.Context, workers int, jobs []Job[T], failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
+	p := NewPool(PoolConfig{Workers: workers, FPGAs: -1})
+	defer p.Close()
+	return RunClassedOn(ctx, p, jobs, nil, failFast, onResult)
+}
+
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := squares(64)
 	var want []int
 	for _, workers := range []int{1, 2, 4, 8, 64, 0} {
-		results, st, err := Run(context.Background(), jobs, Options{Workers: workers})
+		results, st, err := runFresh(context.Background(), workers, jobs, false, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -68,7 +77,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 			return struct{}{}, nil
 		}
 	}
-	if _, _, err := Run(context.Background(), jobs, Options{Workers: workers}); err != nil {
+	if _, _, err := runFresh(context.Background(), workers, jobs, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := max.Load(); got > workers {
@@ -88,7 +97,7 @@ func TestRunErrorIsolation(t *testing.T) {
 			return i, nil
 		}
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 4})
+	results, st, err := runFresh(context.Background(), 4, jobs, false, nil)
 	if err != nil {
 		t.Fatalf("non-fail-fast run surfaced batch error: %v", err)
 	}
@@ -124,7 +133,7 @@ func TestRunFailFastSkipsRemainder(t *testing.T) {
 			return i, nil
 		}
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 2, FailFast: true})
+	results, st, err := runFresh(context.Background(), 2, jobs, true, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want first job error", err)
 	}
@@ -155,7 +164,7 @@ func TestRunContextCancellationMidBatch(t *testing.T) {
 			return i, nil
 		}
 	}
-	results, st, err := Run(ctx, jobs, Options{Workers: 2})
+	results, st, err := runFresh(ctx, 2, jobs, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -203,7 +212,7 @@ func TestRunMidFlightCancelContract(t *testing.T) {
 		started.Wait() // all n jobs in flight: nothing left to skip
 		cancel()
 	}()
-	results, st, err := Run(ctx, jobs, Options{Workers: n})
+	results, st, err := runFresh(ctx, n, jobs, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled despite zero skipped jobs", err)
 	}
@@ -228,7 +237,7 @@ func TestRunDeadlineMidFlight(t *testing.T) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	}}
-	_, st, err := Run(ctx, jobs, Options{Workers: 1})
+	_, st, err := runFresh(ctx, 1, jobs, false, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -245,7 +254,7 @@ func TestRunJobOwnedTimeoutIsIsolated(t *testing.T) {
 		func(context.Context) (int, error) { return 0, context.DeadlineExceeded },
 		func(context.Context) (int, error) { return 7, nil },
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 1})
+	results, st, err := runFresh(context.Background(), 1, jobs, false, nil)
 	if err != nil {
 		t.Fatalf("healthy batch surfaced error: %v", err)
 	}
@@ -270,7 +279,7 @@ func TestRunLateCancelKeepsCompletedResults(t *testing.T) {
 		func(context.Context) (int, error) { return 7, nil },
 	}
 	done := 0
-	results, st, err := RunWith(ctx, jobs, Options{Workers: 1}, func(Result[int]) {
+	results, st, err := runFresh(ctx, 1, jobs, false, func(Result[int]) {
 		done++
 		if done == len(jobs) {
 			cancel() // parent dies only after the last job completed
@@ -290,7 +299,7 @@ func TestRunLateCancelKeepsCompletedResults(t *testing.T) {
 func TestRunCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, st, err := Run(ctx, squares(8), Options{Workers: 4})
+	results, st, err := runFresh(ctx, 4, squares(8), false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -305,8 +314,14 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 }
 
 func TestStreamCompletionOrderCoversAllJobs(t *testing.T) {
+	p := NewPool(PoolConfig{Workers: 5, FPGAs: -1})
+	defer p.Close()
+	ch, err := StreamClassedOn(context.Background(), p, squares(32), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
-	for r := range Stream(context.Background(), squares(32), Options{Workers: 5}) {
+	for r := range ch {
 		if seen[r.Index] {
 			t.Fatalf("job %d reported twice", r.Index)
 		}
@@ -321,7 +336,7 @@ func TestStreamCompletionOrderCoversAllJobs(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	results, st, err := Run(context.Background(), []Job[int](nil), Options{})
+	results, st, err := runFresh(context.Background(), 0, []Job[int](nil), false, nil)
 	if err != nil || len(results) != 0 || st.Jobs != 0 {
 		t.Fatalf("empty batch: results=%v stats=%+v err=%v", results, st, err)
 	}
@@ -335,7 +350,7 @@ func TestStatsWorkWallReflectsParallelism(t *testing.T) {
 			return 0, nil
 		}
 	}
-	_, st, err := Run(context.Background(), jobs, Options{Workers: 4})
+	_, st, err := runFresh(context.Background(), 4, jobs, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

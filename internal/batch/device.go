@@ -58,18 +58,11 @@ type DeviceStats struct {
 	ReconfigCost time.Duration
 }
 
-// NewDevice builds a device pool with the given capacity (<= 0 means 1,
-// the paper's single-board host), default scheduling, and no
-// reconfiguration cost.
-func NewDevice(capacity int) *Device {
-	return NewDeviceWith(capacity, 0, sched.Config{})
-}
-
-// NewDeviceWith builds a device pool with an explicit board-queue
-// scheduling configuration and a modeled per-swap reconfiguration delay:
-// every acquisition whose job differs from the board's previous holder
-// keeps the board busy for reconfigCost before the job's own device phase
-// starts.
+// NewDeviceWith builds a device pool with the given capacity (<= 0 means 1,
+// the paper's single-board host), a board-queue scheduling configuration,
+// and a modeled per-swap reconfiguration delay: every acquisition whose job
+// differs from the board's previous holder keeps the board busy for
+// reconfigCost before the job's own device phase starts.
 func NewDeviceWith(capacity int, reconfigCost time.Duration, cfg sched.Config) *Device {
 	if capacity <= 0 {
 		capacity = 1
@@ -84,16 +77,12 @@ func NewDeviceWith(capacity int, reconfigCost time.Duration, cfg sched.Config) *
 	}
 }
 
-// DevicePool maps a board-count knob (a -fpgas flag, say) to a device:
-// negative means unlimited boards (nil, no contention modeling), zero means
-// the paper's single card, positive is the pool size. Callers share this
-// policy so every CLI and driver reads the knob identically.
-func DevicePool(fpgas int) *Device {
-	return DevicePoolWith(fpgas, 0, sched.Config{})
-}
-
-// DevicePoolWith is DevicePool with the board queue's scheduling
-// configuration and the modeled reconfiguration cost.
+// DevicePoolWith maps a board-count knob (a -fpgas flag, say) to a device
+// with the board queue's scheduling configuration and the modeled
+// reconfiguration cost: negative means unlimited boards (nil, no contention
+// modeling), zero means the paper's single card, positive is the pool size.
+// Callers share this policy so every CLI and driver reads the knob
+// identically.
 func DevicePoolWith(fpgas int, reconfigCost time.Duration, cfg sched.Config) *Device {
 	if fpgas < 0 {
 		return nil

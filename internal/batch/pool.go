@@ -48,7 +48,7 @@ type PoolConfig struct {
 	Workers int
 	// FPGAs is the modeled accelerator board count shared by every batch on
 	// the pool (0 = 1 board, the paper's single-card host; negative =
-	// unlimited, no device modeling) — the DevicePool knob.
+	// unlimited, no device modeling) — the DevicePoolWith knob.
 	FPGAs int
 	// QueueDepth bounds admitted jobs (queued + running, across batches);
 	// 0 = unbounded. A batch larger than the whole depth can never be
@@ -74,10 +74,10 @@ type PoolConfig struct {
 }
 
 // Pool is a long-lived bounded worker pool shared by many batch runs — the
-// persistent heart of a legalization service. Where Run/Stream spin workers
-// up per call, a Pool keeps them (and the modeled accelerator boards) alive
-// across batches, so cross-request state — device contention history,
-// admission control, the scheduling queue — has somewhere to live.
+// persistent heart of a legalization service. It keeps its workers (and the
+// modeled accelerator boards) alive across batches, so cross-request state —
+// device contention history, admission control, the scheduling queue — has
+// somewhere to live.
 //
 // Workers feed from a scheduled task queue (internal/sched) rather than a
 // FIFO channel: jobs carry a sched.Class and the queue dequeues by policy —
@@ -108,20 +108,13 @@ func NewPool(cfg PoolConfig) *Pool {
 	// One derivation of the scheduling config: the worker queue and the
 	// board semaphore must never see different policies or quotas.
 	scfg := sched.Config{Policy: cfg.Policy, Quota: cfg.ClientQuota}
-	return newPool(cfg, scfg, DevicePoolWith(cfg.FPGAs, cfg.ReconfigCost, scfg))
-}
-
-// newPool is the internal constructor: a resolved scheduling config and
-// device instead of the knobs, for the throwaway pools Run/Stream build
-// per call.
-func newPool(cfg PoolConfig, scfg sched.Config, device *Device) *Pool {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{
 		workers:          workers,
-		device:           device,
+		device:           DevicePoolWith(cfg.FPGAs, cfg.ReconfigCost, scfg),
 		depth:            cfg.QueueDepth,
 		cdepth:           cfg.ClientDepth,
 		queue:            sched.NewTaskQueue(scfg),
@@ -259,35 +252,21 @@ func effectiveWorkers(w, n int) int {
 	return w
 }
 
-// StreamOn executes jobs on the shared pool and sends every job's Result on
-// the returned channel in completion order (use Result.Index to reorder).
-// Exactly len(jobs) results are sent — skipped jobs carry ErrSkipped — and
-// the channel is then closed. Callers must drain the channel (cancel ctx to
-// stop early); abandoning it wedges the batch's admission slots and blocks
-// Pool.Close.
+// StreamClassedOn executes jobs on the shared pool, one sched.Class per
+// job, and sends every job's Result on the returned channel in completion
+// order (use Result.Index to reorder). Exactly len(jobs) results are sent —
+// skipped jobs carry ErrSkipped — and the channel is then closed. Callers
+// must drain the channel (cancel ctx to stop early); abandoning it wedges
+// the batch's admission slots and blocks Pool.Close.
 //
-// Admission is atomic: either every job fits the pool's queue depth and the
-// batch runs, or StreamOn returns ErrOverloaded (ErrPoolClosed after Close)
-// and nothing starts. Jobs run under the zero scheduling class; see
-// StreamClassedOn for classed batches.
-func StreamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], failFast bool) (<-chan Result[T], error) {
-	return streamOn(ctx, p, jobs, nil, failFast, nil)
-}
-
-// StreamClassedOn is StreamOn with one sched.Class per job: the pool's
-// scheduler orders the jobs by class everywhere they wait, per-client
-// admission bounds apply (a rejection is a *ClientOverloadedError), and a
+// The pool's scheduler orders the jobs by class everywhere they wait, and a
 // job whose deadline has passed when a worker picks it up fails fast with
-// sched.ErrDeadlineExceeded without running. classes must be nil (all
-// zero) or len(jobs) long.
+// sched.ErrDeadlineExceeded without running. classes must be nil (all zero)
+// or len(jobs) long. Admission is atomic: either every job fits the pool's
+// queue depth and per-client bounds and the batch runs, or nothing starts
+// and StreamClassedOn returns ErrOverloaded, a *ClientOverloadedError
+// naming the client, or ErrPoolClosed after Close.
 func StreamClassedOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool) (<-chan Result[T], error) {
-	return streamOn(ctx, p, jobs, classes, failFast, nil)
-}
-
-// streamOn is the shared stream implementation, with an after-drain hook
-// run after the result channel closes — how the per-call Stream wrapper
-// tears its throwaway pool down without an extra relay goroutine.
-func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool, onDrained func()) (<-chan Result[T], error) {
 	if classes != nil && len(classes) != len(jobs) {
 		return nil, fmt.Errorf("batch: %d classes for %d jobs", len(classes), len(jobs))
 	}
@@ -306,9 +285,6 @@ func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sche
 	}
 	out := make(chan Result[T])
 	go func() {
-		if onDrained != nil {
-			defer onDrained()
-		}
 		defer close(out)
 		defer p.batchDone()
 		if len(jobs) == 0 {
@@ -403,23 +379,18 @@ func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sche
 	return out, nil
 }
 
-// RunOn executes jobs on the shared pool and returns one Result per job in
-// submission order plus per-batch stats, with the same error contract as
-// Run: per-job errors live in the results; the returned error is admission
+// RunClassedOn executes jobs on the shared pool — the blocking form of
+// StreamClassedOn, with its scheduling, quota, and deadline semantics — and
+// returns one Result per job in submission order plus per-batch stats.
+// Per-job errors live in the results; the returned error is admission
 // rejection (ErrOverloaded, ErrPoolClosed — then results and stats are
 // zero), a batch cut short by ctx, or the first error under failFast.
-// onResult (when non-nil) observes each result in completion order.
-// Device statistics are summed from this batch's own jobs, so they stay
-// exact per batch even when concurrent batches share the pool.
-func RunOn[T any](ctx context.Context, p *Pool, jobs []Job[T], failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
-	return RunClassedOn(ctx, p, jobs, nil, failFast, onResult)
-}
-
-// RunClassedOn is RunOn with one sched.Class per job — the blocking form of
-// StreamClassedOn, with its scheduling, quota, and deadline semantics.
+// onResult (when non-nil) observes each result in completion order. Device
+// statistics are summed from this batch's own jobs, so they stay exact per
+// batch even when concurrent batches share the pool.
 func RunClassedOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
 	start := time.Now() //flexvet:walltime batch wall for Stats.Wall, reported on stderr only
-	ch, err := streamOn(ctx, p, jobs, classes, failFast, nil)
+	ch, err := StreamClassedOn(ctx, p, jobs, classes, failFast)
 	if err != nil {
 		return nil, Stats{}, err
 	}

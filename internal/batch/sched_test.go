@@ -36,7 +36,7 @@ func TestClassedPoolRunsByPriority(t *testing.T) {
 		<-gate
 		return -1, nil
 	}}
-	bch, err := StreamOn(context.Background(), p, blocker, false)
+	bch, err := StreamClassedOn(context.Background(), p, blocker, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSchedWaitRecorded(t *testing.T) {
 		return 1, nil
 	}
 	fast := func(context.Context) (int, error) { return 2, nil }
-	results, st, err := RunOn(context.Background(), p, []Job[int]{slow, fast}, false, nil)
+	results, st, err := RunClassedOn(context.Background(), p, []Job[int]{slow, fast}, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestClientDepthAdmission(t *testing.T) {
 	if p.AdmittedByClient("greedy") != 2 {
 		t.Fatalf("AdmittedByClient = %d, want 2", p.AdmittedByClient("greedy"))
 	}
-	anon, err := StreamOn(context.Background(), p, squaresClassed(1), false)
+	anon, err := StreamClassedOn(context.Background(), p, squaresClassed(1), nil, false)
 	if err != nil {
 		t.Fatalf("anonymous client rejected alongside: %v", err)
 	}
@@ -302,14 +302,14 @@ func TestCanceledBatchDrainsWithoutWorkers(t *testing.T) {
 		<-release
 		return 0, nil
 	}}
-	bch, err := StreamOn(context.Background(), p, blocker, false)
+	bch, err := StreamClassedOn(context.Background(), p, blocker, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := StreamOn(ctx, p, squaresClassed(8), false)
+	ch, err := StreamClassedOn(ctx, p, squaresClassed(8), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestCanceledBatchDrainsWithoutWorkers(t *testing.T) {
 // wait on the books — Wait > 0 and Contended counts each aborted attempt —
 // without double-freeing tokens.
 func TestDeviceCancelDuringWaitStats(t *testing.T) {
-	dev := NewDevice(1)
+	dev := NewDeviceWith(1, 0, sched.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	ctx = WithDevice(ctx, dev)
 
@@ -432,7 +432,7 @@ func TestDeviceReconfigChargedBetweenJobs(t *testing.T) {
 // cost, reconfigurations are counted but charge no time, so existing
 // configurations behave exactly as before.
 func TestDeviceReconfigFreeByDefault(t *testing.T) {
-	dev := NewDevice(1)
+	dev := NewDeviceWith(1, 0, sched.Config{})
 	ctx := WithDevice(context.Background(), dev)
 	release, err := AcquireDevice(ctx)
 	if err != nil {

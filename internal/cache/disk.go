@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -29,13 +30,19 @@ type DecodeFunc func(key string, data []byte) (v any, size int64, err error)
 // The file format is a small JSON envelope {"v":1,"key":…,"data":…} whose
 // data payload the codec owns. A file that fails to read, parse, decode, or
 // whose recorded key does not match is reported through the warn callback
-// and otherwise ignored; the entry is recomputed, never served corrupt.
+// once and not read again; the entry is recomputed, never served corrupt,
+// and the recomputed value replaces the bad file.
 type Disk struct {
 	lru  *LRU
 	dir  string // "" = memory-only
 	enc  EncodeFunc
 	dec  DecodeFunc
 	warn func(path string, err error)
+
+	// stale holds the paths of files that failed to read or decode; the
+	// next store of their key replaces them. Valid files are never
+	// rewritten.
+	stale sync.Map
 
 	diskHits atomic.Int64
 	loaded   atomic.Int64
@@ -103,8 +110,7 @@ func NewDisk(maxBytes int64, dir string, enc EncodeFunc, dec DecodeFunc, warn fu
 	for _, f := range files {
 		key, v, size, err := d.readFile(f.path, "")
 		if err != nil {
-			d.errors.Add(1)
-			d.warn(f.path, err)
+			d.reject(f.path, err)
 			continue
 		}
 		d.lru.Add(key, v, size)
@@ -146,19 +152,29 @@ func (d *Disk) readFile(path, wantKey string) (key string, v any, size int64, er
 	return env.Key, v, size, nil
 }
 
-// tryLoad fetches a key from disk, counting hits and warning on corruption.
+// reject counts and warns about a file that failed to read or decode, and
+// marks it stale so lookups skip it and the next store replaces it.
+func (d *Disk) reject(path string, err error) {
+	d.errors.Add(1)
+	d.warn(path, err)
+	d.stale.Store(path, true)
+}
+
+// tryLoad fetches a key from disk, counting hits and rejecting corruption.
 func (d *Disk) tryLoad(key string) (any, int64, bool) {
 	if d.dir == "" {
 		return nil, 0, false
 	}
 	path := d.path(key)
+	if _, stale := d.stale.Load(path); stale {
+		return nil, 0, false
+	}
 	if _, err := os.Stat(path); err != nil {
 		return nil, 0, false
 	}
 	_, v, size, err := d.readFile(path, key)
 	if err != nil {
-		d.errors.Add(1)
-		d.warn(path, err)
+		d.reject(path, err)
 		return nil, 0, false
 	}
 	d.diskHits.Add(1)
@@ -166,16 +182,18 @@ func (d *Disk) tryLoad(key string) (any, int64, bool) {
 }
 
 // store writes the entry's file via a temp file and an atomic rename; an
-// already-present file is left alone (keys are content addresses, so equal
-// keys carry equal payloads). Failures warn and are otherwise ignored —
-// persistence is best-effort.
+// already-present valid file is left alone (keys are content addresses, so
+// equal keys carry equal payloads), while a stale one is replaced. Failures
+// warn and are otherwise ignored — persistence is best-effort.
 func (d *Disk) store(key string, v any) {
 	if d.dir == "" {
 		return
 	}
 	path := d.path(key)
-	if _, err := os.Stat(path); err == nil {
-		return
+	if _, stale := d.stale.Load(path); !stale {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
 	}
 	data, err := d.enc(key, v)
 	if err != nil {
@@ -206,7 +224,9 @@ func (d *Disk) store(key string, v any) {
 		os.Remove(tmp.Name())
 		d.errors.Add(1)
 		d.warn(path, werr)
+		return
 	}
+	d.stale.Delete(path)
 }
 
 // Do returns the value cached under key, looking memory first, then disk,

@@ -192,6 +192,22 @@ func TestDiskCorruptFilesWarnedNeverServed(t *testing.T) {
 			t.Fatalf("Do(%s) = %v, %v (ran=%t)", key, v, err, ran)
 		}
 	}
+	if len(warned) != 2 {
+		t.Fatalf("warn called for %v, want each corrupt file once", warned)
+	}
+	// A valid file is never rewritten, even by a store of another value.
+	d2.Add("good", "other-value", 11)
+
+	// The recomputed values replaced the bad files: a restart is clean.
+	d3 := newTestDisk(t, 1<<20, dir, nil)
+	if st := d3.Stats(); st.Loaded != 3 || st.Errors != 0 {
+		t.Fatalf("after replacement loaded/errors = %d/%d, want 3/0", st.Loaded, st.Errors)
+	}
+	for key, want := range map[string]string{"good": "good-value", "bad": "fresh-bad", "trunc": "fresh-trunc"} {
+		if v, ok := d3.Get(key); !ok || v.(string) != want {
+			t.Fatalf("after restart Get(%s) = %v, %v; want %q", key, v, ok, want)
+		}
+	}
 }
 
 func TestDiskKeyMismatchRejected(t *testing.T) {

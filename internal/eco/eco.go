@@ -191,33 +191,23 @@ type BandOutcome struct {
 	ModeledSeconds float64
 }
 
-// Entry is one memoized legalization outcome: the stitched result plus the
-// per-band decomposition it was computed from, so a later edited request
-// can splice fresh dirty bands into the cached clean ones. Bands is nil for
-// unsharded runs (whole-outcome reuse only).
+// Entry is one memoized legalization outcome, stored per band: the bands
+// of a sharded run in band order, or the single band of an unsharded run
+// (its whole input). There is no stitched copy — a sharded hit re-stitches
+// from the bands — so a later edited request can splice fresh dirty bands
+// into the cached clean ones, and an entry always has at least one band.
 type Entry struct {
 	// Engine and Options are the configuration component of the key,
 	// echoed for integrity checks on disk load.
 	Engine  string
 	Options string
-	// Halo is the seam halo the decomposition used.
-	Halo int
 	// Bands is the per-band decomposition in band order.
 	Bands []BandOutcome
-	// Result is the stitched (or whole-die) legalized layout.
-	Result *model.Layout
-	// Legal and ModeledSeconds summarize the run (ModeledSeconds is the
-	// max over bands for sharded runs, matching the stitched outcome).
-	Legal          bool
-	ModeledSeconds float64
 }
 
 // ApproxBytes estimates the entry's resident footprint for cache accounting.
 func (e *Entry) ApproxBytes() int64 {
 	var n int64 = 256
-	if e.Result != nil {
-		n += e.Result.ApproxBytes()
-	}
 	for i := range e.Bands {
 		n += 128 + int64(len(e.Bands[i].InHash))
 		if e.Bands[i].Layout != nil {
@@ -300,15 +290,11 @@ func MarkDirty(p *shard.Plan, spans []Span) []bool {
 // speaks the exchange format and hash-verifiable against its own key.
 
 type entryWire struct {
-	Kind           string     `json:"kind"` // "outcome" or "layout"
-	Engine         string     `json:"engine,omitempty"`
-	Options        string     `json:"options,omitempty"`
-	Halo           int        `json:"halo,omitempty"`
-	Bands          []bandWire `json:"bands,omitempty"`
-	Result         string     `json:"result,omitempty"`
-	Layout         string     `json:"layout,omitempty"`
-	Legal          bool       `json:"legal,omitempty"`
-	ModeledSeconds float64    `json:"modeledSeconds,omitempty"`
+	Kind    string     `json:"kind"` // "outcome" or "layout"
+	Engine  string     `json:"engine,omitempty"`
+	Options string     `json:"options,omitempty"`
+	Bands   []bandWire `json:"bands,omitempty"`
+	Layout  string     `json:"layout,omitempty"`
 }
 
 type bandWire struct {
@@ -341,18 +327,7 @@ func EncodeValue(key string, v any) ([]byte, error) {
 		}
 		return json.Marshal(entryWire{Kind: "layout", Layout: text})
 	case *Entry:
-		w := entryWire{
-			Kind:           "outcome",
-			Engine:         val.Engine,
-			Options:        val.Options,
-			Halo:           val.Halo,
-			Legal:          val.Legal,
-			ModeledSeconds: val.ModeledSeconds,
-		}
-		var err error
-		if w.Result, err = layoutText(val.Result); err != nil {
-			return nil, err
-		}
+		w := entryWire{Kind: "outcome", Engine: val.Engine, Options: val.Options}
 		for i := range val.Bands {
 			b := &val.Bands[i]
 			text, err := layoutText(b.Layout)
@@ -378,7 +353,7 @@ func DecodeValue(key string, data []byte) (any, int64, error) {
 		return nil, 0, err
 	}
 	if w.Kind == "layout" {
-		if len(key) < len("layout|") || key[:len("layout|")] != "layout|" {
+		if !strings.HasPrefix(key, "layout|") {
 			return nil, 0, fmt.Errorf("eco: layout payload under key %q", key)
 		}
 		l, err := layoutFromText(w.Layout)
@@ -393,17 +368,13 @@ func DecodeValue(key string, data []byte) (any, int64, error) {
 	if w.Kind != "outcome" {
 		return nil, 0, fmt.Errorf("eco: unknown payload kind %q", w.Kind)
 	}
-	e := &Entry{
-		Engine:         w.Engine,
-		Options:        w.Options,
-		Halo:           w.Halo,
-		Legal:          w.Legal,
-		ModeledSeconds: w.ModeledSeconds,
+	if !strings.HasPrefix(key, "outcome|") {
+		return nil, 0, fmt.Errorf("eco: outcome payload under key %q", key)
 	}
-	var err error
-	if e.Result, err = layoutFromText(w.Result); err != nil {
-		return nil, 0, fmt.Errorf("eco: bad result layout: %w", err)
+	if len(w.Bands) == 0 {
+		return nil, 0, fmt.Errorf("eco: outcome entry has no bands")
 	}
+	e := &Entry{Engine: w.Engine, Options: w.Options}
 	for i := range w.Bands {
 		b := &w.Bands[i]
 		l, err := layoutFromText(b.Layout)

@@ -207,14 +207,13 @@ func TestCodecRoundTripLayout(t *testing.T) {
 func TestCodecRoundTripEntry(t *testing.T) {
 	l := testLayout()
 	e := &Entry{
-		Engine: "flex", Options: "t=8", Halo: 2,
+		Engine: "flex", Options: "t=8",
 		Bands: []BandOutcome{
 			{InHash: "h0", Layout: l, Legal: true, ModeledSeconds: 0.5},
 			{InHash: "h1", Layout: l, Legal: false, ModeledSeconds: 0.25},
 		},
-		Result: l, Legal: false, ModeledSeconds: 0.5,
 	}
-	key := Key(Hash(l), e.Engine, e.Options, len(e.Bands), e.Halo)
+	key := Key(Hash(l), e.Engine, e.Options, len(e.Bands), 2)
 	data, err := EncodeValue(key, e)
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +226,7 @@ func TestCodecRoundTripEntry(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T", v)
 	}
-	if got.Engine != e.Engine || got.Options != e.Options || got.Halo != e.Halo ||
-		got.Legal != e.Legal || got.ModeledSeconds != e.ModeledSeconds {
+	if got.Engine != e.Engine || got.Options != e.Options {
 		t.Fatalf("entry fields %+v", got)
 	}
 	if len(got.Bands) != 2 || got.Bands[0].InHash != "h0" || got.Bands[1].Legal ||
@@ -248,6 +246,14 @@ func TestCodecRoundTripEntry(t *testing.T) {
 	}
 	if _, _, err := DecodeValue(key, []byte(`{"kind":"woods"}`)); err == nil {
 		t.Fatal("unknown payload kind decoded")
+	}
+	// An outcome entry always has a band; a stitched-only entry (the
+	// pre-band format) is rejected and recomputed, never served.
+	if _, _, err := DecodeValue(key, []byte(`{"kind":"outcome","engine":"flex","result":"flexpl 1"}`)); err == nil {
+		t.Fatal("band-less outcome entry decoded")
+	}
+	if _, _, err := DecodeValue(LayoutKey(Hash(l)), data); err == nil {
+		t.Fatal("outcome payload accepted under a layout key")
 	}
 }
 

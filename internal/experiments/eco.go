@@ -79,7 +79,7 @@ func legalizeBands(opt Options, pool *batch.Pool, bands []*model.Layout, idx []i
 			})
 		}
 	}
-	results, st, err := batch.RunOn(context.Background(), pool, jobs, true, nil)
+	results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, nil, true, nil)
 	if opt.Stats != nil {
 		opt.Stats.Add(st)
 	}

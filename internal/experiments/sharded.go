@@ -106,7 +106,7 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 				})
 			}
 		}
-		results, st, err := batch.RunOn(context.Background(), pool, jobs, true, nil)
+		results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, nil, true, nil)
 		if opt.Stats != nil {
 			opt.Stats.Add(st)
 		}

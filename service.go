@@ -306,9 +306,12 @@ type Service struct {
 	shardHalo      int
 	autoShardBytes int64
 
-	// router is non-nil on a fleet coordinator (WithWorkersList): pool
-	// jobs then execute remotely instead of running a local engine.
+	// router is non-nil on a fleet coordinator (WithWorkersList). exec is
+	// the executor every band that is not served from the outcome cache
+	// runs on, picked once: the local engine phase, or remoteLegalize
+	// through the router. key is the band's fleet routing key.
 	router *fleet.Router
+	exec   func(ctx context.Context, job BatchJob, band *Layout, key string) (*Outcome, error)
 
 	// Observability: nil-safe instruments (see WithMetrics / WithTracer /
 	// WithTracing / WithLogger). All strictly telemetry — nothing here may
@@ -379,6 +382,9 @@ func NewService(opts ...ServiceOption) *Service {
 	}
 	s.outcomes = newOutcomeCache(&cfg)
 	s.instrument(&cfg)
+	s.exec = func(ctx context.Context, job BatchJob, band *Layout, _ string) (*Outcome, error) {
+		return job.legalizeOnDevice(ctx, band)
+	}
 	if len(cfg.fleetWorkers) > 0 {
 		s.router = fleet.NewRouter(fleet.RouterConfig{
 			Workers:  cfg.fleetWorkers,
@@ -387,6 +393,7 @@ func NewService(opts ...ServiceOption) *Service {
 			Retries:  cfg.fleetRetries,
 			Metrics:  cfg.metrics,
 		})
+		s.exec = s.remoteLegalize
 	}
 	return s
 }

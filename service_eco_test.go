@@ -3,7 +3,12 @@ package flex_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	flex "github.com/flex-eda/flex"
@@ -225,5 +230,164 @@ func TestPlainOutcomeCacheServesRepeats(t *testing.T) {
 	third := submitOne(t, svc, flex.BatchJob{Layout: l, Engine: flex.EngineFLEX})
 	if !bytes.Equal(encodeLayout(t, first.Layout), encodeLayout(t, third.Layout)) {
 		t.Fatal("mutating a served result corrupted the cache")
+	}
+}
+
+// cacheFile finds the -cache-dir file whose envelope key satisfies match,
+// returning its path and parsed envelope.
+func cacheFile(t *testing.T, dir string, match func(key string) bool) (string, map[string]any) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env map[string]any
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if key, _ := env["key"].(string); match(key) {
+			return path, env
+		}
+	}
+	t.Fatal("no cache file matches")
+	return "", nil
+}
+
+// writeEnvelope rewrites one -cache-dir file.
+func writeEnvelope(t *testing.T, path string, env map[string]any) {
+	t.Helper()
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// isUnshardedOutcome matches the outcome key of an unsharded run.
+func isUnshardedOutcome(key string) bool {
+	return strings.HasPrefix(key, "outcome|") && strings.HasSuffix(key, "|bands=0|halo=0")
+}
+
+// TestCacheDirPersistsAcrossRestart: outcomes of an unsharded and a sharded
+// job survive a restart on the same -cache-dir and serve byte-identical
+// repeats as hits. A planted pre-band, stitched-only entry for the
+// unsharded key is warned about once and never served; the recomputed
+// one-band entry replaces it, so the next restart reads clean.
+func TestCacheDirPersistsAcrossRestart(t *testing.T) {
+	l, err := flex.GenerateCustom(600, 0.6, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var warnings atomic.Int64
+	open := func() *flex.Service {
+		return flex.NewService(flex.WithWorkers(2), flex.WithCacheDir(dir),
+			flex.WithOutcomeWarn(func(string, error) { warnings.Add(1) }))
+	}
+	jobs := []flex.BatchJob{{Layout: l, Tag: "unsharded"}, {Layout: l, Shards: 3, Tag: "sharded"}}
+	run := func(svc *flex.Service, jobs []flex.BatchJob) []flex.BatchResult {
+		t.Helper()
+		sum, err := svc.Submit(context.Background(), jobs, flex.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sum.Results {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Tag, r.Err)
+			}
+		}
+		return sum.Results
+	}
+	requireStats := func(label string, st flex.ServiceStats, hits, misses, errs int64) {
+		t.Helper()
+		if st.OutcomeHits != hits || st.OutcomeMisses != misses || st.OutcomeErrors != errs {
+			t.Fatalf("%s: outcome hits/misses/errors = %d/%d/%d, want %d/%d/%d",
+				label, st.OutcomeHits, st.OutcomeMisses, st.OutcomeErrors, hits, misses, errs)
+		}
+	}
+
+	svc := open()
+	first := run(svc, jobs)
+	requireStats("cold", svc.Stats(), 0, 2, 0)
+	svc.Close()
+
+	svc = open()
+	if st := svc.Stats(); st.OutcomeLoaded == 0 {
+		t.Fatal("restart loaded no entries")
+	}
+	for i, r := range run(svc, jobs) {
+		requireSameOutcome(t, "restart "+r.Tag, first[i], r)
+	}
+	requireStats("restart", svc.Stats(), 2, 0, 0)
+	svc.Close()
+
+	// Plant the pre-band format: a stitched "result" claiming legality for
+	// an unlegalized layout, with no bands.
+	path, env := cacheFile(t, dir, isUnshardedOutcome)
+	env["data"] = map[string]any{
+		"kind": "outcome", "engine": "flex", "options": "t=0|w=0|pe1=false|off=false",
+		"result": string(encodeLayout(t, l)), "legal": true, "modeledSeconds": 1,
+	}
+	writeEnvelope(t, path, env)
+	warnings.Store(0)
+	svc = open()
+	u := run(svc, jobs[:1])[0]
+	requireSameOutcome(t, "planted entry", first[0], u)
+	requireStats("planted", svc.Stats(), 0, 1, 1)
+	if got := warnings.Load(); got != 1 {
+		t.Fatalf("planted entry warned %d times, want once", got)
+	}
+	svc.Close()
+
+	svc = open()
+	defer svc.Close()
+	u = run(svc, jobs[:1])[0]
+	requireSameOutcome(t, "after replacement", first[0], u)
+	requireStats("after replacement", svc.Stats(), 1, 0, 0)
+}
+
+// TestTamperedCacheEntryNeverLegal: a -cache-dir entry edited to hold an
+// unlegalized layout under its stored legal verdict still hash-matches its
+// input, so it is served — but its verdict counts only when the layout
+// checks clean, so it is never reported legal.
+func TestTamperedCacheEntryNeverLegal(t *testing.T) {
+	l, err := flex.GenerateCustom(400, 0.6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() *flex.Service {
+		return flex.NewService(flex.WithWorkers(1), flex.WithCacheDir(dir))
+	}
+	svc := open()
+	if out := submitOne(t, svc, flex.BatchJob{Layout: l}); !out.Legal {
+		t.Fatal("honest run illegal")
+	}
+	svc.Close()
+
+	path, env := cacheFile(t, dir, isUnshardedOutcome)
+	data := env["data"].(map[string]any)
+	band := data["bands"].([]any)[0].(map[string]any)
+	if band["legal"] != true {
+		t.Fatalf("stored band verdict %v, want true", band["legal"])
+	}
+	band["layout"] = string(encodeLayout(t, l))
+	writeEnvelope(t, path, env)
+
+	svc = open()
+	defer svc.Close()
+	out := submitOne(t, svc, flex.BatchJob{Layout: l})
+	if st := svc.Stats(); st.OutcomeHits != 1 {
+		t.Fatalf("tampered entry not served (hits %d)", st.OutcomeHits)
+	}
+	if len(out.Violations) == 0 || out.Legal {
+		t.Fatalf("tampered entry served Legal=%v with %d violations", out.Legal, len(out.Violations))
 	}
 }

@@ -27,10 +27,10 @@ const DefaultShardHalo = 2
 // caller asked for exactly that expansion.
 const maxAutoShards = 64
 
-// shardPrep is the lazily computed decomposition one sharded job's band
-// jobs share: whichever band job the pool runs first resolves the layout
-// (through the service's cache for design references) and splits it; its
-// siblings reuse the memoized result.
+// shardPrep is one job's decomposition, computed once by whichever of its
+// band jobs the pool runs first and shared by the rest. A sharded job's
+// bands come from its row-band plan; an unsharded job has no plan and one
+// band — its resolved input itself, so it pays no split or stitch copy.
 type shardPrep struct {
 	layout *Layout // the job's effective input (base with edits applied)
 	base   *Layout // the pre-edit base; == layout for jobs without edits
@@ -41,16 +41,16 @@ type shardPrep struct {
 // jobOrigin maps one pool job back to the submitted job it came from.
 type jobOrigin struct {
 	owner int // submitted job index
-	band  int // band index within the owner (0 for plain jobs)
+	band  int // band index within the owner
 }
 
-// shardState is one sharded job's shared decomposition: the memoized prep
-// plus the effective band count, published once the split exists so the
+// shardState is one job's shared decomposition: the memoized prep plus the
+// effective band count, published once a sharded job's split exists so the
 // collector can tell a real band from a padding slot (a band index beyond
 // what the plan could hold).
 type shardState struct {
 	prep      func() (*shardPrep, error)
-	effective atomic.Int32 // len(plan.Bands) once split; 0 = not yet known
+	effective atomic.Int32 // len(plan.Bands) once split; 0 = not yet known or unsharded
 
 	// eco is the memoized outcome-cache reuse decision (nil when the
 	// service has no outcome cache): which bands may serve cached outcomes
@@ -58,20 +58,20 @@ type shardState struct {
 	eco func() (*ecoInfo, error)
 }
 
-// expansion is one submission's flattened job set. Plain jobs pass through
-// one-to-one; a job with effective shard count K contributes K pool jobs —
-// one per planned band, padding slots returning (nil, nil) when the plan
-// clamps K to what the die holds — plus the bookkeeping that folds band
-// results back into one BatchResult per submitted job. Admission control
-// counts the expanded jobs: a K-sharded job occupies K queue slots.
+// expansion is one submission's flattened job set. A job with effective
+// shard count K contributes K pool jobs — one per planned band, padding
+// slots returning (nil, nil) when the plan clamps K to what the die holds —
+// and an unsharded job contributes one, plus the bookkeeping that folds
+// band results back into one BatchResult per submitted job. Admission
+// control counts the expanded jobs: a K-sharded job occupies K queue slots.
 type expansion struct {
 	svc     *Service
 	jobs    []BatchJob
-	shards  []int                 // per job: 0 = plain path, >= 1 = shard path with K bands
+	shards  []int                 // per job: 0 = unsharded (one band, no plan), >= 1 = K planned bands
 	pool    []batch.Job[*Outcome] // the flattened pool jobs
 	classes []sched.Class         // per pool job; bands share the owner's class
 	origin  []jobOrigin           // pool index -> submitted job
-	states  []*shardState         // per job; nil for plain jobs
+	states  []*shardState         // per job
 	recs    []*obs.Recorder       // per job; non-nil only when the service traces
 }
 
@@ -112,41 +112,41 @@ func (s *Service) expand(jobs []BatchJob) *expansion {
 		class := s.classFor(job, seq, j)
 		k := s.effectiveShards(job)
 		e.shards[j] = k
-		if k == 0 {
-			pj := s.poolJob(job, class)
-			if s.outcomes != nil || job.isEco() {
-				pj = s.plainPoolJob(job, class)
-			}
-			e.pool = append(e.pool, e.traceJob(j, 0, 0, pj))
-			e.classes = append(e.classes, class)
-			e.origin = append(e.origin, jobOrigin{owner: j})
-			continue
-		}
-		st := &shardState{}
-		st.prep = sync.OnceValues(func() (*shardPrep, error) {
-			p, err := s.prepareShards(job, k)
-			if err == nil {
-				st.effective.Store(int32(len(p.plan.Bands)))
-			}
-			return p, err
-		})
-		if s.outcomes != nil {
-			st.eco = sync.OnceValues(func() (*ecoInfo, error) {
-				p, err := st.prep()
-				if err != nil {
-					return nil, err
-				}
-				return s.ecoPrep(job, p)
-			})
-		}
+		st := s.newShardState(job, k)
 		e.states[j] = st
-		for b := 0; b < k; b++ {
-			e.pool = append(e.pool, e.traceJob(j, b, k, s.bandPoolJob(job, st, b, class, k)))
+		for b := 0; b < max(k, 1); b++ {
+			e.pool = append(e.pool, e.traceJob(j, b, k, s.bandJob(job, st, class, k, b)))
 			e.classes = append(e.classes, class)
 			e.origin = append(e.origin, jobOrigin{owner: j, band: b})
 		}
 	}
 	return e
+}
+
+// newShardState memoizes one job's decomposition and, on a service with an
+// outcome cache, its reuse decision.
+func (s *Service) newShardState(job BatchJob, k int) *shardState {
+	st := &shardState{}
+	st.prep = sync.OnceValues(func() (*shardPrep, error) {
+		if k == 0 {
+			return s.prepareOne(job)
+		}
+		p, err := s.prepareShards(job, k)
+		if err == nil {
+			st.effective.Store(int32(len(p.plan.Bands)))
+		}
+		return p, err
+	})
+	if s.outcomes != nil {
+		st.eco = sync.OnceValues(func() (*ecoInfo, error) {
+			p, err := st.prep()
+			if err != nil {
+				return nil, err
+			}
+			return s.ecoPrep(job, p)
+		})
+	}
+	return st
 }
 
 // traceName labels a job's trace: the caller's tag, else the design
@@ -205,11 +205,7 @@ func (e *expansion) traceJob(j, band, k int, pj batch.Job[*Outcome]) batch.Job[*
 // effective band count — a padding slot the clamped plan never filled.
 // Before the split exists no slot is considered padding.
 func (e *expansion) padding(j, band int) bool {
-	st := e.states[j]
-	if st == nil {
-		return false
-	}
-	eff := int(st.effective.Load())
+	eff := int(e.states[j].effective.Load())
 	return eff > 0 && band >= eff
 }
 
@@ -239,7 +235,7 @@ func (s *Service) effectiveShards(j BatchJob) int {
 // jobApproxBytes estimates the job's layout footprint without generating
 // it: explicit layouts report their resident size, design references are
 // sized from the spec's scaled cell count. Unknown designs report 0 — the
-// job then takes the plain path and fails with the usual lookup error.
+// job then stays unsharded and fails with the usual lookup error.
 func jobApproxBytes(j BatchJob) int64 {
 	if j.Layout != nil {
 		return j.Layout.ApproxBytes()
@@ -300,11 +296,10 @@ func (s *Service) effectiveHalo(job BatchJob) int {
 // shardMemoKey is the cache key of one sharded job's decomposition —
 // (design, scale, seed) via the spec's layout key, plus the band count and
 // halo that shape the split. It doubles as the base of the fleet routing
-// key, so the worker a band hashes to is the worker that saw the same
-// decomposition before. Explicit-layout jobs and eco jobs (whose input is
-// the base perturbed by this request's edits, not the named design) have no
-// stable identity to key on (ok = false); eco band routing hashes the band
-// content instead (see bandPoolJob).
+// key (see routingKey), so the worker a band hashes to is the worker that
+// saw the same decomposition before. Explicit-layout jobs and eco jobs
+// (whose input is the base perturbed by this request's edits, not the named
+// design) have no stable identity to key on (ok = false).
 func shardMemoKey(job BatchJob, k, halo int) (string, bool) {
 	if job.Layout != nil || job.isEco() {
 		return "", false
@@ -334,11 +329,38 @@ func (s *Service) splitShards(job BatchJob, k, halo int) (*shardPrep, error) {
 	return &shardPrep{layout: l, base: base, plan: plan, bands: bands}, nil
 }
 
-// bandJob builds the pool closure for one band of a sharded job: wait for
-// the shared split, then run the job's engine phase (legalizeOnDevice, the
-// same recipe as a plain job) on this band. Bands beyond the clamped plan
-// return (nil, nil) and are dropped at fold time.
-func bandJob(job BatchJob, st *shardState, b int) batch.Job[*Outcome] {
+// prepareOne is an unsharded job's decomposition: no plan, one band that is
+// the resolved input. On a coordinator an unedited design reference leaves
+// the band nil so it travels to the fleet by name and the worker serves it
+// from its own layout cache; the coordinator then resolves the reference
+// only when the outcome cache needs its content hash, and otherwise just
+// validates it, so an unknown design fails with the single-process error.
+func (s *Service) prepareOne(job BatchJob) (*shardPrep, error) {
+	byName := s.router != nil && job.Layout == nil && !job.isEco()
+	if byName && s.outcomes == nil {
+		if _, err := lookupSpec(job.Design, job.effectiveScale()); err != nil {
+			return nil, err
+		}
+		return &shardPrep{bands: []*Layout{nil}}, nil
+	}
+	l, base, err := s.resolveInput(job)
+	if err != nil {
+		return nil, err
+	}
+	band := l
+	if byName {
+		band = nil
+	}
+	return &shardPrep{layout: l, base: base, bands: []*Layout{band}}, nil
+}
+
+// bandJob builds the one pool closure every band of every job runs: wait
+// for the job's shared decomposition, serve the band from the outcome cache
+// when the job's reuse decision allows, else hand it to the service's
+// executor — the local engine phase, or a fleet round trip on a
+// coordinator. Bands beyond a clamped plan return (nil, nil) and are dropped
+// at fold time.
+func (s *Service) bandJob(job BatchJob, st *shardState, class sched.Class, k, b int) batch.Job[*Outcome] {
 	return func(ctx context.Context) (*Outcome, error) {
 		p, err := st.prep()
 		if err != nil {
@@ -347,20 +369,26 @@ func bandJob(job BatchJob, st *shardState, b int) batch.Job[*Outcome] {
 		if b >= len(p.bands) {
 			return nil, nil
 		}
-		if out, ok, err := st.cachedBand(ctx, job, b); ok || err != nil {
-			return out, err
+		var info *ecoInfo
+		if st.eco != nil {
+			if info, err = st.eco(); err != nil {
+				return nil, err
+			}
+			if info.reuse[b] {
+				return servedBand(ctx, job, info, b), nil
+			}
 		}
-		return job.legalizeOnDevice(ctx, p.bands[b])
+		return s.exec(ctx, job, p.bands[b], s.routingKey(job, class, k, b, info))
 	}
 }
 
 // shardCollector folds the pool's completion-order results back into
-// submission-level BatchResults: plain jobs pass through as they land,
-// sharded jobs emit once their last band lands. It is driven from a single
-// goroutine (the batch's collecting loop), so it needs no locking.
+// submission-level BatchResults: each job emits once its last band lands.
+// It is driven from a single goroutine (the batch's collecting loop), so it
+// needs no locking.
 type shardCollector struct {
 	e       *expansion
-	pending [][]batch.Result[*Outcome] // per sharded job, one slot per band
+	pending [][]batch.Result[*Outcome] // per job, one slot per band
 	got     []int
 	results []BatchResult // per submitted job, valid once emitted
 	sharded int           // jobs that took the shard path
@@ -378,8 +406,8 @@ func newShardCollector(e *expansion, onShard func(int, BatchResult), emit func(B
 		emit:    emit,
 	}
 	for j, k := range e.shards {
+		c.pending[j] = make([]batch.Result[*Outcome], max(k, 1))
 		if k > 0 {
-			c.pending[j] = make([]batch.Result[*Outcome], k)
 			c.sharded++
 		}
 	}
@@ -391,26 +419,17 @@ func newShardCollector(e *expansion, onShard func(int, BatchResult), emit func(B
 func (c *shardCollector) observe(r batch.Result[*Outcome]) {
 	o := c.e.origin[r.Index]
 	j := o.owner
-	k := c.e.shards[j]
-	if k == 0 {
-		br := c.e.jobs[j].toResult(r)
-		br.Index = j
-		c.sealTrace(j, &br)
-		c.results[j] = br
-		c.emit(br)
-		return
-	}
 	c.pending[j][o.band] = r
 	c.got[j]++
 	// Padding slots (beyond the clamped plan) never surface: neither their
 	// successful (nil, nil) returns nor skips from a canceled batch are
 	// real bands.
-	if c.onShard != nil && !c.e.padding(j, o.band) && !(r.Value == nil && r.Err == nil) {
+	if c.onShard != nil && c.e.shards[j] > 0 && !c.e.padding(j, o.band) && !(r.Value == nil && r.Err == nil) {
 		sr := c.e.jobs[j].toResult(r)
 		sr.Index = o.band
 		c.onShard(j, sr)
 	}
-	if c.got[j] == k {
+	if c.got[j] == len(c.pending[j]) {
 		br := c.fold(j)
 		c.sealTrace(j, &br)
 		c.results[j] = br
@@ -435,13 +454,15 @@ func (c *shardCollector) sealTrace(j int, br *BatchResult) {
 	}
 }
 
-// fold merges one sharded job's band results: stitch the band layouts back
-// into the original die, re-measure quality against the original global
-// placement, take the slowest band's modeled seconds (the bands ran in
-// parallel), and sum the queueing and device statistics.
+// fold merges one job's band results: sum the queueing and device
+// statistics, keep the slowest band's wall (the bands ran concurrently),
+// and build the outcome — an unsharded job's one band is its outcome as it
+// stands, a sharded job's bands stitch back into the original die — then
+// publish a fresh outcome into the outcome cache.
 func (c *shardCollector) fold(j int) BatchResult {
 	job := c.e.jobs[j]
 	rs := c.pending[j]
+	sharded := c.e.shards[j] > 0
 	br := BatchResult{Index: j, Tag: job.Tag}
 	var firstErr, firstSkip error
 	for b, r := range rs {
@@ -452,9 +473,11 @@ func (c *shardCollector) fold(j int) BatchResult {
 		if c.e.padding(j, b) || (r.Value == nil && r.Err == nil) {
 			continue
 		}
-		sr := job.toResult(r)
-		sr.Index = b
-		br.Shards = append(br.Shards, sr)
+		if sharded {
+			sr := job.toResult(r)
+			sr.Index = b
+			br.Shards = append(br.Shards, sr)
+		}
 		br.SchedWait += r.SchedWait
 		br.DeviceWait += r.DeviceWait
 		br.DeviceHold += r.DeviceHold
@@ -488,14 +511,42 @@ func (c *shardCollector) fold(j int) BatchResult {
 		br.Err = err
 		return br
 	}
-	bandLayouts := make([]*model.Layout, len(p.plan.Bands))
-	bandOuts := make([]*Outcome, len(p.plan.Bands))
+	bandOuts := make([]*Outcome, len(p.bands))
+	for b := range bandOuts {
+		bandOuts[b] = rs[b].Value
+	}
+	out := bandOuts[0]
+	if sharded {
+		if out, err = c.stitch(j, p, bandOuts); err != nil {
+			br.Err = err
+			return br
+		}
+	}
+	// Publish the finished run into the outcome cache so a repeat serves
+	// from cache and a future edit against this layout splices its clean
+	// bands (the eco decision memoized any errors away at band time).
+	if st := c.e.states[j]; st.eco != nil {
+		if info, ecoErr := st.eco(); ecoErr == nil {
+			out.InputHash = info.hash
+			if info.store {
+				c.e.svc.storeOutcome(job, info, p, bandOuts)
+			}
+		}
+	}
+	br.Outcome = out
+	return br
+}
+
+// stitch merges a sharded job's band outcomes into the original die:
+// quality re-measured against the original global placement, legal only
+// when every band was and the whole die checks clean, and the slowest
+// band's modeled seconds (the bands ran in parallel).
+func (c *shardCollector) stitch(j int, p *shardPrep, bandOuts []*Outcome) (*Outcome, error) {
+	bandLayouts := make([]*model.Layout, len(bandOuts))
 	legal := true
 	modeled := 0.0
-	for b := range p.plan.Bands {
-		o := rs[b].Value
+	for b, o := range bandOuts {
 		bandLayouts[b] = o.Layout
-		bandOuts[b] = o
 		if !o.Legal {
 			legal = false
 		}
@@ -514,25 +565,7 @@ func (c *shardCollector) fold(j int) BatchResult {
 		rec.Record("stitch", fmt.Sprintf("%d bands", len(bandLayouts)), stitchStart, time.Now())
 	}
 	if err != nil {
-		br.Err = fmt.Errorf("flex: shard stitch: %w", err)
-		return br
+		return nil, fmt.Errorf("flex: shard stitch: %w", err)
 	}
-	out := &Outcome{Engine: job.Engine, Layout: stitched}
-	out.Metrics = model.Measure(stitched)
-	out.Violations = stitched.Check(16)
-	out.Legal = legal && len(out.Violations) == 0
-	out.ModeledSeconds = modeled
-	// Publish the finished run into the outcome cache so a repeat serves
-	// from cache and a future edit against this layout splices its clean
-	// bands (the eco decision memoized any errors away at band time).
-	if st := c.e.states[j]; st.eco != nil {
-		if info, ecoErr := st.eco(); ecoErr == nil {
-			out.InputHash = info.hash
-			if info.store {
-				c.e.svc.storeOutcome(job, info, p, bandOuts, out)
-			}
-		}
-	}
-	br.Outcome = out
-	return br
+	return rebuildOutcome(stitched, legal, modeled, c.e.jobs[j].Engine), nil
 }
