@@ -46,6 +46,7 @@ test: fuzz
 # go test allows one -fuzz pattern per invocation, hence one line per target.
 fuzz:
 	$(GO) test ./internal/model -run=NONE -fuzz=FuzzFlexplRoundTrip -fuzztime=10s
+	$(GO) test ./internal/model -run=NONE -fuzz=FuzzDecodeMatchesReference -fuzztime=10s
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzSplitStitch -fuzztime=10s
 	$(GO) test ./internal/eco -run=NONE -fuzz=FuzzDecodeValue -fuzztime=10s
 

@@ -170,6 +170,41 @@ func TestLegalizeRawFlexplPayload(t *testing.T) {
 	}
 }
 
+// TestDegenerateDieUploadRejected posts a die with negative rows. The
+// legality check once sized a per-row array from it and panicked on a pool
+// goroutine, taking the process down; now the upload gets a 400 and the
+// server keeps serving.
+func TestDegenerateDieUploadRejected(t *testing.T) {
+	ts := newTestServer(t)
+	bad := "flexpl 1\ndesign d\ndie 8 -4 8\ncells 1\na 0 0 2 1 any 0\n"
+	resp, err := http.Post(ts.URL+"/v1/legalize", "text/plain", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "needs at least one site and one row") {
+		t.Fatalf("status %d, error %q: want 400 naming the die", resp.StatusCode, eb.Error)
+	}
+
+	good := "flexpl 1\ndesign d\ndie 8 4 8\ncells 1\na 0 0 2 1 any 0\n"
+	resp, err = http.Post(ts.URL+"/v1/legalize", "text/plain", strings.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid upload after the rejected one: status %d", resp.StatusCode)
+	}
+	results, sum := decodeNDJSON(t, bufio.NewScanner(resp.Body))
+	if len(results) != 1 || sum.Errors != 0 || results[0].Legal == nil || !*results[0].Legal {
+		t.Fatalf("results %+v summary %+v", results, sum)
+	}
+}
+
 func TestLegalizeIncludeLayoutRoundTrips(t *testing.T) {
 	ts := newTestServer(t)
 	req := `{"jobs":[{"design":"fft_a_md2","scale":0.008}],"includeLayout":true}`

@@ -65,14 +65,23 @@ func TestShardsOneByteIdenticalToUnsharded(t *testing.T) {
 	move := inHaloEdits(t, base, 1, 1, rand.New(rand.NewSource(5)))
 	srvA, proxyA, _ := startWorker(t)
 	srvB, proxyB, _ := startWorker(t)
-	wireJobs := func() []fleet.Job {
+	// wireJobs returns the jobs the workers received since the per-worker
+	// counts in sent (nil: all of them), and the new counts. Counting per
+	// worker matters: a submission's job may land on either worker.
+	wireJobs := func(sent []int) ([]fleet.Job, []int) {
 		var jobs []fleet.Job
-		for _, p := range []*workerProxy{proxyA, proxyB} {
+		var counts []int
+		for i, p := range []*workerProxy{proxyA, proxyB} {
 			p.mu.Lock()
-			jobs = append(jobs, p.recorded...)
+			from := 0
+			if sent != nil {
+				from = sent[i]
+			}
+			jobs = append(jobs, p.recorded[from:]...)
+			counts = append(counts, len(p.recorded))
 			p.mu.Unlock()
 		}
-		return jobs
+		return jobs, counts
 	}
 	submit := func(t *testing.T, svc *flex.Service, job flex.BatchJob) flex.BatchResult {
 		t.Helper()
@@ -112,12 +121,13 @@ func TestShardsOneByteIdenticalToUnsharded(t *testing.T) {
 							submit(t, svc, flex.BatchJob{Design: design, Scale: scale, Shards: shards})
 							submissions = 2
 						}
-						sent := len(wireJobs())
+						_, sent := wireJobs(nil)
 						got := submit(t, svc, job)
 						requireSameOutcome(t, name, want, got)
 						// An unedited unsharded design reference travels to
 						// the fleet by name; every other band travels inline.
-						for _, wj := range wireJobs()[sent:] {
+						jobs, _ := wireJobs(sent)
+						for _, wj := range jobs {
 							if byName := shards == 0 && edits == nil; (wj.Design != "") != byName || (wj.Layout != "") == byName {
 								t.Fatalf("wire job design=%q layout=%d bytes, want by name: %t", wj.Design, len(wj.Layout), byName)
 							}

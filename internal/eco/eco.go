@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"unicode"
 
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/shard"
@@ -46,7 +47,7 @@ type Edit struct {
 	// Op selects the perturbation kind (move, insert, delete).
 	Op Op `json:"op"`
 	// Cell names the target cell; insert requires a name unused by the
-	// base layout.
+	// base layout that is one flexpl field: no white space, no leading #.
 	Cell string `json:"cell"`
 	// GX, GY is the new global-placement position (move, insert).
 	GX int `json:"gx,omitempty"`
@@ -74,7 +75,8 @@ func parseParity(s string) (model.PGParity, error) {
 
 // Apply returns a copy of base with the edits applied in order. The base
 // layout is never mutated. It is an error to touch a fixed or unknown cell,
-// to insert a duplicate or unnamed cell, or to place a cell outside the die.
+// to insert a duplicate or unnamed cell or one whose name is not a single
+// flexpl field, or to place a cell outside the die.
 func Apply(base *model.Layout, edits []Edit) (*model.Layout, error) {
 	l := base.Clone()
 	byName := make(map[string]int, len(l.Cells))
@@ -103,6 +105,9 @@ func Apply(base *model.Layout, edits []Edit) (*model.Layout, error) {
 		case OpInsert:
 			if e.Cell == "" {
 				return nil, errf("insert needs a cell name")
+			}
+			if !flexplName(e.Cell) {
+				return nil, errf("cell name must be one flexpl field: no white space, no leading #")
 			}
 			if _, ok := byName[e.Cell]; ok {
 				return nil, errf("cell already exists")
@@ -143,6 +148,15 @@ func Apply(base *model.Layout, edits []Edit) (*model.Layout, error) {
 		}
 	}
 	return l, nil
+}
+
+// flexplName reports whether name survives the flexpl codec as one cell
+// name. Encode writes names verbatim, while Decode splits cell lines on
+// Unicode white space and skips lines starting with #, so any other name
+// would decode as different cells, or not at all, and two different
+// layouts could share canonical bytes and so one Hash.
+func flexplName(name string) bool {
+	return name != "" && name[0] != '#' && strings.IndexFunc(name, unicode.IsSpace) < 0
 }
 
 // inDie checks that a W×H cell at (gx, gy) fits the die.

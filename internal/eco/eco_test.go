@@ -1,6 +1,9 @@
 package eco
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,6 +87,12 @@ func TestApplyRejections(t *testing.T) {
 		{"negative pos", Edit{Op: OpMove, Cell: "a", GX: -1, GY: 0}, "outside"},
 		{"dup insert", Edit{Op: OpInsert, Cell: "a", GX: 0, GY: 0, W: 1, H: 1}, "already exists"},
 		{"unnamed insert", Edit{Op: OpInsert, GX: 0, GY: 0, W: 1, H: 1}, "needs a cell name"},
+		{"space in name", Edit{Op: OpInsert, Cell: "z z", W: 1, H: 1}, "one flexpl field"},
+		{"tab in name", Edit{Op: OpInsert, Cell: "z\tz", W: 1, H: 1}, "one flexpl field"},
+		{"newline in name", Edit{Op: OpInsert, Cell: "z\nz", W: 1, H: 1}, "one flexpl field"},
+		{"nbsp in name", Edit{Op: OpInsert, Cell: "z\u00a0z", W: 1, H: 1}, "one flexpl field"},
+		{"trailing space", Edit{Op: OpInsert, Cell: "z ", W: 1, H: 1}, "one flexpl field"},
+		{"leading hash", Edit{Op: OpInsert, Cell: "#z", W: 1, H: 1}, "one flexpl field"},
 		{"zero size", Edit{Op: OpInsert, Cell: "z", GX: 0, GY: 0, W: 0, H: 1}, "non-positive"},
 		{"bad parity", Edit{Op: OpInsert, Cell: "z", GX: 0, GY: 0, W: 1, H: 1, Parity: "up"}, "bad parity"},
 		{"fixed delete", Edit{Op: OpDelete, Cell: "blk"}, "fixed"},
@@ -93,6 +102,93 @@ func TestApplyRejections(t *testing.T) {
 		if _, err := Apply(base, []Edit{tc.edit}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestApplyRejectsAliasingNames replays two edit batches whose insert
+// names carry newlines. Had Apply taken them, both results would encode
+// to the same canonical bytes, so one outcome-cache entry would serve two
+// different layouts.
+func TestApplyRejectsAliasingNames(t *testing.T) {
+	base := &model.Layout{
+		Name: "alias", NumSitesX: 16, NumRows: 8, RowHeight: 8,
+		Cells: []model.Cell{{ID: 0, Name: "a", W: 1, H: 1}},
+	}
+	jobA := []Edit{{Op: OpInsert, Cell: "b 1 1 1 1 any 0\nc", GX: 2, GY: 2, W: 1, H: 1}}
+	jobB := []Edit{
+		{Op: OpDelete, Cell: "a"},
+		{Op: OpInsert, Cell: "a 0 0 1 1 any 0\nb", GX: 1, GY: 1, W: 1, H: 1},
+		{Op: OpInsert, Cell: "c", GX: 2, GY: 2, W: 1, H: 1},
+	}
+	for i, edits := range [][]Edit{jobA, jobB} {
+		if _, err := Apply(base, edits); err == nil || !strings.Contains(err.Error(), "one flexpl field") {
+			t.Errorf("job %d: err = %v, want a rejected cell name", i, err)
+		}
+	}
+	// The layouts Apply used to build: different cells, one hash.
+	cell := func(id int, name string, x, y int) model.Cell {
+		return model.Cell{ID: id, Name: name, X: x, Y: y, GX: x, GY: y, W: 1, H: 1}
+	}
+	a := &model.Layout{Name: "alias", NumSitesX: 16, NumRows: 8, RowHeight: 8,
+		Cells: []model.Cell{cell(0, "a", 0, 0), cell(1, jobA[0].Cell, 2, 2)}}
+	b := &model.Layout{Name: "alias", NumSitesX: 16, NumRows: 8, RowHeight: 8,
+		Cells: []model.Cell{cell(0, jobB[1].Cell, 1, 1), cell(1, "c", 2, 2)}}
+	if reflect.DeepEqual(a, b) || Hash(a) != Hash(b) {
+		t.Fatal("the aliasing pair no longer collides; the test no longer shows why names are checked")
+	}
+}
+
+// TestApplyResultsRoundTrip: every layout Apply returns, under random edit
+// batches over good and bad names, decodes from its canonical bytes to an
+// equal layout that re-encodes to the same bytes, so its Hash addresses
+// exactly that layout.
+func TestApplyResultsRoundTrip(t *testing.T) {
+	base := testLayout()
+	base.Cells[1].X = 6 // a displaced cell: the nine-field form
+	good := []string{"a", "b", "blk", "n1", "n2", "n3", "n#", "é", "\xff"}
+	bad := []string{"x y", "#h", "t\tb", "nb\u00a0sp", "e\u2003m", "l\nb", ""}
+	ops := []Op{OpMove, OpInsert, OpDelete}
+	parities := []string{"", "any", "even", "odd"}
+	rng := rand.New(rand.NewSource(1))
+	applied := 0
+	for i := 0; i < 3000; i++ {
+		edits := make([]Edit, 1+rng.Intn(3))
+		for k := range edits {
+			name := good[rng.Intn(len(good))]
+			if rng.Intn(4) == 0 {
+				name = bad[rng.Intn(len(bad))]
+			}
+			edits[k] = Edit{
+				Op: ops[rng.Intn(len(ops))], Cell: name,
+				GX: rng.Intn(16), GY: rng.Intn(8), W: 1 + rng.Intn(2), H: 1 + rng.Intn(2),
+				Parity: parities[rng.Intn(len(parities))],
+			}
+		}
+		l, err := Apply(base, edits)
+		if err != nil {
+			continue
+		}
+		applied++
+		var first, second bytes.Buffer
+		if err := model.Encode(&first, l); err != nil {
+			t.Fatal(err)
+		}
+		back, err := model.Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("edits %+v: canonical bytes do not decode: %v\n%s", edits, err, first.Bytes())
+		}
+		if !reflect.DeepEqual(back, l) {
+			t.Fatalf("edits %+v: decoded layout differs from the applied one\n%s", edits, first.Bytes())
+		}
+		if err := model.Encode(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("edits %+v: re-encoding changed the bytes", edits)
+		}
+	}
+	if applied < 300 {
+		t.Fatalf("only %d of 3000 random batches applied; the generator no longer exercises Apply", applied)
 	}
 }
 

@@ -130,9 +130,10 @@ type engine struct {
 	soa     *model.SoA // geometry mirror for the extraction hot path
 	placed  []bool
 	st      Stats
-	sched   order.Scheduler // the sequential engine's target order
-	candBuf []int           // serial-path query scratch (placeOne/extract only)
-	fop     fop.Finder      // serial-path FOP scratch (placeOne only)
+	sched   order.Scheduler  // the sequential engine's target order
+	candBuf []int            // serial-path query scratch (placeOne/extract only)
+	ext     region.Extractor // serial-path region scratch (placeOne/extract only)
+	fop     fop.Finder       // serial-path FOP scratch (placeOne only)
 }
 
 func newEngine(l *model.Layout, cfg Config) *engine {
@@ -274,16 +275,17 @@ func (e *engine) placeOne(id int) TargetTrace {
 }
 
 func (e *engine) extract(id int, win geom.Rect) *region.Region {
-	// Reusing the query scratch is safe here: extract is only reached from
-	// placeOne, which runs serially (sequential engine, or the serial redo
-	// phase of the batched engine). ExtractFrom copies what it keeps.
+	// Reusing the query and region scratch is safe here: extract is only
+	// reached from placeOne, which runs serially (sequential engine, or the
+	// serial redo phase of the batched engine) and is done with one
+	// region, committed or not, before it extracts the next.
 	e.candBuf = e.idx.Query(win, e.candBuf[:0])
 	cands := e.candBuf
 	e.st.RegionBuilds++
 	e.st.RegionCands += int64(len(cands))
 	e.st.RegionRows += int64(win.Intersect(e.l.Die()).H)
 	e.st.WorkSerial += e.w.RegionCand*float64(len(cands)) + e.w.RegionRow*float64(win.H)
-	return region.ExtractFromSoA(e.soa, e.placed, id, e.l.Die(), win, cands)
+	return e.ext.FromSoA(e.soa, e.placed, id, e.l.Die(), win, cands)
 }
 
 // commit is step e): run the committing shift on the region and write the

@@ -1,6 +1,8 @@
 package model_test
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/gen"
@@ -39,5 +41,41 @@ func BenchmarkClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Clone()
+	}
+}
+
+// codecLayout is a ~1k-cell layout, the size of one full-design upload.
+func codecLayout(b *testing.B) *model.Layout {
+	l, err := gen.Small(1000, 0.72, 11).Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+func BenchmarkEncode(b *testing.B) {
+	l := codecLayout(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := model.Encode(io.Discard, l); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	var buf bytes.Buffer
+	if err := model.Encode(&buf, codecLayout(b)); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.Decode(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -201,16 +202,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	bad := []string{
-		"",
-		"flexpl 2\ndesign x\ndie 1 1 1\ncells 0\n",
-		"flexpl 1\ndesign x\ndie 1 1 1\ncells 1\n", // missing cell line
-		"flexpl 1\ndesign x\ndie 1 1 1\ncells 1\na 0 0 1 1 sideways 0\n",
-		"flexpl 1\ndesign x\ndie 1 1 1\ncells 1\na 0 0 0 1 any 0\n", // zero width
+	bad := []struct{ in, want string }{
+		{"", "unexpected EOF"},
+		{"flexpl 2\ndesign x\ndie 1 1 1\ncells 0\n", `flexpl line 1: bad header "flexpl 2"`},
+		{"flexpl 1\ndesign x\ndie 1 1 1\ncells 1\n", "expected 1 cells, got 0"}, // missing cell line
+		{"flexpl 1\ndesign x\ndie 1 1 1\ncells 1\na 0 0 1 1 sideways 0\n", `flexpl line 5: bad parity "sideways"`},
+		{"flexpl 1\ndesign x\ndie 1 1 1\ncells 1\na 0 0 0 1 any 0\n", "non-positive size 0x1"}, // zero width
+		// Dies without rows or sites: the legality check and the spatial
+		// index size per-row and per-bin arrays from them.
+		{"flexpl 1\ndesign d\ndie 8 -4 8\ncells 1\na 0 0 2 1 any 0\n",
+			"flexpl line 3: die 8 x -4 needs at least one site and one row"},
+		{"flexpl 1\ndesign d\ndie 8 0 8\ncells 0\n", "flexpl line 3: die 8 x 0 needs"},
+		{"flexpl 1\n\ndesign d\ndie -1 4 8\ncells 0\n", "flexpl line 4: die -1 x 4 needs"},
 	}
-	for i, s := range bad {
-		if _, err := Decode(bytes.NewReader([]byte(s))); err == nil {
+	for i, tc := range bad {
+		_, err := Decode(bytes.NewReader([]byte(tc.in)))
+		if err == nil {
 			t.Errorf("case %d: Decode accepted garbage", i)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %q, want it to contain %q", i, err, tc.want)
 		}
 	}
 }

@@ -34,9 +34,10 @@ func BenchmarkIndexQuery(b *testing.B) {
 	_ = dst
 }
 
-// BenchmarkExtractFrom builds the local region for a fixed window set,
-// the per-cell extraction step dominating the serial legalizer prologue.
-func BenchmarkExtractFrom(b *testing.B) {
+// benchExtraction is the extraction benchmarks' set-up: every cell
+// placed, the first movable cell as target, and 16 legalizer-shaped
+// windows across the die.
+func benchExtraction(b *testing.B) (*model.Layout, *region.Index, []bool, int, []geom.Rect) {
 	l, idx := benchIndex(b)
 	die := l.Die()
 	placed := make([]bool, len(l.Cells))
@@ -51,6 +52,13 @@ func BenchmarkExtractFrom(b *testing.B) {
 	for i := range wins {
 		wins[i] = geom.NewRect((i*53)%(die.W-64), (i*17)%(die.H-16), 64, 16)
 	}
+	return l, idx, placed, target, wins
+}
+
+// BenchmarkExtractFrom builds the local region for a fixed window set,
+// the per-cell extraction step dominating the serial legalizer prologue.
+func BenchmarkExtractFrom(b *testing.B) {
+	l, idx, placed, target, wins := benchExtraction(b)
 	var cands []int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -62,29 +70,33 @@ func BenchmarkExtractFrom(b *testing.B) {
 }
 
 // BenchmarkExtractFromSoA is BenchmarkExtractFrom reading candidate
-// geometry from the structure-of-arrays mirror, the mgl engine's path.
+// geometry from the structure-of-arrays mirror.
 func BenchmarkExtractFromSoA(b *testing.B) {
-	l, idx := benchIndex(b)
-	die := l.Die()
+	l, idx, placed, target, wins := benchExtraction(b)
 	soa := model.NewSoA(l)
-	placed := make([]bool, len(l.Cells))
-	target := -1
-	for i := range l.Cells {
-		placed[i] = true
-		if target < 0 && !l.Cells[i].Fixed {
-			target = i
-		}
-	}
-	wins := make([]geom.Rect, 16)
-	for i := range wins {
-		wins[i] = geom.NewRect((i*53)%(die.W-64), (i*17)%(die.H-16), 64, 16)
-	}
 	var cands []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		win := wins[i%len(wins)]
 		cands = idx.Query(win, cands[:0])
-		region.ExtractFromSoA(soa, placed, target, die, win, cands)
+		region.ExtractFromSoA(soa, placed, target, l.Die(), win, cands)
+	}
+}
+
+// BenchmarkExtractorFromSoA is BenchmarkExtractFromSoA on one reused
+// Extractor, the mgl engine's path: the serial engines extract every
+// target this way.
+func BenchmarkExtractorFromSoA(b *testing.B) {
+	l, idx, placed, target, wins := benchExtraction(b)
+	soa := model.NewSoA(l)
+	var x region.Extractor
+	var cands []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		win := wins[i%len(wins)]
+		cands = idx.Query(win, cands[:0])
+		x.FromSoA(soa, placed, target, l.Die(), win, cands)
 	}
 }

@@ -7,7 +7,9 @@
 package region
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/flex-eda/flex/internal/geom"
@@ -185,20 +187,55 @@ func (c *candCell) rect() geom.Rect {
 
 // ExtractFrom is Extract with a precomputed candidate set (typically an
 // Index query over the window). Candidates outside the window, unplaced
-// movable candidates, and the target itself are ignored.
+// movable candidates, and the target itself are ignored. It runs on a
+// throwaway Extractor, so the region is the caller's to keep.
 func ExtractFrom(l *model.Layout, placed []bool, targetID int, win geom.Rect, rawCandidates []int) *Region {
+	var x Extractor
+	return x.from(l, placed, targetID, win, rawCandidates)
+}
+
+// ExtractFromSoA is ExtractFrom reading candidate geometry from a
+// structure-of-arrays mirror instead of the layout's cell structs; the
+// mirror must be in sync with l. Results are identical — the fixpoint
+// sees the same geometry either way.
+func ExtractFromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.Rect, rawCandidates []int) *Region {
+	var x Extractor
+	return x.FromSoA(soa, placed, targetID, die, win, rawCandidates)
+}
+
+// Extractor builds local regions while reusing its working memory across
+// calls: the gathered candidates, the fixpoint's flags and blocked
+// intervals, and the returned region's segments, localCells and
+// per-segment lists. The zero value is ready to use. Not safe for
+// concurrent use.
+//
+// A returned region is valid only until the next call on the same
+// Extractor. Serial place-and-commit loops, which are done with one
+// target's region before extracting the next (mgl's placeOne, serving
+// FLEX, MGL and MGL-MT's redo path), should keep one. Callers that keep
+// regions across calls must not: MGL-MT's concurrent phase commits its
+// regions after the whole batch is evaluated, and the GPU engine evaluates
+// a round's targets before committing any. They use ExtractFrom and
+// ExtractFromSoA, which run on a throwaway Extractor.
+type Extractor struct {
+	reg     Region
+	cands   []candCell
+	local   []bool
+	blocked [][]iv
+	sel     []int
+	segs    []Segment // every segment keeps its Cells capacity
+	cells   []LocalCell
+}
+
+// from is ExtractFrom on the Extractor's reused memory.
+func (x *Extractor) from(l *model.Layout, placed []bool, targetID int, win geom.Rect, rawCandidates []int) *Region {
 	win = win.Intersect(l.Die())
 	target := &l.Cells[targetID]
-	r := &Region{
-		Target:  targetID,
-		TargetW: target.W,
-		TargetH: target.H,
-		Window:  win,
-	}
+	x.reg = Region{Target: targetID, TargetW: target.W, TargetH: target.H, Window: win}
 	if win.Empty() {
-		return r
+		return &x.reg
 	}
-	cands := make([]candCell, 0, len(rawCandidates))
+	cands := resize(x.cands, len(rawCandidates))[:0]
 	for _, i := range rawCandidates {
 		if i == targetID {
 			continue
@@ -215,26 +252,24 @@ func ExtractFrom(l *model.Layout, placed []bool, targetID int, win geom.Rect, ra
 			})
 		}
 	}
-	extractCore(r, target.GX, cands)
-	return r
+	x.cands = cands
+	x.extract(target.GX)
+	return &x.reg
 }
 
-// ExtractFromSoA is ExtractFrom reading candidate geometry from a
-// structure-of-arrays mirror instead of the layout's cell structs; the
-// mirror must be in sync with l. Results are identical — the fixpoint
-// sees the same geometry either way.
-func ExtractFromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.Rect, rawCandidates []int) *Region {
+// FromSoA is ExtractFromSoA on the Extractor's reused memory.
+func (x *Extractor) FromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.Rect, rawCandidates []int) *Region {
 	win = win.Intersect(die)
-	r := &Region{
+	x.reg = Region{
 		Target:  targetID,
 		TargetW: int(soa.W[targetID]),
 		TargetH: int(soa.H[targetID]),
 		Window:  win,
 	}
 	if win.Empty() {
-		return r
+		return &x.reg
 	}
-	cands := make([]candCell, 0, len(rawCandidates))
+	cands := resize(x.cands, len(rawCandidates))[:0]
 	for _, i := range rawCandidates {
 		if i == targetID {
 			continue
@@ -250,49 +285,70 @@ func ExtractFromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.R
 			})
 		}
 	}
-	extractCore(r, int(soa.GX[targetID]), cands)
-	return r
+	x.cands = cands
+	x.extract(int(soa.GX[targetID]))
+	return &x.reg
 }
 
-// extractCore runs the fixpoint and materialization over the gathered
-// candidates. targetGX is the target's global x (window-centring hint).
-func extractCore(r *Region, targetGX int, cands []candCell) {
+// resize returns s with length n, reusing its backing array when it is
+// large enough and growing it in one step otherwise. Elements past the old
+// length keep whatever they held, so a slice of slices keeps each inner
+// slice's capacity for reuse.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// extract runs the fixpoint and materialization over the gathered
+// candidates into x.reg. targetGX is the target's global x
+// (window-centring hint).
+func (x *Extractor) extract(targetGX int) {
+	r := &x.reg
 	win := r.Window
+	cands := x.cands
 	// Greatest-fixpoint iteration: start from the maximal tentative set
 	// (every movable candidate fully inside the window) and demote cells
 	// that fall outside the segments their own demoted peers induce. The
 	// set shrinks monotonically, so the loop terminates. local is indexed
-	// by candidate position; the segment and blocked-interval buffers are
-	// allocated once and reused across iterations.
-	local := make([]bool, len(cands))
+	// by candidate position.
+	x.local = resize(x.local, len(cands))
+	local := x.local
 	for k := range cands {
 		c := &cands[k]
-		if c.movable && win.Contains(c.rect()) {
-			local[k] = true
-		}
+		local[k] = c.movable && win.Contains(c.rect())
 	}
-	r.Segments = make([]Segment, win.H)
-	blocked := make([][]iv, win.H)
+	x.segs = resize(x.segs, win.H)
+	r.Segments = x.segs
+	x.blocked = resize(x.blocked, win.H)
 	for {
-		buildSegments(r, targetGX, cands, local, blocked)
+		buildSegments(r, targetGX, cands, local, x.blocked)
 		if !demote(r, cands, local) {
 			break
 		}
 	}
 
 	// Materialize localCells (ascending cell ID) and per-segment lists.
-	sel := make([]int, 0, len(cands))
+	sel := resize(x.sel, len(cands))[:0]
 	for k := range cands {
 		if local[k] {
 			sel = append(sel, k)
 		}
 	}
-	sort.Slice(sel, func(a, b int) bool { return cands[sel[a]].id < cands[sel[b]].id })
+	slices.SortFunc(sel, func(a, b int) int { return cmp.Compare(cands[a].id, cands[b].id) })
+	x.sel = sel
+	cells := resize(x.cells, len(sel))[:0]
 	for _, k := range sel {
 		c := &cands[k]
-		r.Cells = append(r.Cells, LocalCell{
+		cells = append(cells, LocalCell{
 			ID: int(c.id), X: int(c.x), Y: int(c.y), GX: int(c.gx), W: int(c.w), H: int(c.h),
 		})
+	}
+	x.cells = cells
+	r.Cells = cells
+	for i := range r.Segments {
+		r.Segments[i].Cells = r.Segments[i].Cells[:0]
 	}
 	for li := range r.Cells {
 		c := &r.Cells[li]
@@ -380,10 +436,14 @@ func buildSegments(r *Region, targetGX int, cands []candCell, local []bool, bloc
 			}
 		}
 		consider(win.X + win.W)
+		// Row and extent only: the segment's Cells list is rebuilt after
+		// the fixpoint, into the capacity it kept from earlier calls.
+		seg := &r.Segments[i]
+		seg.Row = row
 		if homeHi > homeLo {
-			r.Segments[i] = Segment{Row: row, Lo: homeLo, Hi: homeHi}
+			seg.Lo, seg.Hi = homeLo, homeHi
 		} else {
-			r.Segments[i] = Segment{Row: row, Lo: longLo, Hi: longHi}
+			seg.Lo, seg.Hi = longLo, longHi
 		}
 	}
 }

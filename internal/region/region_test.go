@@ -1,6 +1,8 @@
 package region
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/gen"
@@ -261,5 +263,69 @@ func TestExtractEmptyWindow(t *testing.T) {
 	r := Extract(l, placed, 5, geom.NewRect(-10, -10, 5, 5))
 	if len(r.Cells) != 0 {
 		t.Fatal("empty window must produce empty region")
+	}
+}
+
+// extractorFixture is a generated design with every other movable cell
+// placed, and a spread of windows, some reaching past the die.
+func extractorFixture(t testing.TB) (*model.Layout, *Index, *model.SoA, []bool, []geom.Rect) {
+	t.Helper()
+	l, err := gen.Small(1500, 0.72, 5).Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := make([]bool, len(l.Cells))
+	for i := range placed {
+		placed[i] = l.Cells[i].Fixed || i%2 == 0
+	}
+	die := l.Die()
+	wins := make([]geom.Rect, 64)
+	for i := range wins {
+		wins[i] = geom.NewRect((i*53)%die.W-8, (i*17)%die.H-2, 16+(i*13)%96, 2+i%12)
+	}
+	return l, NewIndex(l, 32, 4, nil), model.NewSoA(l), placed, wins
+}
+
+// TestExtractorMatchesThrowaway checks both reusable gathers against the
+// package-level extraction, scrambling each returned region (as a shift
+// commit would) before the next call, so no state leaks between calls.
+func TestExtractorMatchesThrowaway(t *testing.T) {
+	l, idx, soa, placed, wins := extractorFixture(t)
+	var fromSoA, fromLayout Extractor
+	var cands []int
+	for i, win := range wins {
+		target := (i * 7) % len(l.Cells)
+		cands = idx.Query(win, cands[:0])
+		want := ExtractFrom(l, placed, target, win, cands).Clone()
+		for _, got := range []*Region{
+			fromSoA.FromSoA(soa, placed, target, l.Die(), win, cands),
+			fromLayout.from(l, placed, target, win, cands),
+		} {
+			if !reflect.DeepEqual(got.Clone(), want) {
+				t.Fatalf("window %d: reused region differs from ExtractFrom", i)
+			}
+			for si := range got.Segments {
+				slices.Reverse(got.Segments[si].Cells)
+			}
+			for ci := range got.Cells {
+				got.Cells[ci].X += 1000
+			}
+		}
+	}
+}
+
+func TestExtractorAllocsAfterWarmUp(t *testing.T) {
+	l, idx, soa, placed, wins := extractorFixture(t)
+	var x Extractor
+	var cands []int
+	run := func() {
+		for i, win := range wins {
+			cands = idx.Query(win, cands[:0])
+			x.FromSoA(soa, placed, (i*7)%len(l.Cells), l.Die(), win, cands)
+		}
+	}
+	run() // grows every buffer to the largest window of the set
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("warm Extractor made %.1f allocations per %d extractions, want 0", allocs, len(wins))
 	}
 }
