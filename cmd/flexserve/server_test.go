@@ -175,8 +175,24 @@ func TestLegalizeRawFlexplPayload(t *testing.T) {
 // goroutine, taking the process down; now the upload gets a 400 and the
 // server keeps serving.
 func TestDegenerateDieUploadRejected(t *testing.T) {
+	testDieUploadRejected(t, "flexpl 1\ndesign d\ndie 8 -4 8\ncells 1\na 0 0 2 1 any 0\n",
+		"needs at least one site and one row")
+}
+
+// TestHugeDieUploadRejected posts a billion-square die holding one cell.
+// It used to decode, and the legality check's per-row array then ran the
+// process out of memory, which no recover catches; now Decode rejects the
+// die as out of proportion to its cells and the upload gets a 400.
+func TestHugeDieUploadRejected(t *testing.T) {
+	testDieUploadRejected(t, "flexpl 1\ndesign d\ndie 1000000000 1000000000 8\ncells 1\na 0 0 2 1 any 0\n",
+		"die 1000000000 x 1000000000 is out of proportion to its cell count 1")
+}
+
+// testDieUploadRejected posts bad, wants a 400 whose error contains
+// wantErr, then posts a valid upload and wants it legalized.
+func testDieUploadRejected(t *testing.T, bad, wantErr string) {
+	t.Helper()
 	ts := newTestServer(t)
-	bad := "flexpl 1\ndesign d\ndie 8 -4 8\ncells 1\na 0 0 2 1 any 0\n"
 	resp, err := http.Post(ts.URL+"/v1/legalize", "text/plain", strings.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +202,7 @@ func TestDegenerateDieUploadRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "needs at least one site and one row") {
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, wantErr) {
 		t.Fatalf("status %d, error %q: want 400 naming the die", resp.StatusCode, eb.Error)
 	}
 

@@ -100,27 +100,40 @@ type Evaluator struct {
 	vals []int // original pipeline: materialized values
 }
 
+// insertionMax is the longest key list sortAndMerge sorts by insertion.
+// FOP feeds it 15 keys per insertion point on average, where one insertion
+// pass beats slices.Sort's pivot and partition steps. The cutoff bounds the
+// pass's quadratic worst case: longer lists, such as the analytical
+// baseline's dense chains or a die-wide retry window's, go to slices.Sort.
+const insertionMax = 48
+
 // sortAndMerge sorts the hinges by position (with zero-slope sentinels at
 // lo and hi so the constrained minimum is attained at a breakpoint) and
 // merges equal positions into e.ms. Both pipelines share it; Original
 // charges the passes separately on top. The sort runs over packed int64
 // keys, position in the high bits and hinge index in the low bits, so it
 // moves 8-byte words instead of 32-byte structs; site positions fit the
-// remaining 40-odd bits by a wide margin. Equal-position hinges merge by
+// remaining 40-odd bits by a wide margin. Keys arrive in stream order (the
+// lo sentinel, the hinges as given, the hi sentinel); they are unique, so
+// the sorted order never depends on it. Equal-position hinges merge by
 // commutative slope addition, so their relative order never reaches the
 // traversals.
 func (e *Evaluator) sortAndMerge(bps []Breakpoint, lo, hi int, st *Stats) []merged {
 	n := len(bps)
 	shift := bits.Len(uint(n + 1)) // index bits; n and n+1 are the sentinels
 	mask := int64(1)<<shift - 1
-	keys := e.keys[:0]
+	keys := append(e.keys[:0], int64(lo)<<shift|int64(n))
 	for i := range bps {
 		keys = append(keys, int64(bps[i].X)<<shift|int64(i))
 	}
-	keys = append(keys, int64(lo)<<shift|int64(n), int64(hi)<<shift|int64(n+1))
+	keys = append(keys, int64(hi)<<shift|int64(n+1))
 	e.keys = keys
 	st.RawBps += len(keys)
-	slices.Sort(keys)
+	if len(keys) > insertionMax {
+		slices.Sort(keys)
+	} else {
+		insertionSort(keys)
+	}
 	if m := len(keys); m > 1 {
 		// n log n comparison units, the cost charged to "sort bp".
 		logn := 0
@@ -146,6 +159,19 @@ func (e *Evaluator) sortAndMerge(bps []Breakpoint, lo, hi int, st *Stats) []merg
 	e.ms = out
 	st.MergedBps += len(out)
 	return out
+}
+
+// insertionSort sorts keys ascending in one insertion pass: linear in the
+// length plus the number of out-of-order pairs.
+func insertionSort(keys []int64) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
 }
 
 // grow resizes dst to n reusing capacity.

@@ -442,9 +442,14 @@ func (f *Finder) evalPoint(reg *region.Region, t Target, y, b2, lo0, hi0, vbase 
 		f.measureOriginal(reg, t, y, b2, lo, hi, st)
 	}
 
-	// Hinge emission: target V plus delta hinges for every chained cell.
+	// Hinge emission: target V plus delta hinges for every chained cell,
+	// in stream order for the curve sorter. Push thresholds fall along the
+	// left sweep and rise along the right one, so the left chain is emitted
+	// in reverse and the right chain as swept: each row's chain reaches the
+	// sorter with its thresholds ascending.
 	bps := append(f.bps[:0], curve.VHinge(t.GX, vbase))
-	for _, e := range left {
+	for k := len(left) - 1; k >= 0; k-- {
+		e := left[k]
 		c := &reg.Cells[e.ci]
 		n := len(bps)
 		bps = curve.AppendHingesForPushLeft(bps, c.X, c.GX, c.X+e.o)

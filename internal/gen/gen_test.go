@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/model"
@@ -173,5 +175,25 @@ func TestGenerateRejectsBadDensity(t *testing.T) {
 	spec.TargetDensity = 0
 	if _, err := spec.Generate(1); err == nil {
 		t.Fatal("density 0 must be rejected")
+	}
+}
+
+// TestSuiteDesignsPassDieRule checks flexpl's die rule against every suite
+// design at scale 1.0. Decode applies the rule as soon as it has read the
+// cell count, so a header that gets as far as the missing cell lines has
+// passed it; decoding the headers alone keeps the large designs cheap.
+func TestSuiteDesignsPassDieRule(t *testing.T) {
+	for _, s := range append(ICCAD2017(), Superblue()...) {
+		l, err := s.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header := fmt.Sprintf("flexpl 1\ndesign %s\ndie %d %d %d\ncells %d\n",
+			l.Name, l.NumSitesX, l.NumRows, l.RowHeight, len(l.Cells))
+		_, err = model.Decode(strings.NewReader(header))
+		if want := fmt.Sprintf("expected %d cells, got 0", len(l.Cells)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: die %d x %d with %d cells: Decode error %v, want %q",
+				s.Name, l.NumSitesX, l.NumRows, len(l.Cells), err, want)
+		}
 	}
 }

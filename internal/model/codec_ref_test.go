@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/big"
 	"strings"
 )
 
@@ -34,9 +35,9 @@ func refEncode(w io.Writer, l *Layout) error {
 }
 
 // refDecode reads a layout in flexpl format with fmt.Sscanf. With dieRule
-// it also rejects a die below one site by one row, at the same point and
-// with the same error as Decode; without it, it accepts such dies as the
-// codec once did.
+// it also rejects a die below one site by one row, or out of proportion to
+// its cell count, at the same points and with the same errors as Decode;
+// without it, it accepts such dies as the codec once did.
 func refDecode(r io.Reader, dieRule bool) (*Layout, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -91,6 +92,9 @@ func refDecode(r io.Reader, dieRule bool) (*Layout, error) {
 	}
 	if n < 0 {
 		return nil, errf("negative cell count %d", n)
+	}
+	if dieRule && !refDieInProportion(l.NumSitesX, l.NumRows, n) {
+		return nil, errf("die %d x %d is out of proportion to its cell count %d", l.NumSitesX, l.NumRows, n)
 	}
 	capHint := n
 	if capHint > 1<<20 {
@@ -150,4 +154,12 @@ func refDecode(r io.Reader, dieRule bool) (*Layout, error) {
 		l.Cells = append(l.Cells, c)
 	}
 	return l, nil
+}
+
+// refDieInProportion states the die rule in arbitrary precision: with
+// m = max(n, 1024), at most m rows and at most 1024·m sites × rows.
+func refDieInProportion(w, h, n int) bool {
+	m := big.NewInt(int64(max(n, 1024)))
+	area := new(big.Int).Mul(big.NewInt(int64(w)), big.NewInt(int64(h)))
+	return big.NewInt(int64(h)).Cmp(m) <= 0 && area.Cmp(m.Mul(m, big.NewInt(1024))) <= 0
 }

@@ -45,6 +45,17 @@ var codecSeeds = []string{
 	// Dies without sites or rows.
 	"flexpl 1\ndesign d\ndie 8 -4 8\ncells 1\na 0 0 2 1 any 0\n",
 	"flexpl 1\ndesign d\ndie 0 4 8\ncells 0\n",
+	// Dies at and past the proportion limits: 1024 rows and 1024² sites ×
+	// rows up to 1024 cells, then one row and 1024 site-rows per cell; a
+	// billion-square die; products that wrap in 64 bits, to 1024 and to
+	// about 2^64.
+	"flexpl 1\ndesign d\ndie 1024 1024 8\ncells 0\n",
+	"flexpl 1\ndesign d\ndie 1025 1024 8\ncells 0\n",
+	"flexpl 1\ndesign d\ndie 1 1025 8\ncells 0\n",
+	"flexpl 1\ndesign d\ndie 1024 1025 8\ncells 1025\n",
+	"flexpl 1\ndesign d\ndie 1000000000 1000000000 8\ncells 1\na 0 0 2 1 any 0\n",
+	"flexpl 1\ndesign d\ndie 18014398509481985 1024 8\ncells 0\n",
+	"flexpl 1\ndesign d\ndie 9223372036854775807 9223372036854775807 8\ncells 9223372036854775807\n",
 	// Invalid UTF-8 in the design and cell names.
 	"flexpl 1\ndesign \xff\xe2\x82\ndie 8 4 8\ncells 1\n\xc2 0 0 2 1 any 0\n",
 }
@@ -86,8 +97,9 @@ func FuzzFlexplRoundTrip(f *testing.F) {
 // FuzzDecodeMatchesReference holds the hand-written codec to the fmt-based
 // one it replaced: the same inputs accepted, the same error text, equal
 // layouts and byte-identical re-encodings. The one intended difference is
-// that a die without sites or rows is now rejected; the reference is
-// checked to differ from its old self only there.
+// the die rule: a die without sites or rows, or out of proportion to its
+// cell count, is now rejected; the reference is checked to differ from its
+// old self only there.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s))
@@ -100,7 +112,8 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		}
 		old, oldErr := refDecode(bytes.NewReader(data), false)
 		if errText(oldErr) != errText(wantErr) || !reflect.DeepEqual(old, want) {
-			if wantErr == nil || !strings.Contains(wantErr.Error(), "needs at least one site and one row") {
+			if e := errText(wantErr); !strings.Contains(e, "needs at least one site and one row") &&
+				!strings.Contains(e, "is out of proportion to its cell count") {
 				t.Fatalf("die rule changed more than degenerate dies: old %v, new %v", oldErr, wantErr)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -28,10 +29,12 @@ import (
 // digits (at least one) that fits in an int; anything after the digits up
 // to the end of its field is ignored, so "12abc" reads as 12 and "0x10" as
 // 0. Inside the header lines, only the last integer may carry such a tail.
-// A die needs at least one site and one row. The design name is the first
-// field after "design". A cell name is one field that does not start with
-// #: it holds no white space, and a cell line starting with # would read
-// as a comment.
+// A die needs at least one site and one row, and it must be in proportion
+// to its cells, because per-row and per-bin work is sized from it: with n
+// cells and m = max(n, 1024), it may have at most m rows and at most
+// 1024·m sites × rows. The design name is the first field after "design".
+// A cell name is one field that does not start with #: it holds no white
+// space, and a cell line starting with # would read as a comment.
 //
 // Encode writes the canonical form: single spaces, no comments, and the
 // optional position only when it differs from the global one. Its bytes
@@ -141,6 +144,9 @@ func Decode(r io.Reader) (*Layout, error) {
 	if n < 0 {
 		return nil, errf("negative cell count %d", n)
 	}
+	if !dieInProportion(l.NumSitesX, l.NumRows, n) {
+		return nil, errf("die %d x %d is out of proportion to its cell count %d", l.NumSitesX, l.NumRows, n)
+	}
 	// Cap the pre-allocation: the header's count is untrusted (flexserve
 	// decodes raw request bodies), and each claimed cell still needs a line
 	// of input, so a lying header fails cheaply instead of sizing a huge
@@ -202,6 +208,27 @@ func Decode(r io.Reader) (*Layout, error) {
 		l.Cells = append(l.Cells, c)
 	}
 	return l, nil
+}
+
+// dieSiteRowsPerCell and dieMinCells set the die rule of the format
+// comment. Generated designs use 6–40 sites × rows per cell and far fewer
+// rows than cells.
+const (
+	dieSiteRowsPerCell = 1024
+	dieMinCells        = 1024
+)
+
+// dieInProportion reports whether a w × h die (both positive) may hold n
+// cells under the die rule. The area is multiplied out in 128 bits, so no
+// declared size overflows it.
+func dieInProportion(w, h, n int) bool {
+	m := uint64(max(n, dieMinCells))
+	if uint64(h) > m {
+		return false
+	}
+	areaHi, areaLo := bits.Mul64(uint64(w), uint64(h))
+	capHi, capLo := bits.Mul64(m, dieSiteRowsPerCell)
+	return areaHi < capHi || areaHi == capHi && areaLo <= capLo
 }
 
 // spaceAt reports whether s starts with a white-space rune, the set

@@ -214,6 +214,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			"flexpl line 3: die 8 x -4 needs at least one site and one row"},
 		{"flexpl 1\ndesign d\ndie 8 0 8\ncells 0\n", "flexpl line 3: die 8 x 0 needs"},
 		{"flexpl 1\n\ndesign d\ndie -1 4 8\ncells 0\n", "flexpl line 4: die -1 x 4 needs"},
+		// Dies out of proportion to their cells: one flexserve upload
+		// declaring a billion-square die once had Check ask for 24 GB.
+		{"flexpl 1\ndesign d\ndie 1000000000 1000000000 8\ncells 1\na 0 0 2 1 any 0\n",
+			"flexpl line 4: die 1000000000 x 1000000000 is out of proportion to its cell count 1"},
+		{"flexpl 1\ndesign d\ndie 1025 1024 8\ncells 1024\n", "die 1025 x 1024 is out of proportion"},
+		{"flexpl 1\ndesign d\ndie 1 1025 8\ncells 0\n", "die 1 x 1025 is out of proportion"},
+		{"flexpl 1\ndesign d\ndie 4097 2048 8\ncells 2048\n", "die 4097 x 2048 is out of proportion"},
+		// (2^54+1) × 2^10 sites × rows wraps to 1024 in 64 bits.
+		{"flexpl 1\ndesign d\ndie 18014398509481985 1024 8\ncells 0\n", "is out of proportion"},
 	}
 	for i, tc := range bad {
 		_, err := Decode(bytes.NewReader([]byte(tc.in)))

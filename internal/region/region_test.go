@@ -1,6 +1,7 @@
 package region
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -242,8 +243,69 @@ func TestIndexUpdateTracksMoves(t *testing.T) {
 	}
 	idx.Remove(0) // double remove must be a no-op
 	idx.Add(0)
-	if !found {
+	if !slices.Contains(idx.Query(far, nil), 0) {
 		t.Fatal("re-added cell lost")
+	}
+}
+
+// TestIndexRandomOpsMatchBruteForce runs random Add, Remove and Update
+// sequences over a generated layout with small bins, so most cells span
+// several. Indexed cells move only through Update; cells out of the index
+// move freely and are picked up by the next Add or Update. After every
+// step, each query window gets exactly the indexed cells a brute-force
+// overlap scan finds, without duplicates, which keeps the cached home bins
+// honest through every re-bin.
+func TestIndexRandomOpsMatchBruteForce(t *testing.T) {
+	l, err := gen.Small(300, 0.6, 13).Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	die := l.Die()
+	move := func(id int) {
+		c := &l.Cells[id]
+		c.X = rng.Intn(die.W - c.W + 1)
+		c.Y = rng.Intn(die.H - c.H + 1)
+	}
+	in := make([]bool, len(l.Cells))
+	for i := range in {
+		in[i] = i%3 != 0
+	}
+	idx := NewIndex(l, 5, 2, func(i int) bool { return in[i] })
+	var got []int
+	for step := 0; step < 3000; step++ {
+		id := rng.Intn(len(l.Cells))
+		switch op := rng.Intn(4); {
+		case op == 0:
+			idx.Add(id)
+			in[id] = true
+		case op == 1:
+			idx.Remove(id)
+			in[id] = false
+		case op == 2:
+			move(id)
+			idx.Update(id)
+			in[id] = true
+		case !in[id]:
+			move(id)
+		}
+		for q := 0; q < 4; q++ {
+			win := geom.NewRect(rng.Intn(die.W+8)-8, rng.Intn(die.H+4)-4, 1+rng.Intn(40), 1+rng.Intn(8))
+			got = idx.Query(win, got[:0])
+			seen := map[int]bool{}
+			for _, id := range got {
+				if seen[id] {
+					t.Fatalf("step %d: window %v returned cell %d twice", step, win, id)
+				}
+				seen[id] = true
+			}
+			for i := range l.Cells {
+				if want := in[i] && l.Cells[i].Rect().Overlaps(win); seen[i] != want {
+					t.Fatalf("step %d: window %v cell %d (indexed %v, rect %v): returned %v, want %v",
+						step, win, i, in[i], l.Cells[i].Rect(), seen[i], want)
+				}
+			}
+		}
 	}
 }
 
