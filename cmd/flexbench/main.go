@@ -68,14 +68,14 @@
 // -bench-out path writes the run's perf-trajectory record: one
 // internal/benchjson document with the deterministic facts — op counts,
 // modeled seconds, quality, cache and device counters — of every
-// (design, engine, config) the table1, sharded and sched drivers measured.
-// Wall clock never enters the file, so two runs of the same binary are
-// byte-identical and cmd/benchdiff can gate regressions in CI. -exp bench
-// is the canonical recording selection (exactly those three drivers); with
-// -repeat N only the first repetition records. Record with -workers 1:
-// board-reconfiguration counts are order-dependent under concurrency, and
-// flexbench warns when -bench-out runs with any other worker count. See
-// docs/BENCHMARKING.md for the methodology.
+// (design, engine, config) the table1, sharded, sched and eco drivers
+// measured. Wall clock never enters the file, so two runs of the same
+// binary are byte-identical and cmd/benchdiff can gate regressions in CI.
+// -exp bench is the canonical recording selection (exactly those four
+// drivers); with -repeat N only the first repetition records. Record with
+// -workers 1: board-reconfiguration counts are order-dependent under
+// concurrency, and flexbench warns when -bench-out runs with any other
+// worker count. See docs/BENCHMARKING.md for the methodology.
 //
 // Absolute numbers depend on the scale factor and the platform models; the
 // shapes (who wins, by what factor, where the crossovers are) are the
@@ -192,8 +192,6 @@ func main() {
 		Scale:           *scale,
 		Threads:         *threads,
 		MeasureOriginal: *measure,
-		Workers:         *workers,
-		FPGAs:           *fpgas,
 		Pool:            pool,
 		Layouts:         layouts,
 		Priority:        *priority,
@@ -468,7 +466,7 @@ func main() {
 			recorded += len(e.Records)
 		}
 		if recorded == 0 {
-			fmt.Fprintf(os.Stderr, "bench-out: the selected experiments recorded nothing (only table1, sharded and sched record; use -exp bench)\n")
+			fmt.Fprintf(os.Stderr, "bench-out: the selected experiments recorded nothing (only table1, sharded, sched and eco record; use -exp bench)\n")
 			os.Exit(2)
 		}
 		if err := bench.WriteFile(*benchOut); err != nil {

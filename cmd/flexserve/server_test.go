@@ -188,6 +188,15 @@ func TestHugeDieUploadRejected(t *testing.T) {
 		"die 1000000000 x 1000000000 is out of proportion to its cell count 1")
 }
 
+// TestHugeCellUploadRejected posts an 8-row die holding a fixed cell 10^12
+// rows tall. It used to decode, and measuring the result then ran the
+// process out of memory; now Decode rejects the cell as larger than its
+// die and the upload gets a 400.
+func TestHugeCellUploadRejected(t *testing.T) {
+	testDieUploadRejected(t, "flexpl 1\ndesign d\ndie 8 8 8\ncells 1\nb 10 0 2 1000000000000 any 1\n",
+		"cell b of size 2x1000000000000 is larger than its 8 x 8 die")
+}
+
 // testDieUploadRejected posts bad, wants a 400 whose error contains
 // wantErr, then posts a valid upload and wants it legalized.
 func testDieUploadRejected(t *testing.T, bad, wantErr string) {

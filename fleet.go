@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/fleet"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
@@ -95,14 +96,13 @@ func fleetStats(rs fleet.RouterStats) *FleetStats {
 }
 
 // engineWireName maps an Engine to its canonical wire name (the inverse of
-// ParseEngine, from the same registry).
+// ParseEngine, from the same table).
 func engineWireName(e Engine) (string, error) {
-	for _, r := range engineRegistry {
-		if r.engine == e {
-			return r.name, nil
-		}
+	en, err := engine.Lookup(engine.Kind(e))
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("flex: unknown engine %d", int(e))
+	return en.Name, nil
 }
 
 // routingKey is the consistent-hash key band b of a job routes by on a

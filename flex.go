@@ -26,16 +26,12 @@ import (
 	"strings"
 	"time"
 
-	"github.com/flex-eda/flex/internal/analytical"
 	"github.com/flex-eda/flex/internal/batch"
-	"github.com/flex-eda/flex/internal/core"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
-	"github.com/flex-eda/flex/internal/gpu"
-	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
-	"github.com/flex-eda/flex/internal/perf"
 	"github.com/flex-eda/flex/internal/sched"
 )
 
@@ -79,55 +75,29 @@ const (
 
 // String names the engine as in the paper's Table 1.
 func (e Engine) String() string {
-	switch e {
-	case EngineFLEX:
-		return "FLEX"
-	case EngineMGL:
-		return "MGL"
-	case EngineMGLMT:
-		return "TCAD'22-MGL"
-	case EngineGPU:
-		return "DATE'22"
-	case EngineAnalytical:
-		return "ISPD'25"
+	if en, err := engine.Lookup(engine.Kind(e)); err == nil {
+		return en.Label
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// engineRegistry is the single source of the canonical engine names, FLEX
-// first — EngineNames, ParseEngine, and every CLI/server error message
-// derive from it, so the accepted name set cannot drift between surfaces.
-var engineRegistry = []struct {
-	name   string
-	engine Engine
-}{
-	{"flex", EngineFLEX},
-	{"mgl", EngineMGL},
-	{"mgl-mt", EngineMGLMT},
-	{"gpu", EngineGPU},
-	{"analytical", EngineAnalytical},
-}
-
 // EngineNames lists the canonical names ParseEngine accepts, FLEX first.
-func EngineNames() []string {
-	names := make([]string, len(engineRegistry))
-	for i, r := range engineRegistry {
-		names[i] = r.name
-	}
-	return names
-}
+// They come from internal/engine's table, as does every CLI and server
+// error message naming them, so the accepted set cannot drift between
+// surfaces.
+func EngineNames() []string { return engine.Names() }
 
 // ParseEngine maps a canonical engine name (see EngineNames) to its Engine.
 func ParseEngine(name string) (Engine, error) {
-	for _, r := range engineRegistry {
-		if r.name == name {
-			return r.engine, nil
-		}
+	if k, ok := engine.Parse(name); ok {
+		return Engine(k), nil
 	}
 	return 0, fmt.Errorf("flex: unknown engine %q (want %s)", name, strings.Join(EngineNames(), ", "))
 }
 
 // Options tunes an engine run. The zero value picks the paper's defaults.
+// It converts to the engine table's options by struct conversion, so the
+// two keep the same fields in the same order.
 type Options struct {
 	// Threads is the CPU baseline's worker count (EngineMGLMT; default 8).
 	Threads int
@@ -166,49 +136,21 @@ func LegalizeWith(l *Layout, engine Engine, opt Options) (*Outcome, error) {
 	if l == nil {
 		return nil, fmt.Errorf("flex: nil layout")
 	}
-	out := &Outcome{Engine: engine}
-	switch engine {
-	case EngineFLEX:
-		cfg := core.Config{SlidingWindow: opt.SlidingWindow}
-		if opt.OnePE {
-			cfg.PE = fpga.PEConfig{Pipeline: fpga.MultiGranularity, SACS: fpga.SACSParal, NumPE: 1}
-		}
-		if opt.OffloadInsert {
-			cfg.Assignment = core.FOPAndInsertOnFPGA
-		}
-		r := core.Legalize(l, cfg)
-		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
-		out.Violations = r.Violations
-		out.ModeledSeconds = r.TotalSeconds
-	case EngineMGL:
-		r := mgl.Legalize(l, mgl.Config{})
-		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
-		out.Violations = r.Violations
-		out.ModeledSeconds = perf.DefaultCPU.Seconds(r.Stats.WorkSerial)
-	case EngineMGLMT:
-		threads := opt.Threads
-		if threads == 0 {
-			threads = 8
-		}
-		r := mgl.Legalize(l, mgl.Config{Threads: threads})
-		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
-		out.Violations = r.Violations
-		out.ModeledSeconds = perf.DefaultCPU.ParallelSeconds(
-			r.Stats.WorkSerial, r.Stats.WorkCritical, int(r.Stats.Batches), threads)
-	case EngineGPU:
-		r := gpu.Legalize(l, gpu.Config{})
-		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
-		out.Violations = r.Violations
-		out.ModeledSeconds = r.TotalSeconds
-	case EngineAnalytical:
-		r := analytical.Legalize(l, analytical.Config{})
-		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
-		out.Violations = r.Violations
-		out.ModeledSeconds = r.TotalSeconds
-	default:
-		return nil, fmt.Errorf("flex: unknown engine %d", int(engine))
+	return legalize(context.Background(), l, engine, opt)
+}
+
+// legalize runs e on a clone of l through internal/engine's table: the one
+// recipe behind LegalizeWith and a single-process service's executor. An
+// engine that needs the FPGA holds one of ctx's modeled boards for the run.
+func legalize(ctx context.Context, l *Layout, e Engine, opt Options) (*Outcome, error) {
+	r, err := engine.Run(ctx, engine.Kind(e), l, engine.Options(opt))
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &Outcome{
+		Layout: r.Layout, Metrics: r.Metrics, Legal: r.Legal, Violations: r.Violations,
+		ModeledSeconds: r.ModeledSeconds, Engine: e,
+	}, nil
 }
 
 // BatchJob describes one legalization job for LegalizeBatch. Either set
@@ -284,7 +226,10 @@ type BatchJob struct {
 // the GPU and analytical models) are priced entirely host-side. Jobs that
 // need the FPGA serialize on the batch's device tokens (BatchOptions.FPGAs);
 // everything else overlaps freely.
-func (j BatchJob) NeedsFPGA() bool { return j.Engine == EngineFLEX }
+func (j BatchJob) NeedsFPGA() bool {
+	e, err := engine.Lookup(engine.Kind(j.Engine))
+	return err == nil && e.FPGA
+}
 
 // BatchOptions tunes a LegalizeBatch run.
 type BatchOptions struct {
@@ -419,25 +364,6 @@ func (j BatchJob) resolveLayout(generate func(design string, scale float64) (*La
 		return j.Layout, nil
 	}
 	return generate(j.Design, j.effectiveScale())
-}
-
-// legalizeOnDevice is a single-process service's executor: the job's
-// engine phase on one band. For engines that need the FPGA it holds one
-// modeled board while the engine streams l through it; CPU-only engines run
-// immediately. Every band of every job shares this one recipe, so the
-// device contract cannot drift between them.
-func (j BatchJob) legalizeOnDevice(ctx context.Context, l *Layout) (*Outcome, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if j.NeedsFPGA() {
-		release, err := batch.AcquireDevice(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-	}
-	return LegalizeWith(l, j.Engine, j.Options)
 }
 
 func (j BatchJob) toResult(r batch.Result[*Outcome]) BatchResult {

@@ -1,4 +1,4 @@
-package experiments
+package engine
 
 import (
 	"github.com/flex-eda/flex/internal/analytical"

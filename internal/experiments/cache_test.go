@@ -51,12 +51,12 @@ func TestSharedPoolAndCacheByteIdenticalTables(t *testing.T) {
 		}},
 	}
 	for _, d := range drivers {
-		baseline, err := d.run(withWorkers(tiny, 1))
+		baseline, err := d.run(withPool(t, tiny, 1, 0))
 		if err != nil {
 			t.Fatalf("%s baseline: %v", d.name, err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			got, err := d.run(withService(withWorkers(tiny, 4), pool, layouts))
+			got, err := d.run(withService(tiny, pool, layouts))
 			if err != nil {
 				t.Fatalf("%s cached pass %d: %v", d.name, pass, err)
 			}

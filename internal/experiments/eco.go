@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
-	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/eco"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
@@ -52,50 +49,6 @@ func (p EcoPoint) Speedup() float64 {
 	return 0
 }
 
-// bandRun is one band's legalization outcome inside the eco driver.
-type ecoBandRun struct {
-	layout  *model.Layout
-	seconds float64
-	legal   bool
-	ops     benchjson.Ops
-}
-
-// legalizeBands fans one FLEX job per listed band index through the pool
-// (nil bands = all) and returns the per-band runs, indexed like bands.
-func legalizeBands(opt Options, pool *batch.Pool, bands []*model.Layout, idx []int) ([]ecoBandRun, error) {
-	if idx == nil {
-		idx = make([]int, len(bands))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	jobs := make([]batch.Job[ecoBandRun], len(idx))
-	for j, b := range idx {
-		band := bands[b]
-		jobs[j] = func(ctx context.Context) (ecoBandRun, error) {
-			return runOnDevice(ctx, func() (ecoBandRun, error) {
-				r := core.Legalize(band, core.Config{MeasureOriginalShift: opt.MeasureOriginal})
-				return ecoBandRun{layout: r.Layout, seconds: r.TotalSeconds, legal: r.Legal, ops: flexOps(r)}, nil
-			})
-		}
-	}
-	results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, nil, true, nil)
-	if opt.Stats != nil {
-		opt.Stats.Add(st)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ecoBandRun, len(idx))
-	for j, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("band %d: %w", idx[j], r.Err)
-		}
-		out[j] = r.Value
-	}
-	return out, nil
-}
-
 // interiorEdit picks a deterministic in-halo move inside band b of the
 // plan: the first movable parity-free cell whose halo-expanded row span
 // stays strictly inside the band (so exactly one band dirties), shifted
@@ -138,11 +91,6 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("eco: empty suite")
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
-		defer pool.Close()
-	}
 	out := make([]EcoPoint, 0, len(suite))
 	for _, spec := range suite {
 		base, err := opt.generate(spec, opt.Scale)
@@ -157,7 +105,7 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
-		baseRuns, err := legalizeBands(opt, pool, baseBands, nil)
+		baseRuns, err := legalizeBands(opt, baseBands, nil)
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
@@ -213,18 +161,19 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 			}
 
 			// Incremental: re-legalize the dirty bands, splice the rest.
-			incRuns, err := legalizeBands(opt, pool, editedBands, dirtyIdx)
+			incRuns, err := legalizeBands(opt, editedBands, dirtyIdx)
 			if err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
 			incLayouts := make([]*model.Layout, len(plan.Bands))
 			for b := range plan.Bands {
-				incLayouts[b] = baseRuns[b].layout
+				incLayouts[b] = baseRuns[b].Value.Layout
 			}
 			for j, b := range dirtyIdx {
-				incLayouts[b] = incRuns[j].layout
-				pt.IncModeled += incRuns[j].seconds
-				pt.Ops.Add(incRuns[j].ops)
+				inc := incRuns[j].Value
+				incLayouts[b] = inc.Layout
+				pt.IncModeled += inc.ModeledSeconds
+				pt.Ops.Add(inc.Ops())
 			}
 			incStitched, err := shard.Stitch(edited, plan, incLayouts)
 			if err != nil {
@@ -233,14 +182,14 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 
 			// Full re-run of the edited die, the baseline the splice must
 			// reproduce exactly.
-			fullRuns, err := legalizeBands(opt, pool, editedBands, nil)
+			fullRuns, err := legalizeBands(opt, editedBands, nil)
 			if err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
 			fullLayouts := make([]*model.Layout, len(plan.Bands))
 			for b := range plan.Bands {
-				fullLayouts[b] = fullRuns[b].layout
-				pt.FullModeled += fullRuns[b].seconds
+				fullLayouts[b] = fullRuns[b].Value.Layout
+				pt.FullModeled += fullRuns[b].Value.ModeledSeconds
 			}
 			fullStitched, err := shard.Stitch(edited, plan, fullLayouts)
 			if err != nil {

@@ -8,20 +8,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"github.com/flex-eda/flex/internal/analytical"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/cache"
-	"github.com/flex-eda/flex/internal/core"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
-	"github.com/flex-eda/flex/internal/gpu"
 	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
-	"github.com/flex-eda/flex/internal/perf"
 	"github.com/flex-eda/flex/internal/report"
 )
 
@@ -34,36 +30,28 @@ type Options struct {
 	Designs []string
 	// MeasureOriginal instruments the original multi-pass shifting per
 	// insertion point (slower, more faithful Normal-Pipeline cycle counts).
+	// Only Fig8 reads it: no other driver's output depends on it.
 	MeasureOriginal bool
 	// Threads is the CPU baseline's thread count (0 = 8, the paper's).
 	Threads int
-	// Workers bounds how many (design × engine) jobs a driver runs
-	// concurrently through internal/batch (<= 0 = GOMAXPROCS). Engines are
-	// deterministic, so every worker count yields identical tables; only
-	// wall-clock changes.
-	Workers int
-	// FPGAs is the number of physical accelerator boards the drivers model
-	// (0 = 1, the paper's single-card host; negative = unlimited). FLEX
-	// jobs hold one board for their device phase and serialize when
-	// concurrent FLEX jobs outnumber boards; CPU-only jobs keep
-	// overlapping. Like Workers, it never changes a rendered table.
-	FPGAs int
 	// Stats, when non-nil, accumulates every driver batch's pool
 	// statistics — wall vs summed job wall (CPU overlap) and device
 	// wait/hold/contention — so callers can report scheduling behaviour
 	// without perturbing the deterministic tables.
 	Stats *batch.Stats
-	// Pool, when non-nil, is a shared long-lived executor (workers +
-	// modeled boards + admission control) the driver's batches run on —
-	// the service wiring that lets one flexbench invocation share workers
-	// and device history across every driver. It overrides Workers and
-	// FPGAs. nil builds a throwaway pool per driver call, the historical
-	// behaviour.
+	// Pool is the executor every driver batch runs on: workers, modeled
+	// FPGA boards and admission control, shared so one flexbench
+	// invocation keeps its workers and device history across drivers.
+	// FLEX jobs hold one board for their device phase and serialize when
+	// they outnumber boards; CPU-only jobs keep overlapping. Engines are
+	// deterministic, so no pool shape changes a rendered table. nil runs
+	// each batch on a throwaway default pool.
 	Pool *batch.Pool
 	// Priority stamps every driver job's scheduling class (flexbench's
 	// -priority flag): on a shared pool, a whole flexbench run can be
-	// demoted below (or promoted above) concurrent traffic. Scheduling
-	// order never changes a rendered table.
+	// demoted below (or promoted above) concurrent traffic. Sched's class
+	// ladder is its experiment and keeps its own levels. Scheduling order
+	// never changes a rendered table.
 	Priority int
 	// Layouts, when non-nil, memoizes generated layouts by (design, scale,
 	// seed) across drivers and repeated runs, so shared designs are built
@@ -76,7 +64,7 @@ type Options struct {
 	// driver's batch completes, in deterministic suite × engine order, and
 	// contain only deterministic facts (op counts, modeled seconds,
 	// quality), so the serialized file is byte-stable across runs. Only
-	// the Table1, Sharded and Sched drivers record; see
+	// the Table1, Sharded, Sched and Eco drivers record; see
 	// docs/BENCHMARKING.md for the schema.
 	Bench *benchjson.Experiment
 }
@@ -140,8 +128,9 @@ type Table1Row struct {
 	AccI    float64    // Flex speedup vs ISPD'25
 }
 
-// table1Engines orders the four Table-1 engine columns.
-const table1Engines = 4 // MGL, DATE'22, ISPD'25, FLEX
+// table1Engines orders the four Table-1 engine columns: Table1Row.MGL,
+// Date, Ispd and Flex.
+var table1Engines = [...]engine.Kind{engine.MGLMT, engine.GPU, engine.Analytical, engine.FLEX}
 
 // Table1 runs all four engines over the (filtered, scaled) suite, fanning
 // one job per (design × engine) pair across the worker pool. Each design is
@@ -151,46 +140,19 @@ func Table1(opt Options) ([]Table1Row, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
 	layouts := lazyLayouts(opt, suite, opt.Scale)
-	jobs := make([]batch.Job[EngineCell], 0, len(suite)*table1Engines)
+	jobs := make([]batch.Job[EngineCell], 0, len(suite)*len(table1Engines))
 	for _, layout := range layouts {
-		for e := 0; e < table1Engines; e++ {
-			layout, e := layout, e
-			jobs = append(jobs, func(ctx context.Context) (EngineCell, error) {
-				l, err := layout()
-				if err != nil {
-					return EngineCell{}, fmt.Errorf("table1 %w", err)
-				}
-				switch e {
-				case 0:
-					res := mgl.Legalize(l, mgl.Config{Threads: opt.Threads})
-					secs := perf.DefaultCPU.ParallelSeconds(res.Stats.WorkSerial,
-						res.Stats.WorkCritical, int(res.Stats.Batches), opt.Threads)
-					return EngineCell{AveDis: res.Metrics.AveDis, Seconds: secs, Legal: res.Legal,
-						MaxDis: res.Metrics.MaxDis, Ops: mglOps(res.Stats)}, nil
-				case 1:
-					res := gpu.Legalize(l, gpu.Config{})
-					return EngineCell{AveDis: res.Metrics.AveDis, Seconds: res.TotalSeconds, Legal: res.Legal,
-						MaxDis: res.Metrics.MaxDis, Ops: gpuOps(res)}, nil
-				case 2:
-					res := analytical.Legalize(l, analytical.Config{})
-					return EngineCell{AveDis: res.Metrics.AveDis, Seconds: res.TotalSeconds, Legal: res.Legal,
-						MaxDis: res.Metrics.MaxDis, Ops: analyticalOps(res)}, nil
-				default:
-					// FLEX streams the design through the shared board:
-					// hold a device token for the engine run while the
-					// CPU-side siblings above keep overlapping.
-					return runOnDevice(ctx, func() (EngineCell, error) {
-						res := core.Legalize(l, core.Config{MeasureOriginalShift: opt.MeasureOriginal})
-						return EngineCell{AveDis: res.Metrics.AveDis, Seconds: res.TotalSeconds, Legal: res.Legal,
-							MaxDis: res.Metrics.MaxDis, Ops: flexOps(res), Modeled: flexBreakdown(res)}, nil
-					})
-				}
-			})
+		for _, kind := range table1Engines {
+			jobs = append(jobs, engineJob(layout, kind, engine.Options{Threads: opt.Threads},
+				func(r *engine.Result) EngineCell {
+					return EngineCell{AveDis: r.Metrics.AveDis, Seconds: r.ModeledSeconds, Legal: r.Legal,
+						MaxDis: r.Metrics.MaxDis, Ops: r.Ops(), Modeled: r.Breakdown()}
+				}))
 		}
 	}
-	cells, err := run(opt, jobs)
+	cells, err := values(opt, jobs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("table1 %w", err)
 	}
 	rows := make([]Table1Row, len(suite))
 	for i, spec := range suite {
@@ -198,7 +160,7 @@ func Table1(opt Options) ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 %w", err)
 		}
-		d := cells[i*table1Engines : (i+1)*table1Engines]
+		d := cells[i*len(table1Engines) : (i+1)*len(table1Engines)]
 		row := Table1Row{
 			Name: spec.Name, Cells: len(l.MovableIDs()), Density: l.Density(),
 			MGL: d[0], Date: d[1], Ispd: d[2], Flex: d[3],
@@ -209,27 +171,22 @@ func Table1(opt Options) ([]Table1Row, error) {
 			row.AccI = row.Ispd.Seconds / row.Flex.Seconds
 		}
 		rows[i] = row
-	}
-	if opt.Bench != nil {
-		for _, row := range rows {
-			for _, ec := range []struct {
-				cell   EngineCell
-				engine string
-				config string
-			}{
-				{row.MGL, "mgl-mt", fmt.Sprintf("threads=%d", opt.Threads)},
-				{row.Date, "gpu", ""},
-				{row.Ispd, "analytical", ""},
-				{row.Flex, "flex", ""},
-			} {
-				opt.Bench.Add(benchjson.Record{
-					Design: row.Name, Engine: ec.engine, Config: ec.config,
-					Cells: row.Cells, Legal: ec.cell.Legal,
-					AveDis: ec.cell.AveDis, MaxDis: ec.cell.MaxDis,
-					ModeledSeconds: ec.cell.Seconds,
-					Modeled:        ec.cell.Modeled, Ops: ec.cell.Ops,
-				})
+		if opt.Bench == nil {
+			continue
+		}
+		for k, kind := range table1Engines {
+			e, _ := engine.Lookup(kind) // a table kind: never fails
+			config := ""
+			if kind == engine.MGLMT {
+				config = fmt.Sprintf("threads=%d", opt.Threads)
 			}
+			opt.Bench.Add(benchjson.Record{
+				Design: row.Name, Engine: e.Name, Config: config,
+				Cells: row.Cells, Legal: d[k].Legal,
+				AveDis: d[k].AveDis, MaxDis: d[k].MaxDis,
+				ModeledSeconds: d[k].Seconds,
+				Modeled:        d[k].Modeled, Ops: d[k].Ops,
+			})
 		}
 	}
 	return rows, nil

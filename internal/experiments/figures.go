@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/flex-eda/flex/internal/batch"
-	"github.com/flex-eda/flex/internal/core"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/gpu"
@@ -27,30 +26,26 @@ var fig2aThreads = []int{1, 2, 4, 8, 10}
 
 // Fig2a measures the multi-threaded CPU baseline at 1/2/4/8/10 threads on
 // the first selected design (saturation behaviour, Fig. 2(a)). The layout is
-// generated once and shared: engines legalize clones, so one thread-count
-// job per pool worker can run concurrently.
+// generated once, by the first job to need it, and shared: engines legalize
+// clones, so one thread-count job per pool worker can run concurrently.
 func Fig2a(opt Options) ([]ThreadPoint, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("fig2a: empty suite")
 	}
-	l, err := opt.generate(suite[0], opt.Scale)
-	if err != nil {
-		return nil, err
-	}
+	layout := lazyLayouts(opt, suite[:1], opt.Scale)[0]
 	jobs := make([]batch.Job[float64], len(fig2aThreads))
 	for i, th := range fig2aThreads {
-		jobs[i] = func(context.Context) (float64, error) {
-			res := mgl.Legalize(l, mgl.Config{Threads: th})
-			if th == 1 {
-				return perf.DefaultCPU.Seconds(res.Stats.WorkSerial), nil
-			}
-			return perf.DefaultCPU.ParallelSeconds(res.Stats.WorkSerial,
-				res.Stats.WorkCritical, int(res.Stats.Batches), th), nil
+		// One thread is the sequential MGL reference; more run the
+		// multi-threaded baseline.
+		kind := engine.MGLMT
+		if th == 1 {
+			kind = engine.MGL
 		}
+		jobs[i] = engineJob(layout, kind, engine.Options{Threads: th}, modeledSeconds)
 	}
-	secs, err := run(opt, jobs)
+	secs, err := values(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -301,24 +296,15 @@ func Fig10(opt Options) ([]AssignPoint, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
 	layouts := lazyLayouts(opt, suite, opt.Scale)
-	assignments := []core.TaskAssignment{core.FOPOnFPGA, core.FOPAndInsertOnFPGA}
+	// Step (d) alone on the FPGA, then (d) and (e); both occupy the board.
+	assignments := []engine.Options{{}, {OffloadInsert: true}}
 	jobs := make([]batch.Job[float64], 0, len(suite)*len(assignments))
 	for _, layout := range layouts {
 		for _, a := range assignments {
-			layout, a := layout, a
-			jobs = append(jobs, func(ctx context.Context) (float64, error) {
-				l, err := layout()
-				if err != nil {
-					return 0, err
-				}
-				// Both assignments run the FLEX engine and occupy the board.
-				return runOnDevice(ctx, func() (float64, error) {
-					return core.Legalize(l, core.Config{Assignment: a}).TotalSeconds, nil
-				})
-			})
+			jobs = append(jobs, engineJob(layout, engine.FLEX, a, modeledSeconds))
 		}
 	}
-	secs, err := run(opt, jobs)
+	secs, err := values(opt, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -6,39 +6,34 @@ import (
 	"sync"
 
 	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/sched"
 )
 
-// run fans jobs across the driver's worker pool and collapses the results
-// in submission order, failing on the first job error. Every driver routes
-// its (design × engine × config) fan-out through here instead of a
-// hand-rolled serial loop; because the engines are deterministic and jobs
-// are independent, any worker count produces identical tables. Drivers want
-// all-or-nothing results, so the batch fails fast: one job error stops
-// scheduling instead of burning the rest of the suite.
+// run is every driver's executor: it fans jobs across Options.Pool and
+// returns their results in submission order, failing on the first job
+// error. Because the engines are deterministic and jobs are independent,
+// any worker count produces identical tables. Drivers want all-or-nothing
+// results, so the batch fails fast: one job error stops scheduling instead
+// of burning the rest of the suite. A nil pool runs the batch on a
+// throwaway default pool (GOMAXPROCS workers, one modeled board).
 //
-// The executor is Options.Pool when the caller wired a shared service-style
-// pool (one flexbench run = one pool, so device history and admission span
-// every driver), else a throwaway pool sized by Options.Workers/FPGAs.
-// Jobs that run the FLEX engine declare their device phase with
-// batch.AcquireDevice and contend on the pool's boards, while CPU-only jobs
-// overlap freely. Per-batch pool statistics (device wait vs CPU overlap —
-// deltas even on a shared pool) accumulate into Options.Stats when set —
-// never into the returned values, which stay byte-identical across
-// workers × FPGAs × cache configurations.
-func run[T any](opt Options, jobs []batch.Job[T]) ([]T, error) {
+// classes gives each job its scheduling class; nil stamps every job with
+// Options.Priority, so a whole flexbench run schedules below or above
+// concurrent pool traffic. Jobs that run the FLEX engine hold a board
+// through engine.Run and contend on the pool's boards, while CPU-only jobs
+// overlap freely. Per-batch pool statistics accumulate into Options.Stats
+// when set — never into the returned values, which stay byte-identical
+// across workers × FPGAs × cache configurations.
+func run[T any](opt Options, jobs []batch.Job[T], classes []sched.Class) ([]batch.Result[T], error) {
 	pool := opt.Pool
 	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
+		pool = batch.NewPool(batch.PoolConfig{})
 		defer pool.Close()
 	}
-	// Drivers submit uniform batches: Options.Priority stamps every job's
-	// class so a whole flexbench run schedules below or above concurrent
-	// pool traffic.
-	var classes []sched.Class
-	if opt.Priority != 0 {
+	if classes == nil && opt.Priority != 0 {
 		classes = make([]sched.Class, len(jobs))
 		for i := range classes {
 			classes[i] = sched.Class{Priority: opt.Priority}
@@ -51,8 +46,39 @@ func run[T any](opt Options, jobs []batch.Job[T]) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
+	return results, nil
+}
+
+// values runs jobs like run and returns their values in submission order.
+func values[T any](opt Options, jobs []batch.Job[T]) ([]T, error) {
+	results, err := run(opt, jobs, nil)
+	if err != nil {
+		return nil, err
+	}
 	return batch.Values(results)
 }
+
+// engineJob is one driver job: legalize layout() with kind's engine and
+// keep what pick reads off the result.
+func engineJob[T any](layout func() (*model.Layout, error), kind engine.Kind, o engine.Options, pick func(*engine.Result) T) batch.Job[T] {
+	return func(ctx context.Context) (T, error) {
+		var zero T
+		l, err := layout()
+		if err != nil {
+			return zero, err
+		}
+		r, err := engine.Run(ctx, kind, l, o)
+		if err != nil {
+			return zero, err
+		}
+		return pick(r), nil
+	}
+}
+
+// modeledSeconds and aveDis are the engineJob picks of drivers that keep
+// one number per run.
+func modeledSeconds(r *engine.Result) float64 { return r.ModeledSeconds }
+func aveDis(r *engine.Result) float64         { return r.Metrics.AveDis }
 
 // generate builds spec at scale, through the shared layout cache when the
 // caller wired one (Options.Layouts). Cached layouts are shared across
@@ -63,20 +89,6 @@ func (o Options) generate(spec gen.Spec, scale float64) (*model.Layout, error) {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	return l, nil
-}
-
-// runOnDevice runs f while holding one modeled accelerator board — the
-// declaration every FLEX-engine (core.Legalize) call site inside a driver
-// job makes, so new drivers opt in with one wrapper instead of hand-rolled
-// acquire/release boilerplate. CPU-only measurement code must not use it.
-func runOnDevice[T any](ctx context.Context, f func() (T, error)) (T, error) {
-	release, err := batch.AcquireDevice(ctx)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer release()
-	return f()
 }
 
 // lazyLayouts returns one memoized generator per spec for drivers whose
@@ -112,5 +124,5 @@ func perSpec[T any](opt Options, specs []gen.Spec, scale float64, measure func(s
 			return measure(spec, l)
 		}
 	}
-	return run(opt, jobs)
+	return values(opt, jobs)
 }

@@ -5,18 +5,10 @@ import (
 	"fmt"
 
 	"github.com/flex-eda/flex/internal/batch"
-	"github.com/flex-eda/flex/internal/core"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/fpga"
-	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
 )
-
-// legalizeFlexOrdering runs FLEX with the given sliding-window length and
-// returns the resulting AveDis.
-func legalizeFlexOrdering(l *model.Layout, window int) float64 {
-	res := core.Legalize(l, core.Config{SlidingWindow: window})
-	return res.Metrics.AveDis
-}
 
 // ScalabilityPoint is one row of the Sec. 5.4 extension experiment: FPGA
 // FOP speedup and resource footprint as the FOP PE count grows beyond the
@@ -73,7 +65,7 @@ func Scalability(opt Options, maxPE int) ([]ScalabilityPoint, error) {
 			}, nil
 		}
 	}
-	pricedPts, err := run(opt, jobs)
+	pricedPts, err := values(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -129,26 +121,16 @@ func OrderingAblation(opt Options) ([]OrderingPoint, error) {
 	jobs := make([]batch.Job[float64], 0, len(suite)*len(orderingWindows))
 	for _, layout := range layouts {
 		for _, w := range orderingWindows {
-			layout, w := layout, w
-			jobs = append(jobs, func(ctx context.Context) (float64, error) {
-				l, err := layout()
-				if err != nil {
-					return 0, err
-				}
-				// Every ordering variant runs the FLEX engine on the board.
-				return runOnDevice(ctx, func() (float64, error) {
-					return legalizeFlexOrdering(l, w), nil
-				})
-			})
+			jobs = append(jobs, engineJob(layout, engine.FLEX, engine.Options{SlidingWindow: w}, aveDis))
 		}
 	}
-	aveDis, err := run(opt, jobs)
+	ave, err := values(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]OrderingPoint, len(suite))
 	for i, spec := range suite {
-		plain, sw := aveDis[i*2], aveDis[i*2+1]
+		plain, sw := ave[i*2], ave[i*2+1]
 		gain := 0.0
 		if plain > 0 {
 			gain = (plain - sw) / plain * 100

@@ -8,7 +8,7 @@ import (
 
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/core"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/report"
 	"github.com/flex-eda/flex/internal/sched"
 )
@@ -79,24 +79,14 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 		return nil, err
 	}
 
-	// schedRun is one job's deterministic outcome: legality for the
-	// rendered table, ops and modeled seconds for the benchjson record.
-	type schedRun struct {
-		legal   bool
-		seconds float64
-		ops     benchjson.Ops
-	}
 	n := perClass * len(schedClasses)
-	jobs := make([]batch.Job[schedRun], 0, n)
+	jobs := make([]batch.Job[*engine.Result], 0, n)
 	classes := make([]sched.Class, 0, n)
 	owner := make([]int, 0, n) // job index -> class index
 	for ci, c := range schedClasses {
 		for i := 0; i < perClass; i++ {
-			jobs = append(jobs, func(ctx context.Context) (schedRun, error) {
-				return runOnDevice(ctx, func() (schedRun, error) {
-					res := core.Legalize(l, core.Config{})
-					return schedRun{legal: res.Legal, seconds: res.TotalSeconds, ops: flexOps(res)}, nil
-				})
+			jobs = append(jobs, func(ctx context.Context) (*engine.Result, error) {
+				return engine.Run(ctx, engine.FLEX, l, engine.Options{})
 			})
 			classes = append(classes, sched.Class{
 				Priority: c.priority,
@@ -106,16 +96,7 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 			owner = append(owner, ci)
 		}
 	}
-
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
-		defer pool.Close()
-	}
-	results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, classes, true, nil)
-	if opt.Stats != nil {
-		opt.Stats.Add(st)
-	}
+	results, err := run(opt, jobs, classes)
 	if err != nil {
 		return nil, fmt.Errorf("sched %s: %w", spec.Name, err)
 	}
@@ -129,11 +110,11 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 	for i, r := range results {
 		ci := owner[i]
 		pts[ci].Jobs++
-		if r.Value.legal {
+		if r.Value.Legal {
 			pts[ci].Legal++
 		}
-		pts[ci].ModeledSeconds += r.Value.seconds
-		pts[ci].Ops.Add(r.Value.ops)
+		pts[ci].ModeledSeconds += r.Value.ModeledSeconds
+		pts[ci].Ops.Add(r.Value.Ops())
 		pts[ci].DeviceWait += r.DeviceWait
 		waits[ci] = append(waits[ci], r.SchedWait)
 	}

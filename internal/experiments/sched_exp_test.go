@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,7 +47,7 @@ func TestSchedExperimentPriorityBeatsBulk(t *testing.T) {
 func TestSchedExperimentTableDeterministic(t *testing.T) {
 	var want []SchedPoint
 	for _, workers := range []int{1, 4} {
-		pts, err := Sched(Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Workers: workers}, 2)
+		pts, err := Sched(withPool(t, Options{Scale: 0.008, Designs: []string{"fft_a_md2"}}, workers, 0), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,5 +81,63 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if ds[0] != 40 {
 		t.Fatal("percentile mutated its input")
+	}
+}
+
+// TestPriorityReachesEveryDriverJob: Options.Priority sets the scheduling
+// class of every job a driver queues, band jobs included. Each driver runs
+// with priority 7 on a one-worker pool whose worker is held busy, so its
+// jobs wait in the queue, where their levels can be read.
+func TestPriorityReachesEveryDriverJob(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"table1", func(o Options) error { _, err := Table1(o); return err }},
+		{"sharded", func(o Options) error { _, err := Sharded(o, 2, 2); return err }},
+		{"eco", func(o Options) error { _, err := Eco(o, 2, 1, 1); return err }},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			pool := batch.NewPool(batch.PoolConfig{Workers: 1, FPGAs: 1})
+			defer pool.Close()
+			started, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			unblock := func() { once.Do(func() { close(release) }) }
+			defer unblock() // before Close, which waits for the batches
+			blocker := []batch.Job[int]{func(context.Context) (int, error) {
+				close(started)
+				<-release
+				return 0, nil
+			}}
+			blocked := make(chan error, 1)
+			go func() {
+				_, _, err := batch.RunClassedOn(context.Background(), pool, blocker, nil, false, nil)
+				blocked <- err
+			}()
+			<-started
+
+			o := Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Pool: pool, Priority: 7}
+			done := make(chan error, 1)
+			go func() { done <- d.run(o) }()
+			deadline := time.Now().Add(10 * time.Second)
+			for pool.Depths().Waiting == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("no driver job ever queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			depths := pool.Depths()
+			unblock()
+			if err := <-blocked; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if n := depths.WaitingByPriority[7]; n != depths.Waiting {
+				t.Fatalf("%d of %d queued jobs at priority 7: %v", n, depths.Waiting, depths.WaitingByPriority)
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/core"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
 	"github.com/flex-eda/flex/internal/shard"
@@ -69,11 +69,6 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("sharded: empty suite")
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
-		defer pool.Close()
-	}
 	out := make([]ShardedPoint, 0, len(suite))
 	for _, spec := range suite {
 		l, err := opt.generate(spec, opt.Scale)
@@ -88,28 +83,7 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
 		}
-		type bandRun struct {
-			layout  *model.Layout
-			seconds float64
-			legal   bool
-			ops     benchjson.Ops
-		}
-		jobs := make([]batch.Job[bandRun], len(bands))
-		for b := range bands {
-			band := bands[b]
-			jobs[b] = func(ctx context.Context) (bandRun, error) {
-				// Every band streams through the shared board like any
-				// other FLEX-engine job.
-				return runOnDevice(ctx, func() (bandRun, error) {
-					r := core.Legalize(band, core.Config{MeasureOriginalShift: opt.MeasureOriginal})
-					return bandRun{layout: r.Layout, seconds: r.TotalSeconds, legal: r.Legal, ops: flexOps(r)}, nil
-				})
-			}
-		}
-		results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, nil, true, nil)
-		if opt.Stats != nil {
-			opt.Stats.Add(st)
-		}
+		results, err := legalizeBands(opt, bands, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
 		}
@@ -124,22 +98,19 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 		}
 		legalized := make([]*model.Layout, len(bands))
 		for b, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("sharded %s band %d: %w", spec.Name, b, r.Err)
-			}
-			run := r.Value
-			legalized[b] = run.layout
-			if !run.legal {
+			band := r.Value
+			legalized[b] = band.Layout
+			if !band.Legal {
 				pt.Legal = false
 			}
-			pt.ModeledSum += run.seconds
-			if run.seconds > pt.ModeledMax {
-				pt.ModeledMax = run.seconds
+			pt.ModeledSum += band.ModeledSeconds
+			if band.ModeledSeconds > pt.ModeledMax {
+				pt.ModeledMax = band.ModeledSeconds
 			}
 			pt.BandCells = append(pt.BandCells, plan.Bands[b].Movable)
 			pt.BandWall = append(pt.BandWall, r.Wall)
 			pt.BandWait = append(pt.BandWait, r.DeviceWait)
-			pt.Ops.Add(run.ops)
+			pt.Ops.Add(band.Ops())
 		}
 		stitched, err := shard.Stitch(l, plan, legalized)
 		if err != nil {
@@ -165,6 +136,27 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// legalizeBands is the sharded and eco drivers' band runner: one FLEX job
+// per listed band (nil idx = every band), run as one batch on the driver's
+// executor, results in idx order. Every band holds a modeled board like
+// any other FLEX job.
+func legalizeBands(opt Options, bands []*model.Layout, idx []int) ([]batch.Result[*engine.Result], error) {
+	if idx == nil {
+		idx = make([]int, len(bands))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	jobs := make([]batch.Job[*engine.Result], len(idx))
+	for j, b := range idx {
+		band := bands[b]
+		jobs[j] = func(ctx context.Context) (*engine.Result, error) {
+			return engine.Run(ctx, engine.FLEX, band, engine.Options{})
+		}
+	}
+	return run(opt, jobs, nil)
 }
 
 // RenderSharded renders the sharded runs. Only deterministic columns go to

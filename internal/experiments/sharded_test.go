@@ -51,9 +51,7 @@ func TestShardedRunsStitchLegal(t *testing.T) {
 // must produce identical bytes for a fixed shard count.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers, fpgas int) string {
-		o := shardedTiny
-		o.Workers, o.FPGAs = workers, fpgas
-		pts, err := Sharded(o, 4, 2)
+		pts, err := Sharded(withPool(t, shardedTiny, workers, fpgas), 4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

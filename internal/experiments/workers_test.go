@@ -6,17 +6,12 @@ import (
 	"github.com/flex-eda/flex/internal/batch"
 )
 
-// withWorkers returns tiny with an explicit pool size.
-func withWorkers(o Options, n int) Options {
-	o.Workers = n
-	return o
-}
-
-// withSchedule returns tiny with an explicit pool size and modeled FPGA
-// board count.
-func withSchedule(o Options, workers, fpgas int) Options {
-	o.Workers = workers
-	o.FPGAs = fpgas
+// withPool returns o running on a fresh pool with the given worker and
+// modeled FPGA board counts, closed when the test ends.
+func withPool(t testing.TB, o Options, workers, fpgas int) Options {
+	pool := batch.NewPool(batch.PoolConfig{Workers: workers, FPGAs: fpgas})
+	t.Cleanup(pool.Close)
+	o.Pool = pool
 	return o
 }
 
@@ -93,12 +88,12 @@ func TestWorkersByteIdenticalTables(t *testing.T) {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
 			t.Parallel()
-			serial, err := d.run(withWorkers(tiny, 1))
+			serial, err := d.run(withPool(t, tiny, 1, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, g := range grid {
-				parallel, err := d.run(withSchedule(tiny, g.workers, g.fpgas))
+				parallel, err := d.run(withPool(t, tiny, g.workers, g.fpgas))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +112,7 @@ func TestWorkersByteIdenticalTables(t *testing.T) {
 // batch wall.
 func TestStatsSinkObservesDeviceScheduling(t *testing.T) {
 	var st batch.Stats
-	o := withSchedule(tiny, 4, 1)
+	o := withPool(t, tiny, 4, 1)
 	o.Stats = &st
 	if _, err := Table1(o); err != nil {
 		t.Fatal(err)

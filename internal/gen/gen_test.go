@@ -178,20 +178,34 @@ func TestGenerateRejectsBadDensity(t *testing.T) {
 	}
 }
 
-// TestSuiteDesignsPassDieRule checks flexpl's die rule against every suite
-// design at scale 1.0. Decode applies the rule as soon as it has read the
-// cell count, so a header that gets as far as the missing cell lines has
-// passed it; decoding the headers alone keeps the large designs cheap.
+// TestSuiteDesignsPassDieRule checks flexpl's die and cell rules against
+// every suite design at scale 1.0. Decode applies the die rule as soon as
+// it has read the cell count and the cell rule on each cell line, so input
+// that gets as far as the missing cell lines has passed both; decoding the
+// header and the widest and tallest cells keeps the large designs cheap.
 func TestSuiteDesignsPassDieRule(t *testing.T) {
 	for _, s := range append(ICCAD2017(), Superblue()...) {
 		l, err := s.Generate(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		header := fmt.Sprintf("flexpl 1\ndesign %s\ndie %d %d %d\ncells %d\n",
+		wide, tall := &l.Cells[0], &l.Cells[0]
+		for i := range l.Cells {
+			c := &l.Cells[i]
+			if c.W > wide.W {
+				wide = c
+			}
+			if c.H > tall.H {
+				tall = c
+			}
+		}
+		input := fmt.Sprintf("flexpl 1\ndesign %s\ndie %d %d %d\ncells %d\n",
 			l.Name, l.NumSitesX, l.NumRows, l.RowHeight, len(l.Cells))
-		_, err = model.Decode(strings.NewReader(header))
-		if want := fmt.Sprintf("expected %d cells, got 0", len(l.Cells)); err == nil || !strings.Contains(err.Error(), want) {
+		for _, c := range []*model.Cell{wide, tall} {
+			input += fmt.Sprintf("c%d %d %d %d %d %s 0\n", c.ID, c.GX, c.GY, c.W, c.H, c.Parity)
+		}
+		_, err = model.Decode(strings.NewReader(input))
+		if want := fmt.Sprintf("expected %d cells, got 2", len(l.Cells)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: die %d x %d with %d cells: Decode error %v, want %q",
 				s.Name, l.NumSitesX, l.NumRows, len(l.Cells), err, want)
 		}

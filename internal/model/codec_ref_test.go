@@ -36,8 +36,9 @@ func refEncode(w io.Writer, l *Layout) error {
 
 // refDecode reads a layout in flexpl format with fmt.Sscanf. With dieRule
 // it also rejects a die below one site by one row, or out of proportion to
-// its cell count, at the same points and with the same errors as Decode;
-// without it, it accepts such dies as the codec once did.
+// its cell count, and a cell larger than its die, at the same points and
+// with the same errors as Decode; without it, it accepts such dies and
+// cells as the codec once did.
 func refDecode(r io.Reader, dieRule bool) (*Layout, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -150,6 +151,9 @@ func refDecode(r io.Reader, dieRule bool) (*Layout, error) {
 		}
 		if c.W <= 0 || c.H <= 0 {
 			return nil, errf("cell %s has non-positive size %dx%d", c.Name, c.W, c.H)
+		}
+		if dieRule && (c.W > l.NumSitesX || c.H > l.NumRows) {
+			return nil, errf("cell %s of size %dx%d is larger than its %d x %d die", c.Name, c.W, c.H, l.NumSitesX, l.NumRows)
 		}
 		l.Cells = append(l.Cells, c)
 	}

@@ -56,6 +56,12 @@ var codecSeeds = []string{
 	"flexpl 1\ndesign d\ndie 1000000000 1000000000 8\ncells 1\na 0 0 2 1 any 0\n",
 	"flexpl 1\ndesign d\ndie 18014398509481985 1024 8\ncells 0\n",
 	"flexpl 1\ndesign d\ndie 9223372036854775807 9223372036854775807 8\ncells 9223372036854775807\n",
+	// Cells as wide and as tall as the die, then one site wider or one
+	// row taller, and a fixed cell 10^12 rows tall in an 8-row die.
+	"flexpl 1\ndesign d\ndie 8 4 8\ncells 2\na 0 0 8 1 any 0\nb 0 0 1 4 any 1\n",
+	"flexpl 1\ndesign d\ndie 8 4 8\ncells 1\na 0 0 9 1 any 0\n",
+	"flexpl 1\ndesign d\ndie 8 4 8\ncells 1\na 0 0 1 5 even 0\n",
+	"flexpl 1\ndesign d\ndie 8 8 8\ncells 1\nb 10 0 2 1000000000000 any 1\n",
 	// Invalid UTF-8 in the design and cell names.
 	"flexpl 1\ndesign \xff\xe2\x82\ndie 8 4 8\ncells 1\n\xc2 0 0 2 1 any 0\n",
 }
@@ -98,8 +104,8 @@ func FuzzFlexplRoundTrip(f *testing.F) {
 // one it replaced: the same inputs accepted, the same error text, equal
 // layouts and byte-identical re-encodings. The one intended difference is
 // the die rule: a die without sites or rows, or out of proportion to its
-// cell count, is now rejected; the reference is checked to differ from its
-// old self only there.
+// cell count, and a cell larger than its die, are now rejected; the
+// reference is checked to differ from its old self only there.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s))
@@ -113,7 +119,8 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		old, oldErr := refDecode(bytes.NewReader(data), false)
 		if errText(oldErr) != errText(wantErr) || !reflect.DeepEqual(old, want) {
 			if e := errText(wantErr); !strings.Contains(e, "needs at least one site and one row") &&
-				!strings.Contains(e, "is out of proportion to its cell count") {
+				!strings.Contains(e, "is out of proportion to its cell count") &&
+				!strings.Contains(e, "is larger than its") {
 				t.Fatalf("die rule changed more than degenerate dies: old %v, new %v", oldErr, wantErr)
 			}
 		}

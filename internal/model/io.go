@@ -32,7 +32,9 @@ import (
 // A die needs at least one site and one row, and it must be in proportion
 // to its cells, because per-row and per-bin work is sized from it: with n
 // cells and m = max(n, 1024), it may have at most m rows and at most
-// 1024·m sites × rows. The design name is the first field after "design".
+// 1024·m sites × rows. A cell must fit its die: no wider than the die's
+// sites and no taller than its rows, because per-cell work steps through
+// the cell's span. The design name is the first field after "design".
 // A cell name is one field that does not start with #: it holds no white
 // space, and a cell line starting with # would read as a comment.
 //
@@ -204,6 +206,9 @@ func Decode(r io.Reader) (*Layout, error) {
 		}
 		if c.W <= 0 || c.H <= 0 {
 			return nil, errf("cell %s has non-positive size %dx%d", c.Name, c.W, c.H)
+		}
+		if c.W > l.NumSitesX || c.H > l.NumRows {
+			return nil, errf("cell %s of size %dx%d is larger than its %d x %d die", c.Name, c.W, c.H, l.NumSitesX, l.NumRows)
 		}
 		l.Cells = append(l.Cells, c)
 	}

@@ -223,6 +223,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{"flexpl 1\ndesign d\ndie 4097 2048 8\ncells 2048\n", "die 4097 x 2048 is out of proportion"},
 		// (2^54+1) × 2^10 sites × rows wraps to 1024 in 64 bits.
 		{"flexpl 1\ndesign d\ndie 18014398509481985 1024 8\ncells 0\n", "is out of proportion"},
+		// Cells larger than their die: one 10^12 rows tall once ran
+		// Measure out of memory, and Check would step through every row.
+		{"flexpl 1\ndesign d\ndie 8 8 8\ncells 1\nb 10 0 2 1000000000000 any 1\n",
+			"flexpl line 5: cell b of size 2x1000000000000 is larger than its 8 x 8 die"},
+		{"flexpl 1\ndesign d\ndie 8 4 8\ncells 2\na 0 0 2 1 any 0\nw 0 0 9 1 any 0\n",
+			"flexpl line 6: cell w of size 9x1 is larger than its 8 x 4 die"},
+		{"flexpl 1\ndesign d\ndie 8 4 8\ncells 1\nt 0 0 1 5 even 0 0 0\n", "cell t of size 1x5 is larger"},
 	}
 	for i, tc := range bad {
 		_, err := Decode(bytes.NewReader([]byte(tc.in)))

@@ -383,7 +383,7 @@ func NewService(opts ...ServiceOption) *Service {
 	s.outcomes = newOutcomeCache(&cfg)
 	s.instrument(&cfg)
 	s.exec = func(ctx context.Context, job BatchJob, band *Layout, _ string) (*Outcome, error) {
-		return job.legalizeOnDevice(ctx, band)
+		return legalize(ctx, band, job.Engine, job.Options)
 	}
 	if len(cfg.fleetWorkers) > 0 {
 		s.router = fleet.NewRouter(fleet.RouterConfig{

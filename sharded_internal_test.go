@@ -43,7 +43,7 @@ func TestFoldIgnoresSkippedPaddingSlots(t *testing.T) {
 	for i := 0; i < requested; i++ {
 		r := batch.Result[*Outcome]{Index: i}
 		if i < eff {
-			out, err := e.jobs[0].legalizeOnDevice(context.Background(), p.bands[i])
+			out, err := svc.exec(context.Background(), e.jobs[0], p.bands[i], "")
 			if err != nil {
 				t.Fatalf("band %d: %v", i, err)
 			}
