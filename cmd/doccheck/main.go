@@ -6,7 +6,7 @@
 //
 //	doccheck [-root .]
 //
-// Four rules:
+// Five rules:
 //
 //  1. Every package in the module (the public flex root, internal/*, cmd/*,
 //     examples/*) must carry a package doc comment ("// Package ..." or a
@@ -25,6 +25,13 @@
 //     both ways: every `internal/...` or `cmd/...` token in the table's
 //     first column is a real directory, and every internal/* package in the
 //     tree has a row naming it.
+//  5. Every name README.md or docs/*.md uses from the public flex package
+//     must exist in it: `flex.X` anywhere (code blocks included) must be an
+//     exported top-level identifier, a bare WithX in inline code must be a
+//     top-level function, and `T.M` (or `flex.T.M`), where T is a struct
+//     type declared in the root package, must name one of T's fields or
+//     methods. Alias types (re-exported internal types), non-struct types
+//     and names qualified by another package are skipped.
 //
 // Violations print one "path: problem" line each and the exit status is
 // non-zero, so the CI log names exactly what to fix.
@@ -48,33 +55,11 @@ func main() {
 	root := flag.String("root", ".", "module root to check")
 	flag.Parse()
 
-	var problems []string
-	pkgs, err := parseAll(*root)
+	problems, err := check(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doccheck:", err)
 		os.Exit(2)
 	}
-	for _, p := range pkgs {
-		if !p.hasPackageDoc {
-			problems = append(problems, fmt.Sprintf("%s: package %s has no package doc comment", p.dir, p.name))
-		}
-		if p.dir == "." { // the public flex package
-			problems = append(problems, checkExported(p)...)
-		}
-	}
-	docProblems, err := checkDocs(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
-	}
-	problems = append(problems, docProblems...)
-	mapProblems, err := checkPackageMap(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
-	}
-	problems = append(problems, mapProblems...)
-	sort.Strings(problems)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, p)
 	}
@@ -83,6 +68,43 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "doccheck: ok")
+}
+
+// check runs every rule over the module at root and returns the problem
+// lines, sorted.
+func check(root string) ([]string, error) {
+	pkgs, err := parseAll(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	var public api
+	for _, p := range pkgs {
+		if !p.hasPackageDoc {
+			problems = append(problems, fmt.Sprintf("%s: package %s has no package doc comment", p.dir, p.name))
+		}
+		if p.dir == "." { // the public flex package
+			problems = append(problems, checkExported(p)...)
+			public = indexAPI(p)
+		}
+	}
+	docProblems, err := checkDocs(root)
+	if err != nil {
+		return nil, err
+	}
+	mapProblems, err := checkPackageMap(root)
+	if err != nil {
+		return nil, err
+	}
+	nameProblems, err := checkDocNames(root, public)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, docProblems...)
+	problems = append(problems, mapProblems...)
+	problems = append(problems, nameProblems...)
+	sort.Strings(problems)
+	return problems, nil
 }
 
 // pkg is one parsed directory.
@@ -329,6 +351,106 @@ func checkPackageMap(root string) ([]string, error) {
 		}
 		if name := "internal/" + d.Name(); !mapped[name] {
 			problems = append(problems, fmt.Sprintf("docs/ARCHITECTURE.md: package map has no row for `%s`", name))
+		}
+	}
+	return problems, nil
+}
+
+// api indexes the public package for rule 5.
+type api struct {
+	names   map[string]bool // top-level identifiers, and "T.M" for each field and method
+	structs map[string]bool // struct types declared (not aliased) in the package
+}
+
+// indexAPI builds the public package's index.
+func indexAPI(p *pkg) api {
+	a := api{names: map[string]bool{}, structs: map[string]bool{}}
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if recv := receiverType(d); recv != "" {
+					name = recv + "." + name
+				}
+				a.names[name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						a.names[s.Name.Name] = true
+						if st, ok := s.Type.(*ast.StructType); ok && !s.Assign.IsValid() {
+							a.structs[s.Name.Name] = true
+							for _, field := range st.Fields.List {
+								for _, n := range field.Names {
+									a.names[s.Name.Name+"."+n.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							a.names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return a
+}
+
+var (
+	dotted   = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
+	bareWith = regexp.MustCompile(`(?:^|[^.\w])(With[A-Z]\w*)`)
+)
+
+// checkDocNames verifies every public-package name the prose documentation
+// uses (rule 5), so a deleted or renamed identifier cannot live on in the
+// docs.
+func checkDocNames(root string, public api) ([]string, error) {
+	files, err := docFiles(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, path := range files {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		rel, _ := filepath.Rel(root, path)
+		seen := map[string]bool{}
+		report := func(ref, problem string) {
+			if !seen[ref] {
+				seen[ref] = true
+				problems = append(problems, fmt.Sprintf("%s: `%s` %s", rel, ref, problem))
+			}
+		}
+		for _, ref := range dotted.FindAllString(string(b), -1) {
+			parts := strings.Split(ref, ".")
+			if parts[0] == "flex" {
+				parts = parts[1:]
+				if !ast.IsExported(parts[0]) {
+					continue // a file name such as flex.go
+				}
+				if !public.names[parts[0]] {
+					report(ref, "is not in the public flex package")
+					continue
+				}
+			}
+			if len(parts) < 2 || !public.structs[parts[0]] || !ast.IsExported(parts[1]) {
+				continue
+			}
+			if !public.names[parts[0]+"."+parts[1]] {
+				report(ref, fmt.Sprintf("names no field or method of flex.%s", parts[0]))
+			}
+		}
+		for _, code := range inlineCode.FindAllStringSubmatch(stripFenced(string(b)), -1) {
+			for _, m := range bareWith.FindAllStringSubmatch(code[1], -1) {
+				if !public.names[m[1]] {
+					report(m[1], "is not in the public flex package")
+				}
+			}
 		}
 	}
 	return problems, nil

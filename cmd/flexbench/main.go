@@ -46,7 +46,7 @@
 // realizes the same reuse for served traffic).
 //
 // -sched selects the pool's queue policy (priority, the default:
-// effective priority with aging, EDF within a level, weighted fair share;
+// effective priority with aging, EDF within a level, fair share;
 // fifo restores strict arrival order); -priority stamps every driver job's
 // class, and -reconfig-ms charges a modeled board-programming delay
 // whenever consecutive holders of one FPGA come from different jobs.
@@ -221,7 +221,7 @@ func main() {
 		var drec *obs.Recorder
 		var dstart time.Time
 		if tracer != nil {
-			drec = obs.NewRecorder(name)
+			drec = obs.NewRecorder()
 			//flexvet:walltime driver span timing is trace telemetry only
 			dstart = time.Now()
 		}
@@ -257,7 +257,7 @@ func main() {
 		if drec != nil {
 			//flexvet:walltime driver span timing is trace telemetry only
 			drec.Record("driver", fmt.Sprintf("repetition %d/%d", rep, *repeat), dstart, time.Now())
-			tracer.Add(drec)
+			tracer.Add(drec.ID(), name, drec.Spans())
 		}
 	}
 	ran := false

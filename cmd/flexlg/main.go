@@ -318,6 +318,13 @@ func main() {
 			Edits:     edits,
 		}
 	}
+	// -trace-out turns on span recording and collects each finished job's
+	// trace from its result; tracing is telemetry only, so stdout and -out
+	// stay byte-identical with or without it (CI-gated).
+	var tracer *obs.Tracer
+	if *traceOut != "" {
+		tracer = obs.NewTracer()
+	}
 	// Stream a progress line per job in completion order on stderr; the
 	// stdout report below stays in submission order.
 	status := func(r flex.BatchResult) string {
@@ -333,6 +340,7 @@ func main() {
 	}
 	done := 0
 	progress := func(r flex.BatchResult) {
+		tracer.Add(r.TraceID, r.Tag, r.Spans) // a no-op without -trace-out
 		done++
 		fmt.Fprintf(os.Stderr, "[%d/%d] %-10s %-7s wall %v", done, len(jobs), r.Tag, status(r), r.Wall.Round(time.Millisecond))
 		if r.DeviceWait > 0 {
@@ -362,13 +370,7 @@ func main() {
 		flex.WithReconfigCost(time.Duration(*reconfigMS) * time.Millisecond),
 		flex.WithOutcomeCacheBytes(int64(*outcomeCacheMB) << 20),
 		flex.WithCacheDir(*cacheDir),
-	}
-	// -trace-out turns on span recording; tracing is telemetry only, so
-	// stdout and -out stay byte-identical with or without it (CI-gated).
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-		opts = append(opts, flex.WithTracer(tracer))
+		flex.WithTracing(tracer != nil),
 	}
 	svc := flex.NewService(opts...)
 	//flexvet:close shutdown close at CLI exit: the pool drained with Submit, so there is no error left to act on

@@ -203,7 +203,6 @@ func main() {
 	var fw *flex.FleetWorker
 	if *mode == "worker" {
 		fw = flex.NewFleetWorker(svc)
-		fw.SetLogger(logger)
 	}
 	app := newServerWith(svc, fw, int64(*maxBodyMB)<<20, *maxScale, *maxShards, obsConfig{
 		metrics: reg,

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -312,6 +316,34 @@ func TestResultLinesCarryTraceIDs(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	if strings.Contains(string(raw), `"trace"`) {
 		t.Fatalf("tracing off but response contains a trace field:\n%s", raw)
+	}
+}
+
+// TestCacheDirWarningsUseServerLogger: a corrupt file in -cache-dir is
+// reported as one WARN record naming the file in the server's structured
+// log, so -log-level governs it like every other server line.
+func TestCacheDirWarningsUseServerLogger(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, strings.Repeat("0", 64)+".json")
+	if err := os.WriteFile(bad, []byte("not an envelope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	svc := flex.NewService(flex.WithWorkers(1), flex.WithCacheDir(dir), flex.WithLogger(logger))
+	ts := httptest.NewServer(newServerWith(svc, nil, 8<<20, 0.05, 8, obsConfig{log: logger}))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	var warns []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "level=WARN") {
+			warns = append(warns, line)
+		}
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "path="+bad) {
+		t.Fatalf("server log WARN records %q, want one naming %s", warns, bad)
 	}
 }
 

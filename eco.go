@@ -48,15 +48,10 @@ func WithOutcomeCacheBytes(b int64) ServiceOption {
 // restarted node is warm, lookups that miss memory fall back to disk, and
 // eviction is memory-only — files survive for the next start. A file that
 // fails to read or decode is skipped with a warning, never served, and the
-// recomputed value replaces it.
+// recomputed value replaces it. Warnings go to the WithLogger logger at
+// warn level, or to stderr without one.
 func WithCacheDir(dir string) ServiceOption {
 	return func(c *serviceConfig) { c.cacheDir = dir }
-}
-
-// WithOutcomeWarn routes the outcome cache's corruption and I/O warnings
-// (one call per skipped file) to warn instead of the default stderr line.
-func WithOutcomeWarn(warn func(path string, err error)) ServiceOption {
-	return func(c *serviceConfig) { c.outcomeWarn = warn }
 }
 
 // isEco reports whether the job perturbs or references a base layout.
@@ -78,7 +73,7 @@ func (s *Service) outcomeKey(job BatchJob, hash string, plan *shard.Plan) (strin
 	}
 	bands, halo := 0, 0
 	if plan != nil {
-		bands, halo = len(plan.Bands), s.effectiveHalo(job)
+		bands, halo = len(plan.Bands), job.effectiveHalo()
 	}
 	return eco.Key(hash, name, optionsKey(job.Options), bands, halo), nil
 }
@@ -120,7 +115,8 @@ func (s *Service) resolveInput(job BatchJob) (input, base *Layout, err error) {
 
 // newOutcomeCache builds the service's outcome cache from the config, or
 // nil when disabled. A cache directory that cannot be initialized degrades
-// to a memory-only cache with a warning — serving beats persistence.
+// to a memory-only cache with a warning — serving beats persistence. Each
+// skipped file warns once, through the service's logger when it has one.
 func newOutcomeCache(cfg *serviceConfig) *cache.Disk {
 	bytes := cfg.outcomeBytes
 	if bytes <= 0 {
@@ -129,10 +125,12 @@ func newOutcomeCache(cfg *serviceConfig) *cache.Disk {
 		}
 		bytes = 256 << 20
 	}
-	warn := cfg.outcomeWarn
-	if warn == nil {
+	warn := func(path string, err error) {
+		fmt.Fprintf(os.Stderr, "flex: outcome cache: %s: %v\n", path, err)
+	}
+	if log := cfg.logger; log != nil {
 		warn = func(path string, err error) {
-			fmt.Fprintf(os.Stderr, "flex: outcome cache: %s: %v\n", path, err)
+			log.Warn("outcome cache", "path", path, "err", err)
 		}
 	}
 	d, err := cache.NewDisk(bytes, cfg.cacheDir, eco.EncodeValue, eco.DecodeValue, warn)
@@ -221,7 +219,7 @@ func (s *Service) spliceFromBase(job BatchJob, p *shardPrep, info *ecoInfo) bool
 	if err != nil {
 		return false
 	}
-	halo := s.effectiveHalo(job)
+	halo := job.effectiveHalo()
 	spans, inHalo, err := eco.DirtySpans(p.base, job.Edits, halo)
 	if err != nil || !inHalo {
 		return false

@@ -35,20 +35,29 @@ func ExampleService_Submit() {
 	// jobs=2 cache misses=1 hits=1
 }
 
-// ExampleLegalizeBatchStream consumes results in completion order and
-// reorders them by Index — the streaming shape CLIs use for live progress.
-func ExampleLegalizeBatchStream() {
+// ExampleService_Stream consumes results in completion order and reorders
+// them by Index — the streaming shape servers and CLIs use for live
+// progress.
+func ExampleService_Stream() {
 	layout, err := flex.GenerateCustom(400, 0.5, 1)
 	if err != nil {
 		fmt.Println("generate:", err)
 		return
 	}
+	svc := flex.NewService(flex.WithWorkers(2))
+	defer svc.Close()
+
 	jobs := []flex.BatchJob{
 		{Layout: layout, Engine: flex.EngineMGL, Tag: "mgl"},
 		{Layout: layout, Engine: flex.EngineAnalytical, Tag: "analytical"},
 	}
+	ch, err := svc.Stream(context.Background(), jobs, flex.SubmitOptions{})
+	if err != nil {
+		fmt.Println("stream:", err)
+		return
+	}
 	var done []flex.BatchResult
-	for r := range flex.LegalizeBatchStream(context.Background(), jobs, flex.BatchOptions{Workers: 2}) {
+	for r := range ch {
 		done = append(done, r) // completion order
 	}
 	sort.Slice(done, func(i, j int) bool { return done[i].Index < done[j].Index })

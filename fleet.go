@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -117,7 +116,7 @@ func (s *Service) routingKey(job BatchJob, class sched.Class, k, b int, info *ec
 		return "band|" + info.bandIn[b]
 	}
 	base := "job=" + class.Job
-	if key, ok := shardMemoKey(job, k, s.effectiveHalo(job)); ok {
+	if key, ok := shardMemoKey(job, k, job.effectiveHalo()); ok {
 		base = key
 	}
 	return fmt.Sprintf("%s#band=%d", base, b)
@@ -217,9 +216,11 @@ type FleetWorker struct {
 	w *fleet.Worker
 }
 
-// NewFleetWorker wraps s in the fleet worker protocol.
+// NewFleetWorker wraps s in the fleet worker protocol. The worker logs
+// job receipt (debug) and its drain transition (warn) to s's WithLogger
+// logger, or to slog.Default without one. Logs never affect result bytes.
 func NewFleetWorker(s *Service) *FleetWorker {
-	return &FleetWorker{w: fleet.NewWorker(&serviceExecutor{svc: s})}
+	return &FleetWorker{w: fleet.NewWorker(&serviceExecutor{svc: s}, s.logger)}
 }
 
 // Handler returns the worker's HTTP surface (POST /w/v1/job,
@@ -230,14 +231,6 @@ func (fw *FleetWorker) Handler() http.Handler { return fw.w.Handler() }
 // answer 503 so coordinators re-route, while jobs already executing
 // finish. Call it when graceful shutdown begins.
 func (fw *FleetWorker) Drain() { fw.w.Drain() }
-
-// Draining reports whether Drain has been called.
-func (fw *FleetWorker) Draining() bool { return fw.w.Draining() }
-
-// SetLogger routes the worker protocol's structured logs (job receipt at
-// debug, drain transitions at warn) to log. Nil restores the default
-// logger. Logs go to stderr and never affect result bytes.
-func (fw *FleetWorker) SetLogger(log *slog.Logger) { fw.w.SetLogger(log) }
 
 // serviceExecutor is the fleet.Executor over a Service.
 type serviceExecutor struct {

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,7 +266,7 @@ func (b *blockingExec) Load() fleet.Load { return fleet.Load{Workers: 1} }
 // and must not be retried onto other workers.
 func TestFleetDeadlineMidFlightTyped(t *testing.T) {
 	exec := &blockingExec{got: make(chan fleet.Job, 1)}
-	srv := httptest.NewServer(fleet.NewWorker(exec).Handler())
+	srv := httptest.NewServer(fleet.NewWorker(exec, nil).Handler())
 	defer srv.Close()
 
 	coord := flex.NewService(flex.WithWorkers(2), flex.WithWorkersList(srv.URL))
@@ -313,9 +315,6 @@ func TestFleetDrainingWorkerExcluded(t *testing.T) {
 	defer coord.Close()
 
 	fwA.Drain()
-	if !fwA.Draining() {
-		t.Fatal("Draining() false after Drain")
-	}
 	sum, err := coord.Submit(context.Background(),
 		[]flex.BatchJob{{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineMGL}},
 		flex.SubmitOptions{})
@@ -324,6 +323,19 @@ func TestFleetDrainingWorkerExcluded(t *testing.T) {
 	}
 	if proxyB.jobs.Load() != 1 {
 		t.Fatalf("survivor served %d jobs, want 1", proxyB.jobs.Load())
+	}
+}
+
+// TestFleetWorkerLogsToServiceLogger: a worker built on a service with
+// WithLogger logs its drain transition to that logger, not slog.Default.
+func TestFleetWorkerLogsToServiceLogger(t *testing.T) {
+	var logs logBuffer
+	svc := flex.NewService(flex.WithWorkers(1),
+		flex.WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	defer svc.Close()
+	flex.NewFleetWorker(svc).Drain()
+	if got := logs.take(); !strings.Contains(got, "level=WARN") || !strings.Contains(got, "worker draining") {
+		t.Fatalf("service logger got %q, want the worker's drain warning", got)
 	}
 }
 
@@ -342,7 +354,7 @@ func (lyingExec) Load() fleet.Load { return fleet.Load{Workers: 1} }
 // outcome, and for a sharded job's stitched outcome and every band in
 // Shards.
 func TestFleetLyingWorkerNeverLegal(t *testing.T) {
-	srv := httptest.NewServer(fleet.NewWorker(lyingExec{}).Handler())
+	srv := httptest.NewServer(fleet.NewWorker(lyingExec{}, nil).Handler())
 	defer srv.Close()
 	coord := flex.NewService(flex.WithWorkers(2), flex.WithWorkersList(srv.URL))
 	defer coord.Close()

@@ -28,7 +28,6 @@ import (
 
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/engine"
-	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
@@ -153,9 +152,10 @@ func legalize(ctx context.Context, l *Layout, e Engine, opt Options) (*Outcome, 
 	}, nil
 }
 
-// BatchJob describes one legalization job for LegalizeBatch. Either set
-// Layout directly, or name a Design (see Designs) and a Scale to have the
-// job synthesize its own benchmark on a worker goroutine.
+// BatchJob describes one legalization job for Service.Submit or
+// Service.Stream. Either set Layout directly, or name a Design (see
+// Designs) and a Scale to have the job synthesize its own benchmark on a
+// worker goroutine.
 type BatchJob struct {
 	// Design names a built-in benchmark to generate; ignored when Layout
 	// is set.
@@ -174,17 +174,17 @@ type BatchJob struct {
 	// Shards splits the job's layout into that many horizontal row bands
 	// (internal/shard) legalized as independent pool jobs and stitched back
 	// into one result — the path that fits paper-scale designs through
-	// workers that cannot hold a whole layout. 0 defers to the service's
-	// WithShards / auto-sharding defaults (no sharding on a plain
-	// LegalizeBatch); negative forces the unsharded path; values above what
-	// the die can hold are clamped. Shards == 1 still exercises the full
-	// split/stitch machinery and is byte-identical to the unsharded path.
+	// workers that cannot hold a whole layout. 0 leaves the job unsharded
+	// unless the service's WithAutoShardBytes threshold splits it; negative
+	// forces the unsharded path; values above what the die can hold are
+	// clamped. Shards == 1 still exercises the full split/stitch machinery
+	// and is byte-identical to the unsharded path.
 	Shards int
 	// ShardHalo is the seam-crossing reassignment window, in rows, a
 	// sharded job plans with: a cell whose global span pokes over a band
 	// seam within this many rows may be bumped to the upper band when that
-	// strictly shrinks its forced displacement. 0 defers to the service
-	// default (DefaultShardHalo); negative disables the halo.
+	// strictly shrinks its forced displacement. 0 means DefaultShardHalo;
+	// negative disables the halo.
 	ShardHalo int
 	// Priority orders the job against everything else waiting on the
 	// service: higher runs earlier. Levels are small integers around 0
@@ -199,7 +199,7 @@ type BatchJob struct {
 	// up fails fast with ErrDeadlineExceeded without running.
 	Deadline time.Time
 	// Client is the submitting tenant. The service's scheduler spreads
-	// capacity across clients (weighted fair sharing), caps one client's
+	// capacity across clients (fair sharing), caps one client's
 	// concurrently running jobs (WithClientQuota), and bounds one client's
 	// admitted jobs (WithClientQueueDepth — exceeding it rejects the batch
 	// with ErrClientOverloaded). Empty is the shared anonymous client. A
@@ -219,38 +219,6 @@ type BatchJob struct {
 	// resolved from the service's outcome cache. Requires
 	// WithOutcomeCacheBytes or WithCacheDir; an unknown hash fails the job.
 	BaseHash string
-}
-
-// NeedsFPGA reports the job's accelerator requirement: FLEX occupies the
-// modeled FPGA for its device phase, while the baselines (MGL, MGL-MT,
-// the GPU and analytical models) are priced entirely host-side. Jobs that
-// need the FPGA serialize on the batch's device tokens (BatchOptions.FPGAs);
-// everything else overlaps freely.
-func (j BatchJob) NeedsFPGA() bool {
-	e, err := engine.Lookup(engine.Kind(j.Engine))
-	return err == nil && e.FPGA
-}
-
-// BatchOptions tunes a LegalizeBatch run.
-type BatchOptions struct {
-	// Workers bounds concurrently running jobs (<= 0 = GOMAXPROCS).
-	Workers int
-	// FailFast cancels the remaining jobs after the first error instead of
-	// capturing every job's error independently.
-	FailFast bool
-	// FPGAs is the number of physical accelerator boards the batch models
-	// (0 = 1, the paper's single-card host; negative = unlimited, no
-	// device contention). Jobs whose engine needs the FPGA (see
-	// BatchJob.NeedsFPGA) hold one board for their device phase while
-	// CPU-only jobs — and FLEX's own CPU steps, like benchmark generation
-	// — keep overlapping. Capacity never changes results, only wall-clock
-	// and the device-wait statistics.
-	FPGAs int
-	// OnResult, when set, observes every job's BatchResult in completion
-	// order while the batch is still running — the streaming hook for
-	// progress lines. It is called synchronously from the collecting
-	// goroutine; keep it fast.
-	OnResult func(BatchResult)
 }
 
 // BatchResult is one job's outcome within a batch.
@@ -288,8 +256,8 @@ type BatchResult struct {
 	// the original global placement, and ModeledSeconds is the slowest
 	// band's — the modeled wall of a fully parallel sharded run.
 	Shards []BatchResult
-	// TraceID identifies the job's trace on a tracing service (WithTracing
-	// / WithTracer; flexserve -trace): the 16-hex ID every span of the job
+	// TraceID identifies the job's trace on a tracing service (WithTracing;
+	// flexserve -trace): the 16-hex ID every span of the job
 	// — including spans recorded on remote fleet workers — groups under.
 	// Empty when tracing is off. Telemetry only: tracing never changes
 	// result bytes.
@@ -376,52 +344,6 @@ func (j BatchJob) toResult(r batch.Result[*Outcome]) BatchResult {
 	}
 }
 
-// throwawayService builds the single-batch Service backing one
-// LegalizeBatch/LegalizeBatchStream call: same workers and boards, no
-// cache, no admission bound — so the free functions stay byte-identical to
-// their pre-Service behaviour while sharing the Service execution path.
-func (o BatchOptions) throwawayService() *Service {
-	return NewService(WithWorkers(o.Workers), WithFPGAs(o.FPGAs))
-}
-
-// LegalizeBatch fans independent legalization jobs across a bounded worker
-// pool and collects every outcome. Results keep submission order and each
-// job's error is captured in its own BatchResult (no fail-fast unless
-// requested), so a batch over N workers and M modeled FPGAs is
-// byte-identical to a serial run — engines are deterministic and legalize
-// clones of their inputs; workers and boards move only wall-clock and wait
-// statistics. The returned error is non-nil only when the batch as a whole
-// stopped early: ctx was canceled while jobs were pending or in flight, or
-// BatchOptions.FailFast tripped on the first job error.
-//
-// LegalizeBatch is a thin wrapper over a throwaway Service; long-lived
-// callers (servers, multi-batch CLI runs) should hold their own Service to
-// amortize the pool and reuse its layout cache.
-func LegalizeBatch(ctx context.Context, jobs []BatchJob, opt BatchOptions) (*BatchSummary, error) {
-	s := opt.throwawayService()
-	defer s.Close()
-	return s.Submit(ctx, jobs, SubmitOptions{FailFast: opt.FailFast, OnResult: opt.OnResult})
-}
-
-// LegalizeBatchStream is the streaming form of LegalizeBatch: it returns
-// immediately with a channel that yields every job's BatchResult in
-// completion order (use BatchResult.Index to reorder) and is closed after
-// exactly len(jobs) sends — skipped jobs carry an error matched by
-// IsBatchSkipped. Callers must drain the channel; cancel ctx to stop
-// early. BatchOptions.OnResult, when also set, observes each result just
-// before it is sent. Like LegalizeBatch, it wraps a throwaway Service —
-// see Service.Stream for the long-lived form.
-func LegalizeBatchStream(ctx context.Context, jobs []BatchJob, opt BatchOptions) <-chan BatchResult {
-	s := opt.throwawayService()
-	out, err := s.stream(ctx, jobs, SubmitOptions{FailFast: opt.FailFast, OnResult: opt.OnResult},
-		func() { s.Close() })
-	if err != nil {
-		// Unreachable: a fresh service has no queue bound and is not closed.
-		panic("flex: throwaway service rejected batch: " + err.Error())
-	}
-	return out
-}
-
 // IsBatchSkipped reports whether a BatchResult's error means the job never
 // started because the batch was canceled (context or fail-fast).
 func IsBatchSkipped(err error) bool { return errors.Is(err, batch.ErrSkipped) }
@@ -505,10 +427,3 @@ func Measure(l *Layout) Metrics { return model.Measure(l) }
 
 // Check validates a layout and returns up to max violations (0 = all).
 func Check(l *Layout, max int) []Violation { return l.Check(max) }
-
-// FPGAResources returns the modeled FPGA footprint of a FLEX cluster with
-// the given number of FOP PEs, and the Alveo U50 budget it must fit in
-// (the paper's Table 2).
-func FPGAResources(numPE int) (used, available fpga.Resources) {
-	return fpga.Estimate(numPE), fpga.AlveoU50
-}

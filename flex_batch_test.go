@@ -8,6 +8,14 @@ import (
 	flex "github.com/flex-eda/flex"
 )
 
+// submitOnce runs jobs as one batch on a fresh service built from opts,
+// then closes the service.
+func submitOnce(ctx context.Context, jobs []flex.BatchJob, sopt flex.SubmitOptions, opts ...flex.ServiceOption) (*flex.BatchSummary, error) {
+	svc := flex.NewService(opts...)
+	defer svc.Close()
+	return svc.Submit(ctx, jobs, sopt)
+}
+
 // batchJobs builds a small (design × engine) grid, the shape the experiment
 // drivers submit.
 func batchJobs(t *testing.T) []flex.BatchJob {
@@ -28,7 +36,7 @@ func TestLegalizeBatchDeterministicAcrossWorkers(t *testing.T) {
 	jobs := batchJobs(t)
 	var want *flex.BatchSummary
 	for _, workers := range []int{1, 4} {
-		sum, err := flex.LegalizeBatch(context.Background(), jobs, flex.BatchOptions{Workers: workers})
+		sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{}, flex.WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -77,7 +85,7 @@ func TestLegalizeBatchSharedLayout(t *testing.T) {
 		{Layout: layout, Engine: flex.EngineMGL},
 		{Layout: layout, Engine: flex.EngineAnalytical},
 	}
-	sum, err := flex.LegalizeBatch(context.Background(), jobs, flex.BatchOptions{Workers: 3})
+	sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{}, flex.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +105,7 @@ func TestLegalizeBatchErrorIsolation(t *testing.T) {
 		{Design: "no_such_design", Scale: 0.008, Engine: flex.EngineFLEX},
 		{Design: "pci_b_a_md2", Scale: 0.008, Engine: flex.EngineMGL},
 	}
-	sum, err := flex.LegalizeBatch(context.Background(), jobs, flex.BatchOptions{Workers: 2})
+	sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{}, flex.WithWorkers(2))
 	if err != nil {
 		t.Fatalf("isolated failure escalated to batch error: %v", err)
 	}
@@ -117,8 +125,7 @@ func TestLegalizeBatchFailFast(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		jobs = append(jobs, flex.BatchJob{Design: "fft_a_md2", Scale: 0.008, Engine: flex.EngineFLEX})
 	}
-	sum, err := flex.LegalizeBatch(context.Background(), jobs,
-		flex.BatchOptions{Workers: 1, FailFast: true})
+	sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{FailFast: true}, flex.WithWorkers(1))
 	if err == nil {
 		t.Fatal("fail-fast batch returned nil error")
 	}
@@ -140,7 +147,7 @@ func TestLegalizeBatchCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := batchJobs(t)
-	sum, err := flex.LegalizeBatch(ctx, jobs, flex.BatchOptions{Workers: 4})
+	sum, err := submitOnce(ctx, jobs, flex.SubmitOptions{}, flex.WithWorkers(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

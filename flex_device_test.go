@@ -9,9 +9,9 @@ import (
 	flex "github.com/flex-eda/flex"
 )
 
-// flexHeavyJobs builds a batch dominated by FLEX jobs plus CPU-only
-// baselines, all over pre-generated shared layouts so workers hit the
-// device phase immediately.
+// flexHeavyJobs builds a batch dominated by FLEX jobs plus one job per
+// CPU-only baseline, all over pre-generated shared layouts so workers hit
+// the device phase immediately.
 func flexHeavyJobs(t *testing.T, flexJobs int) []flex.BatchJob {
 	t.Helper()
 	layout, err := flex.GenerateCustom(600, 0.55, 11)
@@ -26,6 +26,8 @@ func flexHeavyJobs(t *testing.T, flexJobs int) []flex.BatchJob {
 	}
 	jobs = append(jobs,
 		flex.BatchJob{Layout: layout, Engine: flex.EngineMGL, Tag: "mgl"},
+		flex.BatchJob{Layout: layout, Engine: flex.EngineMGLMT, Tag: "mgl-mt"},
+		flex.BatchJob{Layout: layout, Engine: flex.EngineGPU, Tag: "gpu"},
 		flex.BatchJob{Layout: layout, Engine: flex.EngineAnalytical, Tag: "analytical"},
 	)
 	return jobs
@@ -57,8 +59,8 @@ func TestLegalizeBatchDeterministicAcrossWorkersAndFPGAs(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 4} {
 		for _, fpgas := range []int{1, 2, -1} {
-			sum, err := flex.LegalizeBatch(context.Background(), jobs,
-				flex.BatchOptions{Workers: workers, FPGAs: fpgas})
+			sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{},
+				flex.WithWorkers(workers), flex.WithFPGAs(fpgas))
 			if err != nil {
 				t.Fatalf("workers=%d fpgas=%d: %v", workers, fpgas, err)
 			}
@@ -76,16 +78,16 @@ func TestLegalizeBatchDeterministicAcrossWorkersAndFPGAs(t *testing.T) {
 
 // TestLegalizeBatchDeviceContention checks the scheduling behaviour itself:
 // concurrent FLEX jobs on a single modeled board serialize (device wait
-// shows up) while CPU-only jobs keep overlapping, and per-job waits land on
-// FLEX jobs only.
+// shows up) while CPU-only jobs keep overlapping, and only FLEX jobs hold
+// the board: the engine table's FPGA flag is set for FLEX alone.
 func TestLegalizeBatchDeviceContention(t *testing.T) {
 	jobs := flexHeavyJobs(t, 6)
 	// Goroutine interleaving decides how much wait each run observes; with
 	// 4 workers racing 6 FLEX jobs onto 1 board a zero-wait run is
 	// practically impossible, but retry to keep the test unflakable.
 	for attempt := 0; attempt < 5; attempt++ {
-		sum, err := flex.LegalizeBatch(context.Background(), jobs,
-			flex.BatchOptions{Workers: 4, FPGAs: 1})
+		sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{},
+			flex.WithWorkers(4), flex.WithFPGAs(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +95,12 @@ func TestLegalizeBatchDeviceContention(t *testing.T) {
 			t.Fatalf("summary FPGAs = %d, want 1", sum.FPGAs)
 		}
 		for _, r := range sum.Results {
-			if !jobs[r.Index].NeedsFPGA() && (r.DeviceWait != 0 || r.DeviceHold != 0) {
+			isFLEX := jobs[r.Index].Engine == flex.EngineFLEX
+			if !isFLEX && (r.DeviceWait != 0 || r.DeviceHold != 0) {
 				t.Fatalf("CPU-only job %s recorded device time: wait=%v hold=%v",
 					r.Tag, r.DeviceWait, r.DeviceHold)
 			}
-			if jobs[r.Index].NeedsFPGA() && r.Err == nil && r.DeviceHold <= 0 {
+			if isFLEX && r.Err == nil && r.DeviceHold <= 0 {
 				t.Fatalf("FLEX job %s never held the board", r.Tag)
 			}
 		}
@@ -111,33 +114,24 @@ func TestLegalizeBatchDeviceContention(t *testing.T) {
 	t.Fatal("6 concurrent FLEX jobs on 1 board never waited in 5 runs")
 }
 
-func TestBatchJobNeedsFPGA(t *testing.T) {
-	for engine, want := range map[flex.Engine]bool{
-		flex.EngineFLEX:       true,
-		flex.EngineMGL:        false,
-		flex.EngineMGLMT:      false,
-		flex.EngineGPU:        false,
-		flex.EngineAnalytical: false,
-	} {
-		if got := (flex.BatchJob{Engine: engine}).NeedsFPGA(); got != want {
-			t.Fatalf("%s: NeedsFPGA = %v, want %v", engine, got, want)
-		}
-	}
-}
-
 func TestLegalizeBatchStream(t *testing.T) {
 	jobs := batchJobs(t)
 	var callbackOrder []int
-	opt := flex.BatchOptions{
-		Workers: 3,
+	opt := flex.SubmitOptions{
 		OnResult: func(r flex.BatchResult) {
 			// OnResult fires from the relay goroutine before each send.
 			callbackOrder = append(callbackOrder, r.Index)
 		},
 	}
+	svc := flex.NewService(flex.WithWorkers(3))
+	defer svc.Close()
+	ch, err := svc.Stream(context.Background(), jobs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
 	var streamOrder []int
-	for r := range flex.LegalizeBatchStream(context.Background(), jobs, opt) {
+	for r := range ch {
 		if seen[r.Index] {
 			t.Fatalf("job %d streamed twice", r.Index)
 		}
@@ -170,8 +164,14 @@ func TestLegalizeBatchStreamCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := batchJobs(t)
+	svc := flex.NewService(flex.WithWorkers(2))
+	defer svc.Close()
+	ch, err := svc.Stream(ctx, jobs, flex.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, skipped := 0, 0
-	for r := range flex.LegalizeBatchStream(ctx, jobs, flex.BatchOptions{Workers: 2}) {
+	for r := range ch {
 		n++
 		if flex.IsBatchSkipped(r.Err) {
 			skipped++
@@ -188,10 +188,9 @@ func TestLegalizeBatchStreamCancel(t *testing.T) {
 func TestLegalizeBatchOnResult(t *testing.T) {
 	jobs := flexHeavyJobs(t, 2)
 	var streamed int
-	sum, err := flex.LegalizeBatch(context.Background(), jobs, flex.BatchOptions{
-		Workers:  2,
+	sum, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{
 		OnResult: func(r flex.BatchResult) { streamed++ },
-	})
+	}, flex.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

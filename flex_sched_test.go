@@ -57,7 +57,6 @@ func TestServiceByteIdenticalAcrossSchedulers(t *testing.T) {
 					flex.WithWorkers(workers), flex.WithFPGAs(fpgas),
 					flex.WithScheduler(scheduler),
 					flex.WithClientQuota(2),
-					flex.WithClientWeight("tenant-a", 2),
 					flex.WithReconfigCost(time.Millisecond),
 				)
 				sum, err := svc.Submit(context.Background(), schedJobs(), flex.SubmitOptions{})

@@ -41,8 +41,8 @@ func TestShardsOneByteIdenticalToUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := flex.LegalizeBatch(context.Background(),
-			[]flex.BatchJob{{Layout: l, Engine: engine, Shards: 1}}, flex.BatchOptions{})
+		sum, err := submitOnce(context.Background(),
+			[]flex.BatchJob{{Layout: l, Engine: engine, Shards: 1}}, flex.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,9 +252,9 @@ func TestShardedDeterministicAcrossWorkersAndFPGAs(t *testing.T) {
 	var wantMetrics flex.Metrics
 	for _, workers := range []int{1, 4} {
 		for _, fpgas := range []int{1, 2} {
-			sum, err := flex.LegalizeBatch(context.Background(),
+			sum, err := submitOnce(context.Background(),
 				[]flex.BatchJob{{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineFLEX, Shards: 3}},
-				flex.BatchOptions{Workers: workers, FPGAs: fpgas})
+				flex.SubmitOptions{}, flex.WithWorkers(workers), flex.WithFPGAs(fpgas))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,8 +386,8 @@ func TestShardsClampedToDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := flex.LegalizeBatch(context.Background(),
-		[]flex.BatchJob{{Layout: l, Engine: flex.EngineMGL, Shards: 500}}, flex.BatchOptions{})
+	sum, err := submitOnce(context.Background(),
+		[]flex.BatchJob{{Layout: l, Engine: flex.EngineMGL, Shards: 500}}, flex.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,34 +403,32 @@ func TestShardsClampedToDie(t *testing.T) {
 	}
 }
 
-// TestServiceDefaultAndAutoSharding: WithShards shards jobs that don't ask,
-// a negative job knob opts out, and WithAutoShardBytes splits any job whose
-// estimated footprint exceeds the threshold.
+// TestServiceDefaultAndAutoSharding: a job that leaves Shards at 0 stays
+// unsharded by default, WithAutoShardBytes splits any such job whose
+// estimated footprint exceeds the threshold, and a negative job knob opts
+// out of auto-sharding.
 func TestServiceDefaultAndAutoSharding(t *testing.T) {
 	l, err := flex.GenerateCustom(600, 0.55, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := flex.NewService(flex.WithWorkers(2), flex.WithShards(2))
-	defer svc.Close()
-	sum, err := svc.Submit(context.Background(), []flex.BatchJob{
-		{Layout: l, Engine: flex.EngineMGL},             // inherits WithShards(2)
-		{Layout: l, Engine: flex.EngineMGL, Shards: -1}, // explicitly unsharded
-	}, flex.SubmitOptions{})
+	plain := flex.NewService(flex.WithWorkers(2))
+	defer plain.Close()
+	psum, err := plain.Submit(context.Background(),
+		[]flex.BatchJob{{Layout: l, Engine: flex.EngineMGL}}, flex.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sum.Results[0].Shards); got != 2 {
-		t.Fatalf("default-sharded job: %d shards, want 2", got)
-	}
-	if got := len(sum.Results[1].Shards); got != 0 {
-		t.Fatalf("opted-out job still sharded %d ways", got)
+	if got := len(psum.Results[0].Shards); got != 0 {
+		t.Fatalf("job without a shard knob sharded %d ways by default", got)
 	}
 
 	auto := flex.NewService(flex.WithWorkers(2), flex.WithAutoShardBytes(l.ApproxBytes()/3+1))
 	defer auto.Close()
-	asum, err := auto.Submit(context.Background(),
-		[]flex.BatchJob{{Layout: l, Engine: flex.EngineMGL}}, flex.SubmitOptions{})
+	asum, err := auto.Submit(context.Background(), []flex.BatchJob{
+		{Layout: l, Engine: flex.EngineMGL},             // over the threshold
+		{Layout: l, Engine: flex.EngineMGL, Shards: -1}, // explicitly unsharded
+	}, flex.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +437,9 @@ func TestServiceDefaultAndAutoSharding(t *testing.T) {
 	}
 	if !asum.Results[0].Outcome.Legal {
 		t.Fatal("auto-sharded result illegal")
+	}
+	if got := len(asum.Results[1].Shards); got != 0 {
+		t.Fatalf("opted-out job still sharded %d ways", got)
 	}
 }
 

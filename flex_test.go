@@ -74,13 +74,6 @@ func TestDesignsList(t *testing.T) {
 	}
 }
 
-func TestFPGAResourcesFit(t *testing.T) {
-	used, avail := flex.FPGAResources(2)
-	if !used.FitsIn(avail) {
-		t.Fatalf("2-PE config does not fit: %v vs %v", used, avail)
-	}
-}
-
 func TestEngineOptions(t *testing.T) {
 	l, err := flex.GenerateCustom(200, 0.6, 11)
 	if err != nil {

@@ -56,8 +56,8 @@ type PoolConfig struct {
 	QueueDepth int
 	// Policy orders waiting jobs everywhere they queue — for a worker and
 	// for a board. nil = sched.Default(): effective priority (base +
-	// aging) descending, earliest deadline first within a level, weighted
-	// fair share, then arrival order.
+	// aging) descending, earliest deadline first within a level, fair
+	// share across clients, then arrival order.
 	Policy sched.Policy
 	// ClientQuota caps concurrently running jobs per client (0 =
 	// unlimited). Jobs over quota stay queued; they are deferred, never

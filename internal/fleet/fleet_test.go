@@ -69,7 +69,7 @@ func TestWorkerHealthAndDraining(t *testing.T) {
 		fn:   func(context.Context, Job) (*Result, error) { return &Result{Legal: true}, nil },
 		load: Load{QueuedJobs: 3, Workers: 4, DeviceWait: 20 * time.Millisecond, DeviceAcquires: 7},
 	}
-	w := NewWorker(exec)
+	w := NewWorker(exec, nil)
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
@@ -135,7 +135,7 @@ func TestWorkerJobErrors(t *testing.T) {
 			return nil, execErr
 		}
 		return &Result{Layout: "ok", Legal: true}, nil
-	}})
+	}}, nil)
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
@@ -183,7 +183,7 @@ func TestWorkerReanchorsDeadline(t *testing.T) {
 		}
 		<-ctx.Done()
 		return nil, fmt.Errorf("band expired in queue: %w", sched.ErrDeadlineExceeded)
-	}})
+	}}, nil)
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
@@ -197,7 +197,7 @@ func TestWorkerReanchorsDeadline(t *testing.T) {
 	w2 := NewWorker(&stubExec{fn: func(ctx context.Context, job Job) (*Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}})
+	}}, nil)
 	srv2 := httptest.NewServer(w2.Handler())
 	defer srv2.Close()
 	st, eb = postJob(t, srv2.URL, Job{Engine: "flex", DeadlineMs: 20})
@@ -214,7 +214,7 @@ func testWorkerServer(t *testing.T, name string) (*httptest.Server, *atomic.Int6
 	w := NewWorker(&stubExec{fn: func(ctx context.Context, job Job) (*Result, error) {
 		served.Add(1)
 		return &Result{Layout: job.Layout, Legal: true, ModeledSeconds: 1}, nil
-	}, load: Load{Workers: 1}})
+	}, load: Load{Workers: 1}}, nil)
 	srv := httptest.NewServer(w.Handler())
 	t.Cleanup(srv.Close)
 	_ = name
@@ -298,7 +298,7 @@ func TestRouterDeadlineIsTypedNotTransport(t *testing.T) {
 	w := NewWorker(&stubExec{fn: func(ctx context.Context, job Job) (*Result, error) {
 		<-ctx.Done()
 		return nil, fmt.Errorf("queued past deadline: %w", sched.ErrDeadlineExceeded)
-	}})
+	}}, nil)
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	r := NewRouter(RouterConfig{Workers: []string{srv.URL}, ProbeInterval: -1})
@@ -317,7 +317,7 @@ func TestRouterDrainingExcludedThenRecovered(t *testing.T) {
 	var drainA atomic.Bool
 	wA := NewWorker(&stubExec{fn: func(ctx context.Context, job Job) (*Result, error) {
 		return &Result{Layout: "A", Legal: true}, nil
-	}, load: Load{Workers: 1}})
+	}, load: Load{Workers: 1}}, nil)
 	muxA := http.NewServeMux()
 	muxA.Handle("/", http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if drainA.Load() {
@@ -393,7 +393,7 @@ func TestRouterInvalidJobNotRetried(t *testing.T) {
 	// A front worker that always rejects as invalid.
 	w := NewWorker(&stubExec{fn: func(ctx context.Context, job Job) (*Result, error) {
 		return nil, fmt.Errorf("no such design: %w", ErrInvalidJob)
-	}})
+	}}, nil)
 	srvBad := httptest.NewServer(w.Handler())
 	defer srvBad.Close()
 

@@ -26,18 +26,14 @@ type Worker struct {
 	draining atomic.Bool
 }
 
-// NewWorker wraps exec in the wire protocol.
-func NewWorker(exec Executor) *Worker {
-	return &Worker{exec: exec, log: slog.Default()}
-}
-
-// SetLogger routes the worker's request logging (trace arrivals at
-// debug, drain transitions at warn) to log; nil restores the default.
-func (w *Worker) SetLogger(log *slog.Logger) {
+// NewWorker wraps exec in the wire protocol. log receives the worker's
+// request logging (trace arrivals at debug, drain transitions at warn);
+// nil means slog.Default.
+func NewWorker(exec Executor, log *slog.Logger) *Worker {
 	if log == nil {
 		log = slog.Default()
 	}
-	w.log = log
+	return &Worker{exec: exec, log: log}
 }
 
 // Drain flips the worker into draining: /w/v1/health and /w/v1/job both
@@ -48,11 +44,6 @@ func (w *Worker) Drain() {
 	if !w.draining.Swap(true) {
 		w.log.Warn("worker draining: rejecting new jobs with 503")
 	}
-}
-
-// Draining reports whether Drain has been called.
-func (w *Worker) Draining() bool {
-	return w.draining.Load()
 }
 
 // Handler returns the worker's HTTP surface: POST /w/v1/job and
@@ -117,7 +108,7 @@ func (w *Worker) handleJob(rw http.ResponseWriter, req *http.Request) {
 	// same ID appears in the coordinator's result rows.
 	var rec *obs.Recorder
 	if id := req.Header.Get(TraceHeader); id != "" {
-		rec = obs.NewLinkedRecorder(id, "worker-job")
+		rec = obs.NewLinkedRecorder(id)
 		ctx = obs.WithRecorder(ctx, rec)
 		w.log.Debug("fleet job received", "trace", id, "key", job.Key,
 			"engine", job.Engine, "client", job.Client)

@@ -55,7 +55,6 @@ type Span struct {
 // use — a sharded job's band spans append from many pool goroutines.
 type Recorder struct {
 	id     string
-	name   string
 	origin time.Time
 
 	admit sync.Once
@@ -66,15 +65,15 @@ type Recorder struct {
 
 // NewRecorder starts a trace with a fresh random ID. The origin (span
 // time zero) is the moment of creation.
-func NewRecorder(name string) *Recorder {
-	return NewLinkedRecorder(newTraceID(), name)
+func NewRecorder() *Recorder {
+	return NewLinkedRecorder(newTraceID())
 }
 
 // NewLinkedRecorder starts a trace under an existing ID — the worker
 // side of a propagated trace, where the coordinator minted the ID and
 // sent it across the wire.
-func NewLinkedRecorder(id, name string) *Recorder {
-	return &Recorder{id: id, name: name, origin: time.Now()}
+func NewLinkedRecorder(id string) *Recorder {
+	return &Recorder{id: id, origin: time.Now()}
 }
 
 // ID returns the trace ID.
@@ -83,14 +82,6 @@ func (r *Recorder) ID() string {
 		return ""
 	}
 	return r.id
-}
-
-// Name returns the trace's display name (job tag or design).
-func (r *Recorder) Name() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
 }
 
 // us converts an absolute time to the recorder's microsecond offset.
@@ -282,12 +273,13 @@ type Tracer struct {
 // NewTracer returns an empty trace collector.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Add collects a finished recorder's trace. Nil-safe on both sides.
-func (t *Tracer) Add(rec *Recorder) {
-	if t == nil || rec == nil {
+// Add collects one finished trace: its ID, display name and span tree (a
+// recorder's ID and Spans, or a job result's TraceID and Spans). Nil-safe.
+func (t *Tracer) Add(id, name string, spans []*Span) {
+	if t == nil {
 		return
 	}
-	tr := &Trace{ID: rec.ID(), Name: rec.Name(), Spans: rec.Spans()}
+	tr := &Trace{ID: id, Name: name, Spans: spans}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.traces = append(t.traces, tr)

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestSpanTreeNesting(t *testing.T) {
-	rec := NewRecorder("job")
+	rec := NewRecorder()
 	if rec.ID() == "" || len(rec.ID()) != 16 {
 		t.Fatalf("want 16-hex trace ID, got %q", rec.ID())
 	}
@@ -63,7 +62,7 @@ func TestNoRecorderIsFreeNoop(t *testing.T) {
 }
 
 func TestConcurrentBandSpans(t *testing.T) {
-	rec := NewRecorder("sharded")
+	rec := NewRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	var wg sync.WaitGroup
 	for b := 0; b < 8; b++ {
@@ -102,7 +101,7 @@ func TestConcurrentBandSpans(t *testing.T) {
 }
 
 func TestAttachRemoteRebases(t *testing.T) {
-	rec := NewLinkedRecorder("deadbeefdeadbeef", "job")
+	rec := NewLinkedRecorder("deadbeefdeadbeef")
 	ctx := WithRecorder(context.Background(), rec)
 	sctx, end := StartSpan(ctx, "band", "")
 	// Worker spans on a wildly different clock origin.
@@ -139,11 +138,11 @@ func TestAttachRemoteRebases(t *testing.T) {
 
 func TestTracerChromeExport(t *testing.T) {
 	tr := NewTracer()
-	rec := NewRecorder("fft_a_md2")
+	rec := NewRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	_, end := StartSpan(ctx, "legalize", "fft_a_md2")
 	end()
-	tr.Add(rec)
+	tr.Add(rec.ID(), "fft_a_md2", rec.Spans())
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -162,8 +161,8 @@ func TestTracerChromeExport(t *testing.T) {
 		t.Fatalf("unexpected phases: %v", doc.TraceEvents)
 	}
 	name := doc.TraceEvents[0]["args"].(map[string]any)["name"].(string)
-	if !strings.Contains(name, rec.ID()) {
-		t.Fatalf("lane name %q missing trace ID %q", name, rec.ID())
+	if want := "fft_a_md2 [" + rec.ID() + "]"; name != want {
+		t.Fatalf("lane name %q, want %q", name, want)
 	}
 }
 

@@ -10,8 +10,8 @@
 // sharing, and a configuration identity for the board-reconfiguration
 // model. The default policy dequeues by effective priority — base priority
 // plus an aging boost that grows while the job waits, so no class starves —
-// breaking ties earliest-deadline-first, then by weighted fair share across
-// clients, then by arrival order.
+// breaking ties earliest-deadline-first, then by fair share across clients
+// (fewest running jobs first), then by arrival order.
 //
 // Scheduling never changes what a job computes. Engines are pure functions
 // of their inputs, so reordering the queue moves only wall-clock and wait
@@ -50,32 +50,19 @@ type Class struct {
 	// and a job whose deadline has already passed when it is picked fails
 	// fast with ErrDeadlineExceeded instead of running.
 	Deadline time.Time
-	// Client is the submitting tenant, for per-client quotas and weighted
-	// fair sharing. Empty is the shared anonymous client.
+	// Client is the submitting tenant, for per-client quotas and fair
+	// sharing. Empty is the shared anonymous client.
 	Client string
 	// Job identifies the board configuration (bitstream) the job needs on
 	// an accelerator: consecutive holders of one board with equal Job skip
 	// the modeled reconfiguration delay. Empty never matches — an
 	// unidentified job always reconfigures.
 	Job string
-	// Weight is the client's fair-share weight (0 = 1): at equal priority
-	// and deadline, the client with the lowest running/weight ratio runs
-	// first, so a weight-2 client sustains twice the throughput of a
-	// weight-1 sibling under contention.
-	Weight int
 }
 
 // Expired reports whether the class's deadline (if any) has passed at now.
 func (c Class) Expired(now time.Time) bool {
 	return !c.Deadline.IsZero() && now.After(c.Deadline)
-}
-
-// weight resolves the fair-share weight (>= 1).
-func (c Class) weight() float64 {
-	if c.Weight < 1 {
-		return 1
-	}
-	return float64(c.Weight)
 }
 
 // Waiter is the policy's view of one queued job.
@@ -86,10 +73,11 @@ type Waiter struct {
 	Seq uint64
 	// Since is the enqueue time, the base of the aging boost.
 	Since time.Time
-	// Load is the job's client's current fair-share load — running jobs
-	// divided by the client's weight — computed by the queue at selection
-	// time. Policies use it to spread capacity across tenants.
-	Load float64
+	// Load is the job's client's running job count, computed by the queue
+	// at selection time. Policies use it to spread capacity across
+	// tenants: at equal priority and deadline, the client with fewer
+	// running jobs goes first.
+	Load int
 }
 
 // Policy orders waiting jobs. Less reports whether a should be granted
@@ -269,7 +257,7 @@ func pickBest(cfg Config, ws []*waiter, running map[string]int, now time.Time) i
 		}
 		cand := Waiter{
 			Class: w.class, Seq: w.seq, Since: w.since,
-			Load: float64(running[w.class.Client]) / w.class.weight(),
+			Load: running[w.class.Client],
 		}
 		if best < 0 || pol.Less(cand, bw, now) {
 			best, bw = i, cand

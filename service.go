@@ -54,8 +54,8 @@ type Scheduler int
 const (
 	// SchedulerPriority is the default: jobs dequeue by effective priority
 	// (BatchJob.Priority plus one level per aging step waited, so nothing
-	// starves), earliest deadline first within a level, then weighted fair
-	// share across clients, then arrival order.
+	// starves), earliest deadline first within a level, then fair share
+	// across clients (fewest running jobs first), then arrival order.
 	SchedulerPriority Scheduler = iota
 	// SchedulerFIFO dequeues strictly in arrival order — the pre-scheduler
 	// behaviour. Per-client quotas still apply; priority, deadline and
@@ -97,19 +97,15 @@ type serviceConfig struct {
 	fpgas          int
 	cacheBytes     int64
 	queueDepth     int
-	shards         int
-	shardHalo      int
 	autoShardBytes int64
 	scheduler      Scheduler
 	clientQuota    int
 	clientDepth    int
-	clientWeights  map[string]int
 	reconfigCost   time.Duration
 
 	// Outcome cache (see WithOutcomeCacheBytes and friends in eco.go).
 	outcomeBytes int64
 	cacheDir     string
-	outcomeWarn  func(path string, err error)
 
 	// Fleet coordination (see WithWorkersList and friends in fleet.go).
 	fleetWorkers  []string
@@ -119,7 +115,6 @@ type serviceConfig struct {
 
 	// Observability (see WithMetrics and friends below).
 	metrics *obs.Registry
-	tracer  *obs.Tracer
 	tracing bool
 	logger  *slog.Logger
 }
@@ -134,9 +129,10 @@ func WithWorkers(n int) ServiceOption { return func(c *serviceConfig) { c.worker
 
 // WithFPGAs sets the modeled accelerator board count every submission
 // shares (0 = 1, the paper's single-card host; negative = unlimited, no
-// device contention). Jobs whose engine needs the FPGA (BatchJob.NeedsFPGA)
-// hold one board for their device phase; capacity never changes results,
-// only wall-clock and wait statistics.
+// device contention). Jobs whose engine needs the FPGA (EngineFLEX) hold
+// one board for their device phase, while CPU-only engines keep
+// overlapping; capacity never changes results, only wall-clock and wait
+// statistics.
 func WithFPGAs(k int) ServiceOption { return func(c *serviceConfig) { c.fpgas = k } }
 
 // WithCacheBytes bounds the layout cache: generated benchmarks are memoized
@@ -152,18 +148,6 @@ func WithCacheBytes(b int64) ServiceOption { return func(c *serviceConfig) { c.c
 // band: a job split K ways occupies K of the depth.
 func WithQueueDepth(d int) ServiceOption { return func(c *serviceConfig) { c.queueDepth = d } }
 
-// WithShards sets the default shard count applied to every job that leaves
-// BatchJob.Shards at 0: k >= 1 splits each job's layout into k horizontal
-// row bands legalized as independent pool jobs and stitched back into one
-// result (clamped to what each die can hold). 0 (the default) disables
-// default sharding; jobs still opt in per job.
-func WithShards(k int) ServiceOption { return func(c *serviceConfig) { c.shards = k } }
-
-// WithShardHalo sets the default seam-crossing reassignment window, in
-// rows, for sharded jobs that leave BatchJob.ShardHalo at 0 (see that field;
-// 0 here means DefaultShardHalo, negative disables the halo).
-func WithShardHalo(rows int) ServiceOption { return func(c *serviceConfig) { c.shardHalo = rows } }
-
 // WithAutoShardBytes turns on size-triggered sharding: any job whose layout
 // footprint (model.Layout.ApproxBytes for explicit layouts, the spec's
 // scaled estimate for design references) exceeds b bytes is split into
@@ -171,8 +155,8 @@ func WithShardHalo(rows int) ServiceOption { return func(c *serviceConfig) { c.s
 // paper-scale design from monopolizing one worker's memory share. The
 // derived band count is capped at 64 so one oversized job cannot amplify
 // itself past the queue depth (each band occupies one admission slot).
-// Jobs with an explicit Shards knob, and services with a WithShards
-// default, are unaffected. b <= 0 disables auto-sharding, the default.
+// Jobs with an explicit Shards knob are unaffected. b <= 0 disables
+// auto-sharding, the default.
 func WithAutoShardBytes(b int64) ServiceOption {
 	return func(c *serviceConfig) { c.autoShardBytes = b }
 }
@@ -205,19 +189,6 @@ func WithClientQueueDepth(d int) ServiceOption {
 	return func(c *serviceConfig) { c.clientDepth = d }
 }
 
-// WithClientWeight sets a client's fair-share weight (default 1): at equal
-// effective priority and deadline the scheduler grants capacity to the
-// client with the lowest running/weight ratio, so a weight-2 client
-// sustains twice a weight-1 sibling's throughput under contention.
-func WithClientWeight(client string, weight int) ServiceOption {
-	return func(c *serviceConfig) {
-		if c.clientWeights == nil {
-			c.clientWeights = make(map[string]int)
-		}
-		c.clientWeights[client] = weight
-	}
-}
-
 // WithReconfigCost sets the modeled FPGA reconfiguration delay: whenever a
 // board's next holder runs a different job than its previous one (each
 // board's first use included), the board stays busy for d before the job's
@@ -244,40 +215,33 @@ func WithMetrics(reg *obs.Registry) ServiceOption {
 	return func(c *serviceConfig) { c.metrics = reg }
 }
 
-// WithTracer turns on per-job tracing and accumulates every finished job's
-// trace in t, for export as Chrome trace-viewer JSON (flexlg -trace-out).
-// Implies WithTracing(true).
-func WithTracer(t *obs.Tracer) ServiceOption {
-	return func(c *serviceConfig) {
-		c.tracer = t
-		c.tracing = t != nil
-	}
-}
-
-// WithTracing toggles per-job trace spans without accumulating traces: each
-// BatchResult then carries its TraceID and span tree (admission, scheduler
-// wait, device wait/hold, per-band legalization, fleet RPCs, stitch), the
-// form flexserve -trace serves on result rows. Off by default; tracing
-// never changes result bytes — spans are wall-clock telemetry beside the
-// deterministic outputs.
+// WithTracing toggles per-job trace spans: each BatchResult then carries
+// its TraceID and span tree (admission, scheduler wait, device wait/hold,
+// per-band legalization, fleet RPCs, stitch), the form flexserve -trace
+// serves on result rows and flexlg -trace-out collects from OnResult into
+// a Chrome trace file. The service keeps no traces itself. Off by default;
+// tracing never changes result bytes — spans are wall-clock telemetry
+// beside the deterministic outputs.
 func WithTracing(on bool) ServiceOption {
 	return func(c *serviceConfig) { c.tracing = on }
 }
 
-// WithLogger routes the service's structured request logging to log: one
-// debug line per finished job (index, trace ID, span summary) — the
-// per-job narrative behind flexserve -log-level debug. nil (the default)
-// disables service-side logging.
+// WithLogger routes the service's structured logging to log: one debug
+// line per finished job (index, trace ID, span summary) — the per-job
+// narrative behind flexserve -log-level debug — plus the outcome cache's
+// warnings about skipped files and a fleet worker's drain and job-receipt
+// lines (NewFleetWorker). nil (the default) disables per-job logging;
+// outcome-cache warnings then go to stderr and worker lines to
+// slog.Default.
 func WithLogger(log *slog.Logger) ServiceOption {
 	return func(c *serviceConfig) { c.logger = log }
 }
 
-// Service is a long-lived legalization service: it owns the worker pool,
-// the modeled FPGA board pool, and the layout cache that a sequence of
-// batch submissions — a CLI run, an HTTP server's traffic — share. Where
-// LegalizeBatch pays pool construction and cold generation per call, a
-// Service amortizes both and adds admission control, making it the unit of
-// deployment for serving legalization traffic.
+// Service is the legalization front door: it owns the worker pool, the
+// modeled FPGA board pool, and the layout cache that a sequence of batch
+// submissions — a CLI run, an HTTP server's traffic — share, and it adds
+// admission control, making it the unit of deployment for serving
+// legalization traffic. Every batch runs through Submit or Stream.
 //
 //	svc := flex.NewService(flex.WithWorkers(8), flex.WithFPGAs(1),
 //		flex.WithCacheBytes(256<<20), flex.WithQueueDepth(1024))
@@ -285,25 +249,23 @@ func WithLogger(log *slog.Logger) ServiceOption {
 //	sum, err := svc.Submit(ctx, jobs, flex.SubmitOptions{})
 //
 // All methods are safe for concurrent use. Determinism is preserved: for
-// the same jobs, results are byte-identical to LegalizeBatch for every
-// workers × fpgas × cache configuration.
+// the same jobs, results are byte-identical for every workers × fpgas ×
+// cache configuration.
 type Service struct {
 	pool    *batch.Pool
 	layouts *cache.LRU // nil = caching disabled
 	depth   int
 
 	// Scheduling policy (see WithScheduler / WithClientQuota /
-	// WithClientQueueDepth / WithClientWeight / WithReconfigCost).
-	scheduler     Scheduler
-	clientQuota   int
-	clientDepth   int
-	clientWeights map[string]int
-	reconfigCost  time.Duration
-	batchSeq      atomic.Int64 // distinguishes submissions' board configs
+	// WithClientQueueDepth / WithReconfigCost).
+	scheduler    Scheduler
+	clientQuota  int
+	clientDepth  int
+	reconfigCost time.Duration
+	batchSeq     atomic.Int64 // distinguishes submissions' board configs
 
-	// Sharding policy (see WithShards / WithShardHalo / WithAutoShardBytes).
-	shards         int
-	shardHalo      int
+	// autoShardBytes is the size-triggered sharding threshold
+	// (WithAutoShardBytes; 0 = off).
 	autoShardBytes int64
 
 	// router is non-nil on a fleet coordinator (WithWorkersList). exec is
@@ -313,11 +275,10 @@ type Service struct {
 	router *fleet.Router
 	exec   func(ctx context.Context, job BatchJob, band *Layout, key string) (*Outcome, error)
 
-	// Observability: nil-safe instruments (see WithMetrics / WithTracer /
-	// WithTracing / WithLogger). All strictly telemetry — nothing here may
-	// influence result bytes.
+	// Observability: nil-safe instruments (see WithMetrics / WithTracing /
+	// WithLogger). All strictly telemetry — nothing here may influence
+	// result bytes.
 	metrics       *obs.Registry
-	tracer        *obs.Tracer
 	tracing       bool
 	logger        *slog.Logger
 	queueWaitSec  obs.Histogram
@@ -357,9 +318,6 @@ func NewService(opts ...ServiceOption) *Service {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.shardHalo == 0 {
-		cfg.shardHalo = DefaultShardHalo
-	}
 	s := &Service{
 		pool: batch.NewPool(batch.PoolConfig{
 			Workers: cfg.workers, FPGAs: cfg.fpgas, QueueDepth: cfg.queueDepth,
@@ -371,10 +329,7 @@ func NewService(opts ...ServiceOption) *Service {
 		scheduler:      cfg.scheduler,
 		clientQuota:    cfg.clientQuota,
 		clientDepth:    cfg.clientDepth,
-		clientWeights:  cfg.clientWeights,
 		reconfigCost:   cfg.reconfigCost,
-		shards:         cfg.shards,
-		shardHalo:      cfg.shardHalo,
 		autoShardBytes: cfg.autoShardBytes,
 	}
 	if cfg.cacheBytes > 0 {
@@ -403,7 +358,6 @@ func NewService(opts ...ServiceOption) *Service {
 // instruments and pays nothing on the result path.
 func (s *Service) instrument(cfg *serviceConfig) {
 	s.metrics = cfg.metrics
-	s.tracer = cfg.tracer
 	s.tracing = cfg.tracing
 	s.logger = cfg.logger
 	m := cfg.metrics
@@ -492,11 +446,14 @@ type SubmitOptions struct {
 }
 
 // Submit runs one batch on the service and blocks until every job is
-// accounted for, with LegalizeBatch's contract: results in submission
-// order, per-job errors captured per result, the returned error non-nil
-// only when the batch was rejected at admission (ErrOverloaded,
-// ErrServiceClosed — then the summary is nil) or stopped early (ctx
-// canceled, or FailFast tripped).
+// accounted for. Results keep submission order and each job's error is
+// captured in its own BatchResult, so a batch is byte-identical to a
+// serial run for any workers × boards × scheduler configuration — engines
+// are deterministic and legalize clones of their inputs. The returned
+// error is non-nil only when the batch was rejected at admission
+// (ErrOverloaded, ErrClientOverloaded, ErrServiceClosed — then the summary
+// is nil) or stopped early (ctx canceled while jobs were pending or in
+// flight, or FailFast tripped on the first job error).
 func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions) (*BatchSummary, error) {
 	e := s.expand(jobs)
 	col := newShardCollector(e, opt.OnShard, func(br BatchResult) {
@@ -548,12 +505,6 @@ func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 // blocks Close. SubmitOptions.OnResult, when also set, observes each result
 // just before it is sent.
 func (s *Service) Stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions) (<-chan BatchResult, error) {
-	return s.stream(ctx, jobs, opt, nil)
-}
-
-// stream is Stream with an after-drain hook, so the LegalizeBatchStream
-// wrapper can tear its throwaway service down once the channel closes.
-func (s *Service) stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions, onDrained func()) (<-chan BatchResult, error) {
 	e := s.expand(jobs)
 	in, err := batch.StreamClassedOn(ctx, s.pool, e.pool, e.classes, opt.FailFast)
 	if rejected := s.admissionError(err); rejected != nil {
@@ -561,9 +512,6 @@ func (s *Service) stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 	}
 	out := make(chan BatchResult)
 	go func() {
-		if onDrained != nil {
-			defer onDrained()
-		}
 		defer close(out)
 		var errs, skipped int
 		col := newShardCollector(e, opt.OnShard, func(br BatchResult) {
@@ -643,7 +591,7 @@ type ServiceStats struct {
 	// admission bound (WithClientQueueDepth).
 	ClientOverloaded int64
 	// ShardedJobs counts the jobs that took the row-band shard path
-	// (BatchJob.Shards, WithShards, or auto-sharding).
+	// (BatchJob.Shards or WithAutoShardBytes).
 	ShardedJobs int64
 	// QueuedJobs is the number of pool jobs admitted and not yet
 	// delivered right now — queued plus running, with each band of a

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	flex "github.com/flex-eda/flex"
@@ -80,8 +81,8 @@ func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 
 			// Reference: a cacheless service legalizes the edited layout in
 			// full (this also exercises edits without an outcome cache).
-			ref := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas), flex.WithShards(shards))
-			refOut := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: edits, Engine: flex.EngineFLEX})
+			ref := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas))
+			refOut := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: edits, Engine: flex.EngineFLEX, Shards: shards})
 			ref.Close()
 			want := encodeLayout(t, refOut.Layout)
 			if refOut.InputHash != "" {
@@ -89,11 +90,11 @@ func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 			}
 
 			svc := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas),
-				flex.WithShards(shards), flex.WithOutcomeCacheBytes(64<<20))
+				flex.WithOutcomeCacheBytes(64<<20))
 
 			// Cold cache: the eco job cannot splice (base outcome unknown)
 			// and must fall back to a full run that still matches.
-			coldOut := submitOne(t, svc, flex.BatchJob{Layout: base, Edits: edits, Engine: flex.EngineFLEX})
+			coldOut := submitOne(t, svc, flex.BatchJob{Layout: base, Edits: edits, Engine: flex.EngineFLEX, Shards: shards})
 			if got := encodeLayout(t, coldOut.Layout); !bytes.Equal(want, got) {
 				t.Fatalf("workers=%d fpgas=%d: cold eco result differs from full re-run", workers, fpgas)
 			}
@@ -104,12 +105,12 @@ func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 
 			// Legalize the base so its outcome is cached, then edit against
 			// it by content hash: the incremental path must splice.
-			baseOut := submitOne(t, svc, flex.BatchJob{Layout: base, Engine: flex.EngineFLEX})
+			baseOut := submitOne(t, svc, flex.BatchJob{Layout: base, Engine: flex.EngineFLEX, Shards: shards})
 			if baseOut.InputHash != flex.LayoutHash(base) {
 				t.Fatalf("workers=%d fpgas=%d: base InputHash %q, want %q",
 					workers, fpgas, baseOut.InputHash, flex.LayoutHash(base))
 			}
-			incOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edits, Engine: flex.EngineFLEX})
+			incOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edits, Engine: flex.EngineFLEX, Shards: shards})
 			if got := encodeLayout(t, incOut.Layout); !bytes.Equal(want, got) {
 				t.Fatalf("workers=%d fpgas=%d: incremental result differs from full re-run", workers, fpgas)
 			}
@@ -123,7 +124,7 @@ func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 
 			// Warm repeat: the identical request is an exact outcome hit.
 			before := svc.Stats().OutcomeHits
-			warmOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edits, Engine: flex.EngineFLEX})
+			warmOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edits, Engine: flex.EngineFLEX, Shards: shards})
 			if got := encodeLayout(t, warmOut.Layout); !bytes.Equal(want, got) {
 				t.Fatalf("workers=%d fpgas=%d: warm repeat differs from full re-run", workers, fpgas)
 			}
@@ -134,11 +135,11 @@ func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 			// Out-of-halo edit: must fall back (stat-asserted) and match its
 			// own full re-run.
 			far := farEdit(t, base)
-			ref2 := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas), flex.WithShards(shards))
-			farWant := encodeLayout(t, submitOne(t, ref2, flex.BatchJob{Layout: base, Edits: far, Engine: flex.EngineFLEX}).Layout)
+			ref2 := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas))
+			farWant := encodeLayout(t, submitOne(t, ref2, flex.BatchJob{Layout: base, Edits: far, Engine: flex.EngineFLEX, Shards: shards}).Layout)
 			ref2.Close()
 			fb := svc.Stats().Fallbacks
-			farOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: far, Engine: flex.EngineFLEX})
+			farOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: far, Engine: flex.EngineFLEX, Shards: shards})
 			if got := encodeLayout(t, farOut.Layout); !bytes.Equal(farWant, got) {
 				t.Fatalf("workers=%d fpgas=%d: out-of-halo result differs from full re-run", workers, fpgas)
 			}
@@ -275,21 +276,44 @@ func isUnshardedOutcome(key string) bool {
 	return strings.HasPrefix(key, "outcome|") && strings.HasSuffix(key, "|bands=0|halo=0")
 }
 
+// logBuffer is a log sink safe for concurrent writers, so a test can read
+// what a service logged while its goroutines may still write.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// take returns what was logged so far and empties the buffer.
+func (b *logBuffer) take() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := b.buf.String()
+	b.buf.Reset()
+	return s
+}
+
 // TestCacheDirPersistsAcrossRestart: outcomes of an unsharded and a sharded
 // job survive a restart on the same -cache-dir and serve byte-identical
 // repeats as hits. A planted pre-band, stitched-only entry for the
-// unsharded key is warned about once and never served; the recomputed
-// one-band entry replaces it, so the next restart reads clean.
+// unsharded key is warned about once, through the service's logger, and
+// never served; the recomputed one-band entry replaces it, so the next
+// restart reads clean.
 func TestCacheDirPersistsAcrossRestart(t *testing.T) {
 	l, err := flex.GenerateCustom(600, 0.6, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	var warnings atomic.Int64
+	var logs logBuffer
 	open := func() *flex.Service {
 		return flex.NewService(flex.WithWorkers(2), flex.WithCacheDir(dir),
-			flex.WithOutcomeWarn(func(string, error) { warnings.Add(1) }))
+			flex.WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
 	}
 	jobs := []flex.BatchJob{{Layout: l, Tag: "unsharded"}, {Layout: l, Shards: 3, Tag: "sharded"}}
 	run := func(svc *flex.Service, jobs []flex.BatchJob) []flex.BatchResult {
@@ -336,12 +360,12 @@ func TestCacheDirPersistsAcrossRestart(t *testing.T) {
 		"result": string(encodeLayout(t, l)), "legal": true, "modeledSeconds": 1,
 	}
 	writeEnvelope(t, path, env)
-	warnings.Store(0)
+	logs.take()
 	svc = open()
 	u := run(svc, jobs[:1])[0]
 	requireSameOutcome(t, "planted entry", first[0], u)
 	requireStats("planted", svc.Stats(), 0, 1, 1)
-	if got := warnings.Load(); got != 1 {
+	if got := strings.Count(logs.take(), "level=WARN msg=\"outcome cache\" path="+path); got != 1 {
 		t.Fatalf("planted entry warned %d times, want once", got)
 	}
 	svc.Close()

@@ -25,13 +25,13 @@ func serviceJobs() []flex.BatchJob {
 }
 
 // TestServiceByteIdenticalAcrossCacheWorkersFPGAs is the acceptance gate of
-// the Service redesign: for every workers × fpgas × cache combination —
-// including the LegalizeBatch wrapper itself — the serialized results must
-// be byte-identical. The cache may only skip regeneration, never change
-// what is generated.
+// the Service redesign: for every workers × fpgas × cache combination the
+// serialized results must be byte-identical to a one-worker, cacheless
+// baseline. The cache may only skip regeneration, never change what is
+// generated.
 func TestServiceByteIdenticalAcrossCacheWorkersFPGAs(t *testing.T) {
 	jobs := serviceJobs()
-	baseline, err := flex.LegalizeBatch(context.Background(), jobs, flex.BatchOptions{Workers: 1})
+	baseline, err := submitOnce(context.Background(), jobs, flex.SubmitOptions{}, flex.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestServiceByteIdenticalAcrossCacheWorkersFPGAs(t *testing.T) {
 							workers, fpgas, cacheBytes, pass, err)
 					}
 					if got := layoutBytes(t, sum); !bytes.Equal(got, want) {
-						t.Fatalf("workers=%d fpgas=%d cache=%d pass=%d: results differ from LegalizeBatch baseline",
+						t.Fatalf("workers=%d fpgas=%d cache=%d pass=%d: results differ from the baseline",
 							workers, fpgas, cacheBytes, pass)
 					}
 				}

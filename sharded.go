@@ -16,15 +16,14 @@ import (
 )
 
 // DefaultShardHalo is the seam-crossing reassignment window, in rows, a
-// sharded job plans with when neither the job nor the service overrides it
-// (see BatchJob.ShardHalo).
+// sharded job plans with when it leaves BatchJob.ShardHalo at 0.
 const DefaultShardHalo = 2
 
 // maxAutoShards caps size-triggered sharding (WithAutoShardBytes): each
 // band occupies one admission slot, so an unbounded ceil(bytes/threshold)
 // would let one oversized job amplify itself past the queue depth.
-// Explicit BatchJob.Shards / WithShards requests are not capped — the
-// caller asked for exactly that expansion.
+// Explicit BatchJob.Shards requests are not capped — the caller asked for
+// exactly that expansion.
 const maxAutoShards = 64
 
 // shardPrep is one job's decomposition, computed once by whichever of its
@@ -76,23 +75,21 @@ type expansion struct {
 }
 
 // classFor stamps one submitted job's scheduling class: priority, deadline
-// and client straight from the job, the fair-share weight from the
-// service's per-client table, and a board-configuration identity unique to
-// (submission, job) so the reconfiguration model sees a job's bands as one
-// bitstream and distinct jobs as distinct ones.
-func (s *Service) classFor(job BatchJob, seq int64, j int) sched.Class {
+// and client straight from the job, and a board-configuration identity
+// unique to (submission, job) so the reconfiguration model sees a job's
+// bands as one bitstream and distinct jobs as distinct ones.
+func classFor(job BatchJob, seq int64, j int) sched.Class {
 	return sched.Class{
 		Priority: job.Priority,
 		Deadline: job.Deadline,
 		Client:   job.Client,
-		Weight:   s.clientWeights[job.Client],
 		Job:      fmt.Sprintf("%d.%d", seq, j),
 	}
 }
 
 // expand flattens one submission, deciding each job's effective shard count
-// (job knob, then service default, then the auto-shard byte threshold) and
-// stamping every pool job's scheduling class.
+// (job knob, then the auto-shard byte threshold) and stamping every pool
+// job's scheduling class.
 func (s *Service) expand(jobs []BatchJob) *expansion {
 	seq := s.batchSeq.Add(1)
 	e := &expansion{
@@ -104,12 +101,12 @@ func (s *Service) expand(jobs []BatchJob) *expansion {
 	}
 	if s.tracing {
 		for j := range jobs {
-			e.recs[j] = obs.NewRecorder(traceName(jobs[j]))
+			e.recs[j] = obs.NewRecorder()
 		}
 	}
 	for j := range jobs {
 		job := jobs[j]
-		class := s.classFor(job, seq, j)
+		class := classFor(job, seq, j)
 		k := s.effectiveShards(job)
 		e.shards[j] = k
 		st := s.newShardState(job, k)
@@ -147,18 +144,6 @@ func (s *Service) newShardState(job BatchJob, k int) *shardState {
 		})
 	}
 	return st
-}
-
-// traceName labels a job's trace: the caller's tag, else the design
-// reference, else a generic label for explicit layouts.
-func traceName(job BatchJob) string {
-	switch {
-	case job.Tag != "":
-		return job.Tag
-	case job.Design != "":
-		return job.Design
-	}
-	return "job"
 }
 
 // traceDetail annotates a job's legalize span with what ran.
@@ -209,15 +194,12 @@ func (e *expansion) padding(j, band int) bool {
 	return eff > 0 && band >= eff
 }
 
-// effectiveShards resolves a job's shard count: the job's own knob, else
-// the service's WithShards default, else — when WithAutoShardBytes is set —
-// enough bands to bring each one's estimated footprint under the
-// threshold. Negative means explicitly unsharded.
+// effectiveShards resolves a job's shard count: the job's own knob, else —
+// when WithAutoShardBytes is set — enough bands to bring each one's
+// estimated footprint under the threshold. Negative means explicitly
+// unsharded.
 func (s *Service) effectiveShards(j BatchJob) int {
 	k := j.Shards
-	if k == 0 {
-		k = s.shards
-	}
 	if k == 0 && s.autoShardBytes > 0 {
 		if bytes := jobApproxBytes(j); bytes > s.autoShardBytes {
 			k = int((bytes + s.autoShardBytes - 1) / s.autoShardBytes)
@@ -255,7 +237,7 @@ func jobApproxBytes(j BatchJob) int64 {
 // legalize clones, and Stitch builds a fresh layout without mutating its
 // inputs.
 func (s *Service) prepareShards(job BatchJob, k int) (*shardPrep, error) {
-	halo := s.effectiveHalo(job)
+	halo := job.effectiveHalo()
 	if s.layouts != nil && job.Layout == nil {
 		if key, ok := shardMemoKey(job, k, halo); ok {
 			v, err := s.layouts.Do(key, func() (any, int64, error) {
@@ -280,17 +262,16 @@ func (s *Service) prepareShards(job BatchJob, k int) (*shardPrep, error) {
 	return s.splitShards(job, k, halo)
 }
 
-// effectiveHalo resolves a job's seam-reassignment window: the job's own
-// knob, else the service default; negative disables the halo.
-func (s *Service) effectiveHalo(job BatchJob) int {
-	halo := job.ShardHalo
-	if halo == 0 {
-		halo = s.shardHalo
+// effectiveHalo resolves the job's seam-reassignment window: 0 means
+// DefaultShardHalo; negative disables the halo.
+func (j BatchJob) effectiveHalo() int {
+	switch {
+	case j.ShardHalo == 0:
+		return DefaultShardHalo
+	case j.ShardHalo < 0:
+		return 0
 	}
-	if halo < 0 {
-		halo = 0
-	}
-	return halo
+	return j.ShardHalo
 }
 
 // shardMemoKey is the cache key of one sharded job's decomposition —
@@ -437,11 +418,10 @@ func (c *shardCollector) observe(r batch.Result[*Outcome]) {
 	}
 }
 
-// sealTrace stamps the finished job's trace identity onto its result and
-// hands the recorder to the service's tracer. The span tree is snapshotted
-// here — after the job's last band folded — so the result carries the
-// complete tree, remote subtrees included. A no-op when the service does
-// not trace: the result's bytes are identical either way.
+// sealTrace stamps the finished job's trace identity onto its result. The
+// span tree is snapshotted here — after the job's last band folded — so the
+// result carries the complete tree, remote subtrees included. A no-op when
+// the service does not trace: the result's bytes are identical either way.
 func (c *shardCollector) sealTrace(j int, br *BatchResult) {
 	rec := c.e.recs[j]
 	if rec == nil {
@@ -449,9 +429,6 @@ func (c *shardCollector) sealTrace(j int, br *BatchResult) {
 	}
 	br.TraceID = rec.ID()
 	br.Spans = rec.Spans()
-	if c.e.svc.tracer != nil {
-		c.e.svc.tracer.Add(rec)
-	}
 }
 
 // fold merges one job's band results: sum the queueing and device

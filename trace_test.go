@@ -1,12 +1,15 @@
 package flex_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"regexp"
 	"strings"
 	"testing"
 
 	"github.com/flex-eda/flex"
+	"github.com/flex-eda/flex/internal/obs"
 )
 
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
@@ -153,4 +156,74 @@ func TestFleetShardedJobTraceTree(t *testing.T) {
 		}
 	}
 	t.Fatalf("no probed scale routed bands to both workers")
+}
+
+// TestTraceOutFromResults is the library side of flexlg -trace-out: on a
+// WithTracing service, feeding each result's TraceID and Spans from
+// OnResult into an obs.Tracer yields one trace per job — a sharded job, a
+// job that fails, and a plain job — and valid Chrome trace JSON.
+func TestTraceOutFromResults(t *testing.T) {
+	svc := flex.NewService(flex.WithWorkers(2), flex.WithTracing(true))
+	defer svc.Close()
+	jobs := []flex.BatchJob{
+		{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineFLEX, Shards: 2, Tag: "sharded"},
+		{Design: "no_such_design", Scale: 0.01, Engine: flex.EngineMGL, Tag: "unknown"},
+		{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineMGL, Tag: "plain"},
+	}
+	tracer := obs.NewTracer()
+	sum, err := svc.Submit(context.Background(), jobs, flex.SubmitOptions{
+		OnResult: func(r flex.BatchResult) { tracer.Add(r.TraceID, r.Tag, r.Spans) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Results[1].Err == nil {
+		t.Fatal("unknown design did not fail")
+	}
+
+	traces := map[string]*obs.Trace{}
+	for _, tr := range tracer.Traces() {
+		traces[tr.Name] = tr
+	}
+	if len(traces) != len(jobs) {
+		t.Fatalf("collected %d distinct traces, want one per job (%d)", len(traces), len(jobs))
+	}
+	for _, r := range sum.Results {
+		tr := traces[r.Tag]
+		if tr == nil || !traceIDRe.MatchString(tr.ID) || tr.ID != r.TraceID {
+			t.Fatalf("job %s: trace %+v does not carry the result's trace ID %q", r.Tag, tr, r.TraceID)
+		}
+	}
+	seen := map[string]bool{}
+	walkSpans(traces["sharded"].Spans, func(sp *flex.TraceSpan) { seen[sp.Name] = true })
+	for _, want := range []string{"band 1/2", "band 2/2", "stitch"} {
+		if !seen[want] {
+			t.Fatalf("sharded trace lacks span %q; saw %v", want, seen)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := tracer.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Phase string `json:"ph"`
+			TID   int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not JSON: %v", err)
+	}
+	spansPerLane := map[int]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase == "X" {
+			spansPerLane[ev.TID]++
+		}
+	}
+	for tid := 1; tid <= len(jobs); tid++ {
+		if spansPerLane[tid] == 0 {
+			t.Fatalf("trace lane %d has no span events: %v", tid, spansPerLane)
+		}
+	}
 }
