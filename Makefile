@@ -15,8 +15,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# perfbench/ is a nested module that ./... skips; vetting it also builds
+# it, so an API change that breaks the benchmark harness fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

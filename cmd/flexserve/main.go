@@ -17,10 +17,12 @@
 // Observability (all off the result path — enabling any of it never
 // changes the bytes a request streams back):
 //
-//   - GET /metrics serves the service's metric registry in Prometheus text
+//   - GET /metrics serves the service's metric families (the counts
+//     /v1/stats reports, read from the same registry) in Prometheus text
 //     exposition format: latency histograms for queue wait, device
-//     wait/hold, fleet RPCs and end-to-end job time, plus job/reject/cache
-//     counters and queue-depth/draining/build-info gauges.
+//     wait/hold, fleet RPCs and end-to-end job time, job/batch/reject/
+//     cache/ECO/reconfiguration counters, and queue-depth/cache gauges —
+//     then the server's draining and build-info gauges.
 //   - -trace records a per-job span tree (admit, sched-wait, device-wait,
 //     device-hold, per-band legalize, fleet-rpc, stitch, eco-splice); each
 //     NDJSON result line then carries a "trace" ID, and on a coordinator
@@ -115,7 +117,6 @@ import (
 	"time"
 
 	flex "github.com/flex-eda/flex"
-	"github.com/flex-eda/flex/internal/obs"
 )
 
 func main() {
@@ -155,9 +156,7 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	reg := obs.NewRegistry()
 	opts := []flex.ServiceOption{
-		flex.WithMetrics(reg),
 		flex.WithTracing(*trace),
 		flex.WithLogger(logger),
 		flex.WithWorkers(*workers),
@@ -205,10 +204,9 @@ func main() {
 		fw = flex.NewFleetWorker(svc)
 	}
 	app := newServerWith(svc, fw, int64(*maxBodyMB)<<20, *maxScale, *maxShards, obsConfig{
-		metrics: reg,
-		log:     logger,
-		trace:   *trace,
-		pprof:   *pprofOn,
+		log:   logger,
+		trace: *trace,
+		pprof: *pprofOn,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

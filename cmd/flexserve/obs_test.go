@@ -18,25 +18,22 @@ import (
 	"testing"
 
 	flex "github.com/flex-eda/flex"
-	"github.com/flex-eda/flex/internal/obs"
 )
 
 // newObsServer builds a flexserve with the full observability surface on:
-// a metric registry wired through the service, tracing, and pprof.
-func newObsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
+// tracing and pprof (every server serves /metrics).
+func newObsServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	reg := obs.NewRegistry()
 	svc := flex.NewService(
-		flex.WithWorkers(2), flex.WithCacheBytes(32<<20),
-		flex.WithMetrics(reg), flex.WithTracing(true))
+		flex.WithWorkers(2), flex.WithCacheBytes(32<<20), flex.WithTracing(true))
 	ts := httptest.NewServer(newServerWith(svc, nil, 8<<20, 0.05, 8, obsConfig{
-		metrics: reg, trace: true, pprof: true,
+		trace: true, pprof: true,
 	}))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
 	})
-	return ts, reg
+	return ts
 }
 
 // sample is one parsed exposition line: a metric name, its sorted label
@@ -147,7 +144,7 @@ func postJobs(t *testing.T, ts *httptest.Server, n int) []resultLine {
 // histogram bucket counts are monotone in le and consistent with +Inf and
 // _count, and across scrapes that counters never go backwards.
 func TestMetricsScrapeUnderTraffic(t *testing.T) {
-	ts, _ := newObsServer(t)
+	ts := newObsServer(t)
 
 	const clients, rounds, scrapes = 3, 3, 6
 	var wg sync.WaitGroup
@@ -296,7 +293,7 @@ func checkHistograms(t *testing.T, samples []sample) {
 // line reports a 16-hex trace ID, and that without it the field is absent
 // from the wire format entirely.
 func TestResultLinesCarryTraceIDs(t *testing.T) {
-	ts, _ := newObsServer(t)
+	ts := newObsServer(t)
 	idRe := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	for _, line := range postJobs(t, ts, 3) {
 		if !idRe.MatchString(line.Trace) {
@@ -370,21 +367,21 @@ func TestBuildInfoEndpoint(t *testing.T) {
 	}
 }
 
-// TestObsEndpointGating asserts that /metrics and /debug/pprof/* are 404
-// on a server built without them and live on one built with them.
+// TestObsEndpointGating asserts that /debug/pprof/* is 404 on a server
+// built without it and live on one built with it; /metrics is live on both.
 func TestObsEndpointGating(t *testing.T) {
 	plain := newTestServer(t)
-	for _, path := range []string{"/metrics", "/debug/pprof/"} {
+	for path, want := range map[string]int{"/metrics": http.StatusOK, "/debug/pprof/": http.StatusNotFound} {
 		resp, err := http.Get(plain.URL + path)
 		if err != nil {
 			t.Fatalf("get %s: %v", path, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on plain server: status %d, want 404", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("%s on plain server: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
-	obsTS, _ := newObsServer(t)
+	obsTS := newObsServer(t)
 	for _, path := range []string{"/metrics", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
 		resp, err := http.Get(obsTS.URL + path)
 		if err != nil {
@@ -393,6 +390,108 @@ func TestObsEndpointGating(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s on obs server: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+}
+
+// scrapeFamilies fetches a server's /metrics and returns the family names
+// its TYPE lines declare.
+func scrapeFamilies(t *testing.T, url string) map[string]bool {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	families := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+	return families
+}
+
+// documentedFamilies reads the metric inventory table of
+// docs/OBSERVABILITY.md: the first cell of every row naming a flex_
+// family. A cell "`a_hits_total` / `_misses_total`" names two families;
+// the suffix replaces as many trailing segments of the first name as it
+// has.
+func documentedFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(line, "| `flex_") {
+			continue
+		}
+		cell := strings.Split(line, "|")[1]
+		var first string
+		for _, name := range strings.Split(cell, "/") {
+			name = strings.Trim(strings.TrimSpace(name), "`")
+			if first == "" {
+				first = name
+			} else {
+				segs := strings.Split(first, "_")
+				name = strings.Join(segs[:len(segs)-strings.Count(name, "_")], "_") + name
+			}
+			families[name] = true
+		}
+	}
+	return families
+}
+
+// TestMetricInventoryMatchesDocs: the families a single-process server
+// (both caches on, after one job) and a fleet coordinator serve on
+// /metrics are exactly the families docs/OBSERVABILITY.md's table lists —
+// a family added without a row, or a row whose family is gone, fails.
+func TestMetricInventoryMatchesDocs(t *testing.T) {
+	single := newTestServer(t, flex.WithWorkers(2), flex.WithCacheBytes(32<<20),
+		flex.WithOutcomeCacheBytes(32<<20))
+	postJobs(t, single, 1)
+
+	wsvc := flex.NewService(flex.WithWorkers(1))
+	worker := httptest.NewServer(newServer(wsvc, flex.NewFleetWorker(wsvc), 8<<20, 0.05, 8))
+	t.Cleanup(func() {
+		worker.Close()
+		wsvc.Close()
+	})
+	coord := newTestServer(t, flex.WithWorkers(2), flex.WithWorkersList(worker.URL))
+
+	served := scrapeFamilies(t, single.URL)
+	for name := range scrapeFamilies(t, coord.URL) {
+		served[name] = true
+	}
+	documented := documentedFamilies(t)
+	for name := range served {
+		if !documented[name] {
+			t.Errorf("%s is served on /metrics but has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range documented {
+		if !served[name] {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which no server serves", name)
+		}
+	}
+}
+
+// TestRetryAfterSeconds pins the one Retry-After estimate both 429 paths
+// and /v1/stats use: ceil(queued / workers) seconds, clamped to [1, 60],
+// and 1 when the worker count is unknown.
+func TestRetryAfterSeconds(t *testing.T) {
+	for _, c := range []struct{ queued, workers, want int }{
+		{0, 0, 1}, {1, 0, 1}, {1000, 0, 1},
+		{0, 2, 1}, {1, 2, 1}, {2, 2, 1}, {3, 2, 2}, {60 * 2, 2, 60}, {60*2 + 1, 2, 60}, {1000, 2, 60},
+	} {
+		if got := retryAfterSeconds(c.queued, c.workers); got != c.want {
+			t.Errorf("retryAfterSeconds(%d, %d) = %d, want %d", c.queued, c.workers, got, c.want)
 		}
 	}
 }

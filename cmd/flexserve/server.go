@@ -148,7 +148,7 @@ type statsResponse struct {
 	// object keyed by the decimal level), and queuedByClient/
 	// runningByClient give the per-tenant picture the quotas act on.
 	Scheduler        string         `json:"scheduler"`
-	QueuedByPriority map[string]int `json:"queuedByPriority"`
+	QueuedByPriority map[int]int    `json:"queuedByPriority"`
 	QueuedByClient   map[string]int `json:"queuedByClient"`
 	RunningByClient  map[string]int `json:"runningByClient"`
 	// ClientQuota/ClientQueueDepth echo the per-client bounds (0 =
@@ -227,26 +227,20 @@ type server struct {
 	draining  atomic.Bool
 	mux       *http.ServeMux
 
-	// Observability (see obsConfig): metrics is nil when /metrics is not
-	// served; log is never nil. All telemetry — request IDs, reject
-	// counters and warn lines never influence response bytes.
-	metrics      *obs.Registry
-	log          *slog.Logger
-	trace        bool
-	reqSeq       atomic.Int64
-	rejectQueue  obs.Counter // flex_serve_rejects_total{reason="queue_full"}
-	rejectClient obs.Counter // flex_serve_rejects_total{reason="client_queue_full"}
-	rejectDrain  obs.Counter // flex_serve_rejects_total{reason="draining"}
+	// Observability (see obsConfig): metrics holds the server's two gauges
+	// (the service keeps every count); log is never nil. All telemetry —
+	// request IDs, gauges and warn lines never influence response bytes.
+	metrics *obs.Registry
+	log     *slog.Logger
+	trace   bool
+	reqSeq  atomic.Int64
 }
 
 // obsConfig is the server's observability wiring. The zero value —
 // the test default and the library-equivalent of running without the
-// observability flags — serves no /metrics, logs through slog.Default,
-// attaches no trace IDs and hides pprof.
+// observability flags — logs through slog.Default, attaches no trace IDs
+// and hides pprof.
 type obsConfig struct {
-	// metrics, when non-nil, is exposed as Prometheus text at GET /metrics
-	// (the same registry the service's WithMetrics feeds).
-	metrics *obs.Registry
 	// log receives the server's structured request logging (rejections at
 	// warn, per-job span summaries at debug). nil = slog.Default().
 	log *slog.Logger
@@ -269,9 +263,8 @@ func newServer(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxScale 
 	return newServerWith(svc, fw, maxBody, maxScale, maxShards, obsConfig{})
 }
 
-// newServerWith is newServer plus the observability wiring: the /metrics
-// and /v1/buildinfo endpoints, flag-gated pprof, structured logging, and
-// per-row trace IDs.
+// newServerWith is newServer plus the observability wiring: flag-gated
+// pprof, structured logging, and per-row trace IDs.
 func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxScale float64, maxShards int, oc obsConfig) *server {
 	if maxBody <= 0 {
 		maxBody = 64 << 20
@@ -291,23 +284,16 @@ func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxSc
 		maxBody: maxBody, maxScale: maxScale, maxShards: maxShards,
 		workers:  svc.Stats().Workers,
 		knownSet: map[string]bool{},
-		metrics:  oc.metrics,
+		metrics:  obs.NewRegistry(),
 		log:      log,
 		trace:    oc.trace,
 	}
 	for _, d := range flex.Designs() {
 		s.knownSet[d] = true
 	}
-	// Server-side metric families (all nil-registry-safe): load-shedding
-	// counters by reason, the draining flag as a gauge, and the build
-	// identity as a constant info gauge.
-	s.rejectQueue = oc.metrics.Counter("flex_serve_rejects_total",
-		"Requests shed at admission, by reason.", obs.Label{Key: "reason", Value: "queue_full"})
-	s.rejectClient = oc.metrics.Counter("flex_serve_rejects_total",
-		"Requests shed at admission, by reason.", obs.Label{Key: "reason", Value: "client_queue_full"})
-	s.rejectDrain = oc.metrics.Counter("flex_serve_rejects_total",
-		"Requests shed at admission, by reason.", obs.Label{Key: "reason", Value: "draining"})
-	oc.metrics.GaugeFunc("flex_serve_draining_state",
+	// The server's own metric families: the draining flag as a gauge, and
+	// the build identity as a constant info gauge.
+	s.metrics.GaugeFunc("flex_serve_draining_state",
 		"1 once graceful shutdown has begun, 0 while serving.",
 		func() float64 {
 			if s.draining.Load() {
@@ -316,7 +302,7 @@ func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxSc
 			return 0
 		})
 	build := obs.Build()
-	oc.metrics.Gauge("flex_serve_build_info",
+	s.metrics.Gauge("flex_serve_build_info",
 		"Build identity as constant labels; the value is always 1.",
 		obs.Label{Key: "version", Value: build.Version},
 		obs.Label{Key: "revision", Value: build.Revision}).Set(1)
@@ -326,9 +312,7 @@ func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxSc
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/buildinfo", s.handleBuildInfo)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if oc.metrics != nil {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if oc.pprof {
 		// pprof.Index dispatches /debug/pprof/{heap,goroutine,...} itself;
 		// the named handlers cover the non-lookup endpoints.
@@ -573,35 +557,18 @@ func parseDeadlineMs(v string) (time.Time, error) {
 	return time.Now().Add(time.Duration(n) * time.Millisecond), nil
 }
 
-// clientRetryAfterSeconds is the per-client congestion estimate behind a
-// per-client 429: the rejected client's own admitted backlog over the
-// worker pool, clamped like the global estimate. It is honest in the sense
-// that it derives from that client's actual queue occupancy at rejection
-// time, not a fixed pause.
-func (s *server) clientRetryAfterSeconds(client string) int {
+// retryAfterSeconds derives a 429 Retry-After value from the backlog that
+// tripped it — the service's for a full queue, the client's own for a
+// per-client 429: with Q jobs admitted (queued + running, each band of a
+// sharded job counted separately) over W workers, a client retrying after
+// ~Q/W seconds finds capacity if jobs average about a second — the
+// paper-suite ballpark at serving scales. Clamped to [1, 60] so the header
+// is always a sane positive delay; it is a congestion hint, not a
+// reservation.
+func retryAfterSeconds(queued, workers int) int {
 	secs := 1
-	if s.workers > 0 {
-		secs = (s.svc.ClientQueued(client) + s.workers - 1) / s.workers
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
-}
-
-// retryAfterSeconds derives the 429 Retry-After value from current queue
-// occupancy: with Q jobs admitted (queued + running, each band of a sharded
-// job counted separately) over W workers, a client retrying after ~Q/W
-// seconds finds capacity if jobs average about a second — the paper-suite
-// ballpark at serving scales. Clamped to [1, 60] so the header is always a
-// sane positive delay; it is a congestion hint, not a reservation.
-func retryAfterSeconds(st flex.ServiceStats) int {
-	secs := 1
-	if st.Workers > 0 {
-		secs = (st.QueuedJobs + st.Workers - 1) / st.Workers
+	if workers > 0 {
+		secs = (queued + workers - 1) / workers
 	}
 	if secs < 1 {
 		secs = 1
@@ -639,8 +606,7 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		// Per-client shedding: this tenant is over its admission bound
 		// while others keep submitting. Retry-After reflects the tenant's
 		// own backlog.
-		retryAfter := s.clientRetryAfterSeconds(clientErr.Client)
-		s.rejectClient.Inc()
+		retryAfter := retryAfterSeconds(s.svc.ClientQueued(clientErr.Client), s.workers)
 		s.log.Warn("request rejected with 429: per-client queue full",
 			"req", rid, "remote", r.RemoteAddr, "client", clientErr.Client,
 			"clientQueued", s.svc.ClientQueued(clientErr.Client), "retryAfterSeconds", retryAfter)
@@ -652,8 +618,7 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		// Retry-After scales with how deep the queue currently is — see
 		// retryAfterSeconds for the estimate's meaning.
 		st := s.svc.Stats()
-		retryAfter := retryAfterSeconds(st)
-		s.rejectQueue.Inc()
+		retryAfter := retryAfterSeconds(st.QueuedJobs, st.Workers)
 		s.log.Warn("request rejected with 429: queue full",
 			"req", rid, "remote", r.RemoteAddr, "jobs", len(jobs),
 			"queueDepth", st.QueuedJobs, "retryAfterSeconds", retryAfter)
@@ -661,7 +626,6 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusTooManyRequests, "service overloaded: queue full")
 		return
 	case errors.Is(err, flex.ErrServiceClosed):
-		s.rejectDrain.Inc()
 		s.log.Warn("request rejected with 503: service shutting down",
 			"req", rid, "remote", r.RemoteAddr, "jobs", len(jobs))
 		writeJSONError(w, http.StatusServiceUnavailable, "service shutting down")
@@ -735,11 +699,11 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(sum)
 }
 
-// handleMetrics serves the registry in Prometheus text exposition format.
-// Only mounted when the server was built with a registry, so s.metrics is
-// non-nil here.
+// handleMetrics serves Prometheus text exposition format: the service's
+// families, then the server's own two gauges.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.svc.WriteMetrics(w)
 	s.metrics.WritePrometheus(w)
 }
 
@@ -754,19 +718,15 @@ func (s *server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.Stats()
 	w.Header().Set("Content-Type", "application/json")
-	byPriority := make(map[string]int, len(st.QueuedByPriority))
-	for p, n := range st.QueuedByPriority {
-		byPriority[strconv.Itoa(p)] = n
-	}
 	resp := statsResponse{
 		Batches: st.Batches, Jobs: st.Jobs, Errors: st.Errors,
 		Skipped: st.Skipped, Overloaded: st.Overloaded,
 		ShardedJobs: st.ShardedJobs,
 		Workers:     st.Workers, FPGAs: st.FPGAs, QueueDepth: st.QueueDepth,
 		QueuedJobs:        st.QueuedJobs,
-		RetryAfterSeconds: retryAfterSeconds(st),
+		RetryAfterSeconds: retryAfterSeconds(st.QueuedJobs, st.Workers),
 		Scheduler:         st.Scheduler,
-		QueuedByPriority:  byPriority,
+		QueuedByPriority:  st.QueuedByPriority,
 		QueuedByClient:    st.QueuedByClient,
 		RunningByClient:   st.RunningByClient,
 		ClientQuota:       st.ClientQuota,

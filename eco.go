@@ -190,18 +190,18 @@ func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 			info.reuse[i] = true
 		}
 		info.store = false
-		s.accountEco(job, true, true)
+		s.accountEco(job, true)
 		return info, nil
 	}
 
 	// Base splice: reuse the base outcome's hash-verified clean bands.
 	if len(job.Edits) > 0 && p.plan != nil {
 		if s.spliceFromBase(job, p, info) {
-			s.accountEco(job, true, true)
+			s.accountEco(job, true)
 			return info, nil
 		}
 	}
-	s.accountEco(job, false, false)
+	s.accountEco(job, false)
 	return info, nil
 }
 
@@ -276,22 +276,21 @@ func (s *Service) lookupEntry(key string, bands int, wantIn []string, verify []i
 	return ent
 }
 
-// accountEco folds one job's outcome-cache decision into the counters.
-func (s *Service) accountEco(job BatchJob, hit, reused bool) {
-	s.mu.Lock()
-	if hit {
-		s.outcomeHits++
+// accountEco counts one job's outcome-cache decision: a hit when cached
+// bands serve it (wholly or partly), and for an eco job the path it took.
+func (s *Service) accountEco(job BatchJob, reused bool) {
+	if reused {
+		s.outcomeHits.Inc()
 	} else {
-		s.outcomeMisses++
+		s.outcomeMisses.Inc()
 	}
 	if job.isEco() {
 		if reused {
-			s.incremental++
+			s.ecoIncremental.Inc()
 		} else {
-			s.fallbacks++
+			s.ecoFallback.Inc()
 		}
 	}
-	s.mu.Unlock()
 }
 
 // rebuildOutcome turns a legalized layout that did not come straight from a

@@ -51,48 +51,13 @@ func WithFleetRetries(n int) ServiceOption {
 	return func(c *serviceConfig) { c.fleetRetries = n }
 }
 
-// FleetStats is the coordinator's routing snapshot in ServiceStats: one
-// row per worker plus fleet-wide totals. RemoteWall is cumulative band
-// round-trip wall time — transport plus the worker's whole job — and is
-// telemetry only: the modeled seconds of the results themselves travel
-// inside Outcomes and never include it.
-type FleetStats struct {
-	// Nodes lists every configured worker in configuration order.
-	Nodes []FleetNodeStats
-	// Routed counts jobs completed remotely; Retried extra attempts after
-	// a retryable failure; Excluded node exclusions those retries made.
-	Routed, Retried, Excluded int64
-	// RemoteWall is total remote round-trip wall time (RTT telemetry).
-	RemoteWall time.Duration
-}
-
-// FleetNodeStats is one worker's liveness and traffic.
-type FleetNodeStats struct {
-	// Addr is the worker's base URL; State its health as the router last
-	// saw it: "alive", "draining", or "dead".
-	Addr  string
-	State string
-	// Routed counts jobs this node completed; Failed its failed attempts;
-	// Inflight its currently outstanding jobs.
-	Routed   int64
-	Failed   int64
-	Inflight int
-}
-
-// fleetStats mirrors the router's snapshot onto the public structs.
-func fleetStats(rs fleet.RouterStats) *FleetStats {
-	st := &FleetStats{
-		Routed: rs.Routed, Retried: rs.Retried, Excluded: rs.Excluded,
-		RemoteWall: rs.RemoteWall,
-	}
-	for _, n := range rs.Nodes {
-		st.Nodes = append(st.Nodes, FleetNodeStats{
-			Addr: n.Addr, State: n.State,
-			Routed: n.Routed, Failed: n.Failed, Inflight: n.Inflight,
-		})
-	}
-	return st
-}
+// FleetStats is the coordinator's routing snapshot in ServiceStats: Nodes
+// holds one row per worker in configuration order (Addr; State "alive",
+// "draining" or "dead"; Routed, Failed, Inflight), beside the fleet-wide
+// Routed, Retried and Excluded totals and RemoteWall, the cumulative band
+// round-trip wall time (telemetry only). It is internal/fleet's
+// RouterStats verbatim.
+type FleetStats = fleet.RouterStats
 
 // engineWireName maps an Engine to its canonical wire name (the inverse of
 // ParseEngine, from the same table).

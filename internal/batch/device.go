@@ -96,8 +96,12 @@ func (d *Device) Capacity() int { return d.sem.Capacity() }
 // ReconfigCost returns the modeled per-swap board programming delay.
 func (d *Device) ReconfigCost() time.Duration { return d.cost }
 
-// Stats snapshots the cumulative acquisition statistics.
+// Stats snapshots the cumulative acquisition statistics. A nil Device
+// (unlimited boards, no device modeling) reports the zero value.
 func (d *Device) Stats() DeviceStats {
+	if d == nil {
+		return DeviceStats{}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats

@@ -100,7 +100,6 @@ type Pool struct {
 	admittedByClient map[string]int // same, per client
 	batches          sync.WaitGroup // admitted batches still draining
 	closed           bool
-	jobsDone         int64 // delivered results, cumulative
 }
 
 // NewPool starts the pool's workers. Callers must Close it to stop them.
@@ -147,13 +146,6 @@ func (p *Pool) Device() *Device { return p.device }
 // priority and by client, plus running jobs by client — the service's
 // per-priority queue-depth statistics.
 func (p *Pool) Depths() sched.Depths { return p.queue.Depths() }
-
-// JobsDone returns the cumulative number of job results delivered.
-func (p *Pool) JobsDone() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.jobsDone
-}
 
 // Admitted returns the number of jobs admitted and not yet delivered right
 // now — queued plus running, summed over every in-flight batch. Against
@@ -214,7 +206,6 @@ func (p *Pool) jobDelivered(client string) {
 	if p.admittedByClient[client] <= 0 {
 		delete(p.admittedByClient, client)
 	}
-	p.jobsDone++
 	p.mu.Unlock()
 }
 

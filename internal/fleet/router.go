@@ -342,24 +342,32 @@ func (r *Router) probe(ctx context.Context, n *node) {
 	}
 }
 
-// RouterStats is a point-in-time snapshot of the router's counters for
-// /v1/stats: per-node liveness and traffic, plus the totals and the
-// cumulative remote wall clock (band RTTs — wall, never modeled).
+// RouterStats is the coordinator's routing snapshot (flex.FleetStats, the
+// fleet block of /v1/stats): one row per worker plus fleet-wide totals.
+// RemoteWall is cumulative band round-trip wall time — transport plus the
+// worker's whole job — and is telemetry only: the modeled seconds of the
+// results themselves travel inside Outcomes and never include it.
 type RouterStats struct {
-	Nodes      []NodeStats
-	Routed     int64 // jobs completed remotely
-	Retried    int64 // extra attempts after a retryable failure
-	Excluded   int64 // node exclusions performed during retries
+	// Nodes lists every configured worker in configuration order.
+	Nodes []NodeStats
+	// Routed counts jobs completed remotely; Retried extra attempts after
+	// a retryable failure; Excluded node exclusions those retries made.
+	Routed, Retried, Excluded int64
+	// RemoteWall is total remote round-trip wall time (RTT telemetry).
 	RemoteWall time.Duration
 }
 
-// NodeStats is one worker's row in RouterStats.
+// NodeStats is one worker's liveness and traffic.
 type NodeStats struct {
-	Addr     string
-	State    string // alive | draining | dead
-	Routed   int64  // successful jobs on this node
-	Failed   int64  // failed attempts on this node
-	Inflight int    // currently outstanding jobs
+	// Addr is the worker's base URL; State its health as the router last
+	// saw it: "alive", "draining", or "dead".
+	Addr  string
+	State string
+	// Routed counts jobs this node completed; Failed its failed attempts;
+	// Inflight its currently outstanding jobs.
+	Routed   int64
+	Failed   int64
+	Inflight int
 }
 
 // Stats snapshots the router. Nodes appear in ring-configuration order.

@@ -48,9 +48,10 @@ type family struct {
 }
 
 // series is one labeled instrument of a family. Counters and gauges live
-// in bits (float64 bits, CAS-updated); histograms in counts/sumBits;
-// sample, when set, overrides the value at scrape time (CounterFunc and
-// GaugeFunc).
+// in bits (float64 bits, CAS-updated); histograms in counts/sumnum (the
+// _count is the +Inf bucket's cumulative total, so a scrape racing an
+// observation still writes them equal); sample, when set, overrides the
+// value at scrape time (CounterFunc and GaugeFunc).
 type series struct {
 	labels []Label
 	bits   atomic.Uint64
@@ -59,7 +60,6 @@ type series struct {
 	buckets []float64       // histogram upper bounds (the family's)
 	counts  []atomic.Uint64 // per-bucket, last is +Inf
 	sumnum  atomic.Uint64   // float64 bits of the histogram sum
-	count   atomic.Uint64
 }
 
 func labelKey(labels []Label) string {
@@ -120,6 +120,15 @@ func (c Counter) Add(v float64) {
 
 // Inc increases the counter by one.
 func (c Counter) Inc() { c.Add(1) }
+
+// Value returns the counter's current total (0 for the nil Counter) — the
+// read side that lets a snapshot report the same number a scrape does.
+func (c Counter) Value() float64 {
+	if c.s == nil {
+		return 0
+	}
+	return math.Float64frombits(c.s.bits.Load())
+}
 
 // Gauge is a set-to-current-value metric. The nil Gauge drops updates.
 type Gauge struct{ s *series }
@@ -186,7 +195,6 @@ func (h Histogram) Observe(v float64) {
 		return
 	}
 	h.s.counts[sort.SearchFloat64s(h.s.buckets, v)].Add(1)
-	h.s.count.Add(1)
 	addFloat(&h.s.sumnum, v)
 }
 
@@ -251,7 +259,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 			math.Float64frombits(s.sumnum.Load())); err != nil {
 			return err
 		}
-		return writeSample(w, f.name+"_count", s.labels, float64(s.count.Load()))
+		return writeSample(w, f.name+"_count", s.labels, float64(cum))
 	}
 	v := math.Float64frombits(s.bits.Load())
 	if s.sample != nil {

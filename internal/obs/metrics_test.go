@@ -22,6 +22,9 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Inc()
 	c.Add(2)
 	c.Add(-5) // dropped: counters only go up
+	if got := c.Value(); got != 3 {
+		t.Fatalf("Value = %v, want 3 (the scraped total)", got)
+	}
 	g := r.Gauge("flex_serve_queue_depth_jobs", "Queue occupancy.")
 	g.Set(7)
 	g.Add(-2)
@@ -90,7 +93,11 @@ func TestRegistryDedupAndKindConflict(t *testing.T) {
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	r.Counter("flex_x_y_total", "").Inc()
+	c := r.Counter("flex_x_y_total", "")
+	c.Inc()
+	if c.Value() != 0 {
+		t.Fatalf("nil Counter Value = %v, want 0", c.Value())
+	}
 	r.Gauge("flex_x_y_jobs", "").Set(1)
 	r.Histogram("flex_x_y_seconds", "", LatencyBuckets).Observe(1)
 	r.CounterFunc("flex_x_z_total", "", func() float64 { return 1 })

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,8 +113,7 @@ type serviceConfig struct {
 	fleetInflight int
 	fleetRetries  int
 
-	// Observability (see WithMetrics and friends below).
-	metrics *obs.Registry
+	// Observability (see WithTracing and WithLogger below).
 	tracing bool
 	logger  *slog.Logger
 }
@@ -202,19 +201,6 @@ func WithReconfigCost(d time.Duration) ServiceOption {
 	return func(c *serviceConfig) { c.reconfigCost = d }
 }
 
-// WithMetrics routes the service's operational metrics into reg: latency
-// histograms for scheduler queue wait, modeled device wait/hold, fleet RPC
-// round trips and end-to-end job time, plus job/reject counters and live
-// queue-depth gauges — the families flexserve's GET /metrics exposes as
-// Prometheus text (names follow flex_<subsystem>_<name>_<unit>; see
-// docs/OBSERVABILITY.md). Metrics are pure telemetry: observation happens
-// on the result path after bytes are final, so a metered service's output
-// is byte-identical to an unmetered one. nil (the default) disables
-// metering at zero cost.
-func WithMetrics(reg *obs.Registry) ServiceOption {
-	return func(c *serviceConfig) { c.metrics = reg }
-}
-
 // WithTracing toggles per-job trace spans: each BatchResult then carries
 // its TraceID and span tree (admission, scheduler wait, device wait/hold,
 // per-band legalization, fleet RPCs, stitch), the form flexserve -trace
@@ -275,40 +261,34 @@ type Service struct {
 	router *fleet.Router
 	exec   func(ctx context.Context, job BatchJob, band *Layout, key string) (*Outcome, error)
 
-	// Observability: nil-safe instruments (see WithMetrics / WithTracing /
-	// WithLogger). All strictly telemetry — nothing here may influence
-	// result bytes.
-	metrics       *obs.Registry
-	tracing       bool
-	logger        *slog.Logger
-	queueWaitSec  obs.Histogram
-	deviceWaitSec obs.Histogram
-	deviceHoldSec obs.Histogram
-	jobSeconds    obs.Histogram
-	jobsOK        obs.Counter
-	jobsErr       obs.Counter
-	jobsSkipped   obs.Counter
-	shardedJobs   obs.Counter
-	reconfigsTot  obs.Counter
+	// Observability (see WithTracing / WithLogger / WriteMetrics): each
+	// count lives once, in metrics, and Stats reads it from there. All
+	// telemetry — nothing here may influence result bytes.
+	metrics        *obs.Registry
+	tracing        bool
+	logger         *slog.Logger
+	queueWaitSec   obs.Histogram
+	deviceWaitSec  obs.Histogram
+	deviceHoldSec  obs.Histogram
+	jobSeconds     obs.Histogram
+	jobsOK         obs.Counter // flex_serve_jobs_total, by status
+	jobsErr        obs.Counter
+	jobsSkipped    obs.Counter
+	shardedJobs    obs.Counter
+	batches        obs.Counter
+	rejectQueue    obs.Counter // flex_serve_rejects_total, by reason
+	rejectClient   obs.Counter
+	rejectClosed   obs.Counter
+	outcomeHits    obs.Counter
+	outcomeMisses  obs.Counter
+	ecoIncremental obs.Counter // flex_eco_jobs_total, by path
+	ecoFallback    obs.Counter
 
 	// outcomes is non-nil when the outcome cache is on
 	// (WithOutcomeCacheBytes / WithCacheDir): finished legalizations are
 	// memoized by input-layout content hash, and edited jobs splice cached
 	// clean bands instead of re-legalizing them (see eco.go).
 	outcomes *cache.Disk
-
-	mu               sync.Mutex
-	batches          int64
-	jobs             int64
-	sharded          int64
-	errs             int64
-	skipped          int64
-	overloaded       int64
-	clientOverloaded int64
-	incremental      int64
-	fallbacks        int64
-	outcomeHits      int64
-	outcomeMisses    int64
 }
 
 // NewService builds and starts a Service. Callers must Close it to release
@@ -346,21 +326,22 @@ func NewService(opts ...ServiceOption) *Service {
 			Timeout:  cfg.fleetTimeout,
 			Inflight: cfg.fleetInflight,
 			Retries:  cfg.fleetRetries,
-			Metrics:  cfg.metrics,
+			Metrics:  s.metrics,
 		})
 		s.exec = s.remoteLegalize
 	}
 	return s
 }
 
-// instrument registers the service's metric families. Every obs.Registry
-// method is nil-safe, so an unmetered service gets inert zero-value
-// instruments and pays nothing on the result path.
+// instrument builds the service's registry and registers every family it
+// keeps. Counts another layer owns — board reconfigurations, queue depth,
+// layout-cache traffic — are sampled from that layer at scrape time, not
+// counted again.
 func (s *Service) instrument(cfg *serviceConfig) {
-	s.metrics = cfg.metrics
+	m := obs.NewRegistry()
+	s.metrics = m
 	s.tracing = cfg.tracing
 	s.logger = cfg.logger
-	m := cfg.metrics
 	s.queueWaitSec = m.Histogram("flex_sched_queue_wait_seconds",
 		"Time jobs queued for a worker goroutine under the scheduler.", obs.LatencyBuckets)
 	s.deviceWaitSec = m.Histogram("flex_device_wait_seconds",
@@ -369,16 +350,32 @@ func (s *Service) instrument(cfg *serviceConfig) {
 		"Time jobs occupied a modeled FPGA board (reconfiguration included).", obs.LatencyBuckets)
 	s.jobSeconds = m.Histogram("flex_serve_job_seconds",
 		"End-to-end wall time of one job, admission to result.", obs.LatencyBuckets)
-	s.jobsOK = m.Counter("flex_serve_jobs_total",
-		"Jobs finished, by status.", obs.Label{Key: "status", Value: "ok"})
-	s.jobsErr = m.Counter("flex_serve_jobs_total",
-		"Jobs finished, by status.", obs.Label{Key: "status", Value: "error"})
-	s.jobsSkipped = m.Counter("flex_serve_jobs_total",
-		"Jobs finished, by status.", obs.Label{Key: "status", Value: "skipped"})
+	jobs := func(status string) obs.Counter {
+		return m.Counter("flex_serve_jobs_total",
+			"Job results delivered, by status.", obs.Label{Key: "status", Value: status})
+	}
+	s.jobsOK, s.jobsErr, s.jobsSkipped = jobs("ok"), jobs("error"), jobs("skipped")
 	s.shardedJobs = m.Counter("flex_serve_sharded_jobs_total",
 		"Jobs that took the row-band shard path.")
-	s.reconfigsTot = m.Counter("flex_device_reconfigs_total",
-		"Modeled board reconfigurations charged to finished jobs.")
+	s.batches = m.Counter("flex_serve_batches_total",
+		"Submissions whose every job result was delivered.")
+	rejects := func(reason string) obs.Counter {
+		return m.Counter("flex_serve_rejects_total",
+			"Submissions turned away at admission, by reason.", obs.Label{Key: "reason", Value: reason})
+	}
+	s.rejectQueue, s.rejectClient, s.rejectClosed = rejects("queue_full"), rejects("client_queue_full"), rejects("draining")
+	s.outcomeHits = m.Counter("flex_cache_outcome_hits_total",
+		"Jobs served wholly or partly from a cached outcome.")
+	s.outcomeMisses = m.Counter("flex_cache_outcome_misses_total",
+		"Jobs that ran with the outcome cache on but found nothing reusable.")
+	ecoJobs := func(path string) obs.Counter {
+		return m.Counter("flex_eco_jobs_total",
+			"Edit and base-reference jobs, by the path they took.", obs.Label{Key: "path", Value: path})
+	}
+	s.ecoIncremental, s.ecoFallback = ecoJobs("incremental"), ecoJobs("fallback")
+	m.CounterFunc("flex_device_reconfigs_total",
+		"Modeled reconfigurations of this process's FPGA boards.",
+		func() float64 { return float64(s.pool.Device().Stats().Reconfigs) })
 	m.GaugeFunc("flex_serve_queue_depth_jobs",
 		"Admitted and undelivered pool jobs right now (each band of a sharded job counted separately).",
 		func() float64 { return float64(s.pool.Admitted()) })
@@ -414,9 +411,6 @@ func (s *Service) observeResult(br BatchResult) {
 		s.deviceHoldSec.Observe(br.DeviceHold.Seconds())
 	}
 	s.jobSeconds.Observe(br.Wall.Seconds())
-	if br.DeviceReconfigs > 0 {
-		s.reconfigsTot.Add(float64(br.DeviceReconfigs))
-	}
 	if len(br.Shards) > 0 {
 		s.shardedJobs.Inc()
 	}
@@ -456,12 +450,7 @@ type SubmitOptions struct {
 // flight, or FailFast tripped on the first job error).
 func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions) (*BatchSummary, error) {
 	e := s.expand(jobs)
-	col := newShardCollector(e, opt.OnShard, func(br BatchResult) {
-		s.observeResult(br)
-		if opt.OnResult != nil {
-			opt.OnResult(br)
-		}
-	})
+	col := newShardCollector(e, opt, nil)
 	_, st, err := batch.RunClassedOn(ctx, s.pool, e.pool, e.classes, opt.FailFast, col.observe)
 	if rejected := s.admissionError(err); rejected != nil {
 		return nil, rejected
@@ -492,7 +481,7 @@ func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 	// unless WithReconfigCost is set; per-Outcome modeled seconds stay
 	// pure functions of the design).
 	sum.ModeledSeconds += sum.ReconfigSeconds
-	s.account(len(jobs), col.sharded, sum.Errors, sum.Skipped)
+	s.batches.Inc()
 	return sum, err
 }
 
@@ -513,59 +502,33 @@ func (s *Service) Stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 	out := make(chan BatchResult)
 	go func() {
 		defer close(out)
-		var errs, skipped int
-		col := newShardCollector(e, opt.OnShard, func(br BatchResult) {
-			s.observeResult(br)
-			switch {
-			case IsBatchSkipped(br.Err):
-				skipped++
-			case br.Err != nil:
-				errs++
-			}
-			if opt.OnResult != nil {
-				opt.OnResult(br)
-			}
-			out <- br
-		})
+		col := newShardCollector(e, opt, func(br BatchResult) { out <- br })
 		for r := range in {
 			col.observe(r)
 		}
-		s.account(len(jobs), col.sharded, errs, skipped)
+		s.batches.Inc()
 	}()
 	return out, nil
 }
 
 // admissionError maps the pool's admission rejections onto the public
-// sentinels and counts them; any other error passes through as nil (it is
-// a batch-level error the caller still gets alongside results).
+// sentinels and counts each by reason — every submission the service turns
+// away, a fleet worker's included; any other error passes through as nil
+// (it is a batch-level error the caller still gets alongside results).
 func (s *Service) admissionError(err error) error {
 	var coe *batch.ClientOverloadedError
 	switch {
 	case errors.As(err, &coe):
-		s.mu.Lock()
-		s.clientOverloaded++
-		s.mu.Unlock()
+		s.rejectClient.Inc()
 		return &ClientOverloadedError{Client: coe.Client}
 	case errors.Is(err, batch.ErrOverloaded):
-		s.mu.Lock()
-		s.overloaded++
-		s.mu.Unlock()
+		s.rejectQueue.Inc()
 		return ErrOverloaded
 	case errors.Is(err, batch.ErrPoolClosed):
+		s.rejectClosed.Inc()
 		return ErrServiceClosed
 	}
 	return nil
-}
-
-// account folds one finished batch into the cumulative counters.
-func (s *Service) account(jobs, sharded, errs, skipped int) {
-	s.mu.Lock()
-	s.batches++
-	s.jobs += int64(jobs)
-	s.sharded += int64(sharded)
-	s.errs += int64(errs)
-	s.skipped += int64(skipped)
-	s.mu.Unlock()
 }
 
 // Close stops admitting work, waits for in-flight submissions to drain,
@@ -581,11 +544,13 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// ServiceStats is a cumulative snapshot of a Service's life so far.
+// ServiceStats is a cumulative snapshot of a Service's life so far; its
+// counts are the ones WriteMetrics serves.
 type ServiceStats struct {
-	// Batches counts finished submissions; Jobs the results they
+	// Batches counts finished submissions; Jobs job results as they are
 	// delivered; Errors jobs that ran and failed; Skipped jobs canceled
-	// before starting; Overloaded submissions rejected at admission.
+	// before starting; Overloaded submissions rejected at admission (a
+	// fleet worker's jobs included).
 	Batches, Jobs, Errors, Skipped, Overloaded int64
 	// ClientOverloaded counts submissions rejected by a per-client
 	// admission bound (WithClientQueueDepth).
@@ -617,9 +582,10 @@ type ServiceStats struct {
 	Scheduler                     string
 	ClientQuota, ClientQueueDepth int
 	ReconfigCost                  time.Duration
-	// Reconfigs counts board reconfigurations across every submission
-	// (consecutive holders from different jobs, first board use included);
-	// ReconfigTime is the modeled programming time they charged.
+	// Reconfigs counts reconfigurations of this process's boards
+	// (consecutive holders from different jobs, first board use included;
+	// a coordinator's jobs use its workers' boards); ReconfigTime is the
+	// modeled programming time they charged.
 	Reconfigs    int
 	ReconfigTime time.Duration
 	// Cache accounting (all zero when caching is disabled): hits count
@@ -661,25 +627,33 @@ func (st ServiceStats) CacheHitRate() float64 {
 	return 0
 }
 
-// Stats snapshots the service's cumulative counters: jobs served, cache
-// effectiveness, device contention.
+// Stats snapshots the service's cumulative counters: jobs served (Jobs
+// counts results as they are delivered), cache effectiveness, device
+// contention. It takes no service lock: each count is read from the
+// registry WriteMetrics writes or from the subsystem that owns it.
 func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
+	count := func(c obs.Counter) int64 { return int64(c.Value()) }
+	failed, skipped := count(s.jobsErr), count(s.jobsSkipped)
 	st := ServiceStats{
-		Batches: s.batches, Jobs: s.jobs, Errors: s.errs,
-		Skipped: s.skipped, Overloaded: s.overloaded,
-		ClientOverloaded: s.clientOverloaded,
-		ShardedJobs:      s.sharded,
-		Workers:          s.pool.Workers(), QueueDepth: s.depth,
-		QueuedJobs:   s.pool.Admitted(),
-		Scheduler:    s.scheduler.String(),
-		ClientQuota:  s.clientQuota,
-		ReconfigCost: s.reconfigCost,
-		Incremental:  s.incremental, Fallbacks: s.fallbacks,
-		OutcomeHits: s.outcomeHits, OutcomeMisses: s.outcomeMisses,
+		Batches:          count(s.batches),
+		Jobs:             count(s.jobsOK) + failed + skipped,
+		Errors:           failed,
+		Skipped:          skipped,
+		Overloaded:       count(s.rejectQueue),
+		ClientOverloaded: count(s.rejectClient),
+		ShardedJobs:      count(s.shardedJobs),
+		QueuedJobs:       s.pool.Admitted(),
+		Workers:          s.pool.Workers(),
+		QueueDepth:       s.depth,
+		Scheduler:        s.scheduler.String(),
+		ClientQuota:      s.clientQuota,
+		ClientQueueDepth: s.clientDepth,
+		ReconfigCost:     s.reconfigCost,
+		Incremental:      count(s.ecoIncremental),
+		Fallbacks:        count(s.ecoFallback),
+		OutcomeHits:      count(s.outcomeHits),
+		OutcomeMisses:    count(s.outcomeMisses),
 	}
-	st.ClientQueueDepth = s.clientDepth
-	s.mu.Unlock()
 	d := s.pool.Depths()
 	st.QueuedByPriority = d.WaitingByPriority
 	st.QueuedByClient = d.WaitingByClient
@@ -694,18 +668,24 @@ func (s *Service) Stats() ServiceStats {
 		st.OutcomeEntries, st.OutcomeBytes = os.Entries, os.Bytes
 		st.OutcomeDiskHits, st.OutcomeLoaded, st.OutcomeErrors = os.DiskHits, os.Loaded, os.Errors
 	}
-	if dev := s.pool.Device(); dev != nil {
-		ds := dev.Stats()
-		st.FPGAs = ds.Capacity
-		st.DeviceWait, st.DeviceHold = ds.Wait, ds.Hold
-		st.DeviceAcquires, st.DeviceContended = ds.Acquires, ds.Contended
-		st.Reconfigs, st.ReconfigTime = ds.Reconfigs, ds.ReconfigTime
-	}
+	ds := s.pool.Device().Stats()
+	st.FPGAs = ds.Capacity
+	st.DeviceWait, st.DeviceHold = ds.Wait, ds.Hold
+	st.DeviceAcquires, st.DeviceContended = ds.Acquires, ds.Contended
+	st.Reconfigs, st.ReconfigTime = ds.Reconfigs, ds.ReconfigTime
 	if s.router != nil {
-		st.Fleet = fleetStats(s.router.Stats())
+		rs := s.router.Stats()
+		st.Fleet = &rs
 	}
 	return st
 }
+
+// WriteMetrics writes every metric family the service keeps in Prometheus
+// text format 0.0.4 — the counts Stats reports (Jobs counted as results are
+// delivered), latency histograms and live gauges; docs/OBSERVABILITY.md
+// lists them. flexserve's GET /metrics serves it. Metrics are telemetry:
+// observation happens after result bytes are final.
+func (s *Service) WriteMetrics(w io.Writer) error { return s.metrics.WritePrometheus(w) }
 
 // ClientQueued returns the named client's admitted-and-undelivered job
 // count right now (each band of a sharded job counted separately) — the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	flex "github.com/flex-eda/flex"
@@ -194,5 +196,112 @@ func TestServiceCacheHitRate(t *testing.T) {
 	}
 	if got := st.CacheHitRate(); got != 0.75 {
 		t.Fatalf("hit rate = %v, want 0.75", got)
+	}
+}
+
+// scrapeService parses svc's WriteMetrics text into sample values keyed by
+// the series as written: the name, plus its label set when it has one.
+func scrapeService(t *testing.T, svc *flex.Service) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := svc.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
+// seriesTotal sums the series a selector names: one exact series
+// (`name{label="v"}`), or every series of a family (`name`).
+func seriesTotal(samples map[string]float64, selector string) float64 {
+	var total float64
+	for series, v := range samples {
+		if series == selector || strings.HasPrefix(series, selector+"{") {
+			total += v
+		}
+	}
+	return total
+}
+
+// TestMetricsAgreeWithStats: each count Stats reports is the number the
+// service's WriteMetrics scrape serves, because both read one instrument —
+// on a coordinator, on the fleet worker that ran its bands, and on a
+// service that turned a submission away. Board reconfigurations are
+// counted per process: the worker's board reprogrammed for each remote
+// job, the coordinator, whose jobs all ran remotely, has none of its own.
+func TestMetricsAgreeWithStats(t *testing.T) {
+	srv, _, worker := startWorker(t)
+	coord := flex.NewService(flex.WithWorkers(2), flex.WithCacheBytes(64<<20),
+		flex.WithOutcomeCacheBytes(64<<20), flex.WithWorkersList(srv.URL))
+	defer coord.Close()
+	base, err := flex.Generate("fft_a_md2", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []flex.BatchJob{
+		{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineFLEX},
+		{Design: "fft_a_md2", Scale: 0.01, Engine: flex.EngineFLEX, Shards: 2, Edits: farEdit(t, base)},
+	} {
+		sum, err := coord.Submit(context.Background(), []flex.BatchJob{job}, flex.SubmitOptions{})
+		if err != nil || sum.Results[0].Err != nil {
+			t.Fatalf("coordinator job: err=%v sum=%+v", err, sum)
+		}
+	}
+	full := flex.NewService(flex.WithWorkers(1), flex.WithQueueDepth(1))
+	defer full.Close()
+	if _, err := full.Submit(context.Background(), serviceJobs()[:2], flex.SubmitOptions{}); !errors.Is(err, flex.ErrOverloaded) {
+		t.Fatalf("two jobs on depth 1: err = %v, want ErrOverloaded", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		svc  *flex.Service
+	}{{"coordinator", coord}, {"worker", worker}, {"queue-full", full}} {
+		st := c.svc.Stats()
+		samples := scrapeService(t, c.svc)
+		for _, want := range []struct {
+			selector string
+			stat     int64
+		}{
+			{"flex_serve_jobs_total", st.Jobs},
+			{`flex_serve_jobs_total{status="error"}`, st.Errors},
+			{`flex_serve_jobs_total{status="skipped"}`, st.Skipped},
+			{"flex_serve_batches_total", st.Batches},
+			{"flex_serve_sharded_jobs_total", st.ShardedJobs},
+			{"flex_device_reconfigs_total", int64(st.Reconfigs)},
+			{`flex_serve_rejects_total{reason="queue_full"}`, st.Overloaded},
+			{`flex_serve_rejects_total{reason="client_queue_full"}`, st.ClientOverloaded},
+			{"flex_cache_outcome_hits_total", st.OutcomeHits},
+			{"flex_cache_outcome_misses_total", st.OutcomeMisses},
+			{`flex_eco_jobs_total{path="incremental"}`, st.Incremental},
+			{`flex_eco_jobs_total{path="fallback"}`, st.Fallbacks},
+		} {
+			if got := seriesTotal(samples, want.selector); got != float64(want.stat) {
+				t.Errorf("%s: scrape %s = %v, Stats says %d", c.name, want.selector, got, want.stat)
+			}
+		}
+	}
+
+	// The agreement above is not vacuous: every family saw traffic.
+	if st := coord.Stats(); st.Jobs != 2 || st.Batches != 2 || st.ShardedJobs != 1 ||
+		st.Reconfigs != 0 || st.OutcomeMisses != 2 || st.Fallbacks != 1 {
+		t.Errorf("coordinator stats %+v, want 2 jobs in 2 batches, 1 sharded, 0 reconfigs, 2 outcome misses, 1 fallback", st)
+	}
+	if st := worker.Stats(); st.Jobs != 3 || st.Reconfigs != 3 {
+		t.Errorf("worker stats %+v, want 3 jobs (one plus two bands) and 3 reconfigs", st)
+	}
+	if st := full.Stats(); st.Overloaded != 1 || st.Batches != 0 {
+		t.Errorf("queue-full stats %+v, want 1 overloaded, 0 batches", st)
 	}
 }

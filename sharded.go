@@ -368,35 +368,34 @@ func (s *Service) bandJob(job BatchJob, st *shardState, class sched.Class, k, b 
 // It is driven from a single goroutine (the batch's collecting loop), so it
 // needs no locking.
 type shardCollector struct {
-	e       *expansion
-	pending [][]batch.Result[*Outcome] // per job, one slot per band
-	got     []int
-	results []BatchResult // per submitted job, valid once emitted
-	sharded int           // jobs that took the shard path
-	onShard func(job int, r BatchResult)
-	emit    func(BatchResult)
+	e        *expansion
+	pending  [][]batch.Result[*Outcome] // per job, one slot per band
+	got      []int
+	results  []BatchResult // per submitted job, valid once emitted
+	onShard  func(job int, r BatchResult)
+	onResult func(BatchResult)
+	send     func(BatchResult) // Stream's channel send; nil for Submit
 }
 
-func newShardCollector(e *expansion, onShard func(int, BatchResult), emit func(BatchResult)) *shardCollector {
+func newShardCollector(e *expansion, opt SubmitOptions, send func(BatchResult)) *shardCollector {
 	c := &shardCollector{
-		e:       e,
-		pending: make([][]batch.Result[*Outcome], len(e.jobs)),
-		got:     make([]int, len(e.jobs)),
-		results: make([]BatchResult, len(e.jobs)),
-		onShard: onShard,
-		emit:    emit,
+		e:        e,
+		pending:  make([][]batch.Result[*Outcome], len(e.jobs)),
+		got:      make([]int, len(e.jobs)),
+		results:  make([]BatchResult, len(e.jobs)),
+		onShard:  opt.OnShard,
+		onResult: opt.OnResult,
+		send:     send,
 	}
 	for j, k := range e.shards {
 		c.pending[j] = make([]batch.Result[*Outcome], max(k, 1))
-		if k > 0 {
-			c.sharded++
-		}
 	}
 	return c
 }
 
-// observe consumes one pool result, emitting the owning job's BatchResult
-// when it becomes complete.
+// observe consumes one pool result. When the owning job becomes complete it
+// emits the job's BatchResult: into the service's metrics, then to the
+// caller's OnResult, then to send.
 func (c *shardCollector) observe(r batch.Result[*Outcome]) {
 	o := c.e.origin[r.Index]
 	j := o.owner
@@ -414,7 +413,13 @@ func (c *shardCollector) observe(r batch.Result[*Outcome]) {
 		br := c.fold(j)
 		c.sealTrace(j, &br)
 		c.results[j] = br
-		c.emit(br)
+		c.e.svc.observeResult(br)
+		if c.onResult != nil {
+			c.onResult(br)
+		}
+		if c.send != nil {
+			c.send(br)
+		}
 	}
 }
 

@@ -35,9 +35,9 @@ func TestFoldIgnoresSkippedPaddingSlots(t *testing.T) {
 
 	var folded []BatchResult
 	shardCalls := 0
-	col := newShardCollector(e,
-		func(job int, r BatchResult) { shardCalls++ },
-		func(br BatchResult) { folded = append(folded, br) })
+	col := newShardCollector(e, SubmitOptions{
+		OnShard: func(job int, r BatchResult) { shardCalls++ },
+	}, func(br BatchResult) { folded = append(folded, br) })
 	// Real bands completed before the batch was canceled; the padding
 	// slots were skipped by the cancellation.
 	for i := 0; i < requested; i++ {
