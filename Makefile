@@ -32,8 +32,10 @@ fmt-check:
 doccheck:
 	$(GO) run ./cmd/doccheck
 
-# The repo's own analyzers (docs/ANALYSIS.md): determinism, device-token,
-# and output-discipline invariants, machine-enforced.
+# The repo's own five analyzers (docs/ANALYSIS.md): walltime, maporder,
+# streamdiscipline, errclose and metricname — determinism,
+# output-discipline, close-error and metric-naming invariants,
+# machine-enforced.
 flexvet:
 	$(GO) run ./cmd/flexvet ./...
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -110,9 +111,19 @@ func scrape(t *testing.T, ts *httptest.Server) []sample {
 }
 
 // postJobs submits n design jobs and consumes the NDJSON stream, returning
-// the result lines.
+// the result lines. It fails the test, so only the test goroutine may call
+// it; client goroutines call tryPostJobs.
 func postJobs(t *testing.T, ts *httptest.Server, n int) []resultLine {
 	t.Helper()
+	lines, err := tryPostJobs(ts, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// tryPostJobs is postJobs reporting failure as an error.
+func tryPostJobs(ts *httptest.Server, n int) ([]resultLine, error) {
 	var sb strings.Builder
 	sb.WriteString(`{"jobs":[`)
 	for i := 0; i < n; i++ {
@@ -124,18 +135,21 @@ func postJobs(t *testing.T, ts *httptest.Server, n int) []resultLine {
 	sb.WriteString(`]}`)
 	resp, err := http.Post(ts.URL+"/v1/legalize", "application/json", strings.NewReader(sb.String()))
 	if err != nil {
-		t.Fatalf("post: %v", err)
+		return nil, fmt.Errorf("post: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("post: status %d: %s", resp.StatusCode, b)
+		return nil, fmt.Errorf("post: status %d: %s", resp.StatusCode, b)
 	}
-	lines, sum := decodeNDJSON(t, bufio.NewScanner(resp.Body))
+	lines, sum, err := parseNDJSON(bufio.NewScanner(resp.Body))
+	if err != nil {
+		return nil, err
+	}
 	if !sum.Done {
-		t.Fatalf("stream ended without a done summary")
+		return nil, errors.New("stream ended without a done summary")
 	}
-	return lines
+	return lines, nil
 }
 
 // TestMetricsScrapeUnderTraffic is the exposition-contract test: scrape
@@ -153,10 +167,17 @@ func TestMetricsScrapeUnderTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				postJobs(t, ts, 2)
+				if _, err := tryPostJobs(ts, 2); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
+	// Even when a scrape check below fails the test, wait for the clients:
+	// the server's cleanup closes it, and no client may post to a closed
+	// server or log after the test ends.
+	defer wg.Wait()
 	prevCounters := map[string]float64{}
 	counterNames := map[string]bool{
 		"flex_serve_jobs_total":               true,

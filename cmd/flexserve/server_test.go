@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -28,9 +30,18 @@ func newTestServer(t *testing.T, opts ...flex.ServiceOption) *httptest.Server {
 }
 
 // decodeNDJSON parses a streaming response body: result lines then the
-// summary line.
+// summary line. It fails the test, so only the test goroutine may call it.
 func decodeNDJSON(t *testing.T, body *bufio.Scanner) ([]resultLine, summaryLine) {
 	t.Helper()
+	results, sum, err := parseNDJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, sum
+}
+
+// parseNDJSON is decodeNDJSON reporting a malformed stream as an error.
+func parseNDJSON(body *bufio.Scanner) ([]resultLine, summaryLine, error) {
 	var results []resultLine
 	var sum summaryLine
 	sawDone := false
@@ -40,29 +51,29 @@ func decodeNDJSON(t *testing.T, body *bufio.Scanner) ([]resultLine, summaryLine)
 			continue
 		}
 		if sawDone {
-			t.Fatalf("line after summary: %s", line)
+			return nil, sum, fmt.Errorf("line after summary: %s", line)
 		}
 		var probe map[string]any
 		if err := json.Unmarshal([]byte(line), &probe); err != nil {
-			t.Fatalf("invalid NDJSON line %q: %v", line, err)
+			return nil, sum, fmt.Errorf("invalid NDJSON line %q: %v", line, err)
 		}
 		if _, ok := probe["done"]; ok {
 			if err := json.Unmarshal([]byte(line), &sum); err != nil {
-				t.Fatal(err)
+				return nil, sum, err
 			}
 			sawDone = true
 			continue
 		}
 		var r resultLine
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatal(err)
+			return nil, sum, err
 		}
 		results = append(results, r)
 	}
 	if !sawDone {
-		t.Fatal("stream ended without a summary line")
+		return nil, sum, errors.New("stream ended without a summary line")
 	}
-	return results, sum
+	return results, sum, nil
 }
 
 func TestHealthz(t *testing.T) {

@@ -1,13 +1,15 @@
 // Command flexvet is the repository's custom static-analysis gate: a
-// vet-style multichecker that machine-enforces the determinism,
-// device-token, and output-discipline invariants every PR used to defend
-// by review (see docs/ANALYSIS.md for the rules and the justification
-// grammar).
+// vet-style multichecker whose five analyzers — walltime, maporder,
+// streamdiscipline, errclose and metricname — machine-enforce the
+// determinism, output-discipline, close-error and metric-naming
+// invariants every PR used to defend by review (see docs/ANALYSIS.md for
+// the rules and the justification grammar).
 //
 // Usage:
 //
-//	flexvet [-json] [-walltime=false] [-maporder=false] [-devicetoken=false]
-//	        [-streamdiscipline=false] [-errclose=false] [packages...]
+//	flexvet [-json] [-walltime=false] [-maporder=false]
+//	        [-streamdiscipline=false] [-errclose=false] [-metricname=false]
+//	        [packages...]
 //
 // Packages default to ./... resolved from the current directory. Each
 // analyzer has an enable/disable flag named after it; the //flexvet:

@@ -1,9 +1,10 @@
 // Package analysis is flexvet's engine: a stdlib-only (go/ast, go/parser,
-// go/types) vet-style framework plus the FLEX-specific analyzers that
-// machine-enforce the repository's determinism, device-token, and
-// output-discipline invariants. Every rule the analyzers encode used to be
-// a review comment; see docs/ANALYSIS.md for what each analyzer enforces
-// and how to add one.
+// go/types) vet-style framework plus five FLEX-specific analyzers —
+// walltime, maporder, streamdiscipline, errclose and metricname — that
+// machine-enforce the repository's determinism, output-discipline,
+// close-error and metric-naming invariants. Every rule the analyzers
+// encode used to be a review comment; see docs/ANALYSIS.md for what each
+// analyzer enforces and how to add one.
 //
 // Intentional exceptions are written in the source as justification
 // comments of the form

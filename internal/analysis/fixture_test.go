@@ -20,10 +20,6 @@ func TestMaporderFixtures(t *testing.T) {
 	runFixture(t, Maporder, "maporder", "example.com/internal/maporder")
 }
 
-func TestDevicetokenFixtures(t *testing.T) {
-	runFixture(t, Devicetoken, "devicetoken", "example.com/internal/devicetoken")
-}
-
 func TestStreamdisciplineFixtures(t *testing.T) {
 	runFixture(t, Streamdiscipline, "streamdiscipline", "example.com/cmd/streamdiscipline")
 }

@@ -7,7 +7,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime,
 		Maporder,
-		Devicetoken,
 		Streamdiscipline,
 		Errclose,
 		Metricname,

@@ -58,12 +58,12 @@ type DeviceStats struct {
 	ReconfigCost time.Duration
 }
 
-// NewDeviceWith builds a device pool with the given capacity (<= 0 means 1,
+// newDevice builds a device pool with the given capacity (<= 0 means 1,
 // the paper's single-board host), a board-queue scheduling configuration,
-// and a modeled per-swap reconfiguration delay: every acquisition whose job
+// and a modeled per-swap reconfiguration delay: every hold whose job
 // differs from the board's previous holder keeps the board busy for
 // reconfigCost before the job's own device phase starts.
-func NewDeviceWith(capacity int, reconfigCost time.Duration, cfg sched.Config) *Device {
+func newDevice(capacity int, reconfigCost time.Duration, cfg sched.Config) *Device {
 	if capacity <= 0 {
 		capacity = 1
 	}
@@ -77,24 +77,8 @@ func NewDeviceWith(capacity int, reconfigCost time.Duration, cfg sched.Config) *
 	}
 }
 
-// DevicePoolWith maps a board-count knob (a -fpgas flag, say) to a device
-// with the board queue's scheduling configuration and the modeled
-// reconfiguration cost: negative means unlimited boards (nil, no contention
-// modeling), zero means the paper's single card, positive is the pool size.
-// Callers share this policy so every CLI and driver reads the knob
-// identically.
-func DevicePoolWith(fpgas int, reconfigCost time.Duration, cfg sched.Config) *Device {
-	if fpgas < 0 {
-		return nil
-	}
-	return NewDeviceWith(fpgas, reconfigCost, cfg)
-}
-
 // Capacity returns the number of modeled boards.
 func (d *Device) Capacity() int { return d.sem.Capacity() }
-
-// ReconfigCost returns the modeled per-swap board programming delay.
-func (d *Device) ReconfigCost() time.Duration { return d.cost }
 
 // Stats snapshots the cumulative acquisition statistics. A nil Device
 // (unlimited boards, no device modeling) reports the zero value.
@@ -141,7 +125,7 @@ type (
 )
 
 // deviceUsage accumulates one job's device time and acquisition counts. It
-// is written by AcquireDevice and read by the worker after the job returns,
+// is written by HoldDevice and read by the worker after the job returns,
 // all on the job's goroutine. Per-job counts let a batch report exact
 // per-batch acquisition statistics even when concurrent batches share one
 // pool — a delta of the pool's cumulative stats would blend the siblings.
@@ -170,22 +154,21 @@ func AddRemoteDeviceUsage(ctx context.Context, wait, hold time.Duration, reconfi
 	usage.reconfigs += reconfigs
 }
 
-// WithDevice returns a context carrying the device pool; jobs claim their
-// accelerator phase from it via AcquireDevice. Stream attaches
-// Options.Device automatically.
-func WithDevice(ctx context.Context, d *Device) context.Context {
+// withDevice returns a context carrying the device pool; the pool attaches
+// its device to every job it runs, so the job's HoldDevice queues for it.
+func withDevice(ctx context.Context, d *Device) context.Context {
 	return context.WithValue(ctx, deviceKey{}, d)
 }
 
-// DeviceFrom returns the context's device pool, or nil when the batch has
+// deviceFrom returns the context's device pool, or nil when the batch has
 // no accelerator model attached.
-func DeviceFrom(ctx context.Context) *Device {
+func deviceFrom(ctx context.Context) *Device {
 	d, _ := ctx.Value(deviceKey{}).(*Device)
 	return d
 }
 
 // withClass returns a context carrying the job's scheduling class, so
-// AcquireDevice can queue for boards under the job's priority, deadline and
+// HoldDevice can queue for boards under the job's priority, deadline and
 // configuration identity.
 func withClass(ctx context.Context, c sched.Class) context.Context {
 	return context.WithValue(ctx, classKey{}, c)
@@ -198,72 +181,46 @@ func classFrom(ctx context.Context) sched.Class {
 	return c
 }
 
-// AcquireDevice claims one modeled board for the calling job's
-// accelerator-resident phase and returns the release function; the caller
-// must invoke release (it is idempotent) when the phase ends. Without a
-// device on the context this is a free no-op, so engine code may declare
-// its accelerator phase unconditionally and still run outside any batch.
-// The blocking wait honors ctx: a canceled batch returns ctx.Err() and no
-// token. When the granted board's previous holder ran a different job, the
-// board stays busy for the device's modeled reconfiguration delay before
-// this call returns. A job must release before re-acquiring — recursive
-// holds self-deadlock at capacity 1.
+// HoldDevice runs fn while holding one modeled board for the calling job's
+// accelerator-resident phase, and returns the board when fn returns or
+// panics. Without a device on the context fn simply runs, so engine code
+// may declare its accelerator phase unconditionally and still run outside
+// any batch. The wait honors ctx: a hold canceled while queued for a board,
+// or while the board is being reprogrammed, runs no fn and returns
+// ctx.Err(). When the granted board's previous holder ran a different job,
+// the board stays busy for the device's modeled reconfiguration delay
+// before fn starts. fn must not hold a board itself — nested holds
+// self-deadlock at capacity 1.
 //
 //flexvet:walltime wait/hold/reconfig measurement is the device model's telemetry: stderr lines and stats sinks only
-func AcquireDevice(ctx context.Context) (release func(), err error) {
-	d := DeviceFrom(ctx)
+func HoldDevice(ctx context.Context, fn func()) error {
+	d := deviceFrom(ctx)
 	if d == nil {
-		return func() {}, nil
+		fn()
+		return nil
 	}
 	class := classFrom(ctx)
 	usage, _ := ctx.Value(usageKey{}).(*deviceUsage)
+	if usage == nil {
+		usage = &deviceUsage{}
+	}
 	start := time.Now()
 	g, err := d.sem.Acquire(ctx, class)
 	wait := time.Since(start)
 	obs.Record(ctx, "device-wait", "", start, start.Add(wait))
 	if err != nil {
 		// The aborted wait was still time spent queued for the board.
-		if usage != nil {
-			usage.wait += wait
-			usage.contended++
-		}
+		usage.wait += wait
+		usage.contended++
 		d.noteCanceled(wait)
-		return nil, err
+		return err
 	}
 	heldAt := time.Now()
 	var reconfigTime time.Duration
-	if g.Reconfig && d.cost > 0 {
-		// The board is busy being reprogrammed: the token is held through
-		// the modeled delay. A cancellation mid-programming releases the
-		// board and books the partial busy time.
-		t := time.NewTimer(d.cost)
-		select {
-		case <-t.C:
-			reconfigTime = time.Since(heldAt)
-		case <-ctx.Done():
-			t.Stop()
-			partial := time.Since(heldAt)
-			// The programming was cut short: the board carries no usable
-			// bitstream, so its next holder must reconfigure — whoever it
-			// is, including this same job's siblings.
-			d.sem.Invalidate(g.Board)
-			d.sem.Release(g.Board, class)
-			if usage != nil {
-				usage.wait += wait
-				usage.acquires++
-				if g.Contended {
-					usage.contended++
-				}
-				usage.hold += partial
-				usage.reconfigs++
-				usage.reconfigTime += partial
-			}
-			d.note(g.Contended, true, wait, partial, partial)
-			return nil, ctx.Err()
-		}
-	}
-	if usage != nil {
+	defer func() {
+		hold := time.Since(heldAt)
 		usage.wait += wait
+		usage.hold += hold
 		usage.acquires++
 		if g.Contended {
 			usage.contended++
@@ -272,20 +229,30 @@ func AcquireDevice(ctx context.Context) (release func(), err error) {
 			usage.reconfigs++
 			usage.reconfigTime += reconfigTime
 		}
+		obs.Record(ctx, "device-hold", "", heldAt, heldAt.Add(hold))
+		if reconfigTime > 0 {
+			obs.Record(ctx, "device-reconfig", "", heldAt, heldAt.Add(reconfigTime))
+		}
+		d.note(g.Contended, g.Reconfig, wait, hold, reconfigTime)
+		d.sem.Release(g.Board, class)
+	}()
+	if g.Reconfig && d.cost > 0 {
+		// The board is busy being reprogrammed: it is held through the
+		// modeled delay.
+		t := time.NewTimer(d.cost)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			reconfigTime = time.Since(heldAt)
+			// The programming was cut short: the board carries no usable
+			// bitstream, so its next holder must reconfigure — whoever it
+			// is, including this same job's siblings.
+			d.sem.Invalidate(g.Board)
+			return ctx.Err()
+		}
+		reconfigTime = time.Since(heldAt)
 	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			hold := time.Since(heldAt)
-			if usage != nil {
-				usage.hold += hold
-			}
-			obs.Record(ctx, "device-hold", "", heldAt, heldAt.Add(hold))
-			if reconfigTime > 0 {
-				obs.Record(ctx, "device-reconfig", "", heldAt, heldAt.Add(reconfigTime))
-			}
-			d.note(g.Contended, g.Reconfig, wait, hold, reconfigTime)
-			d.sem.Release(g.Board, class)
-		})
-	}, nil
+	fn()
+	return nil
 }

@@ -17,20 +17,20 @@ func deviceJobs(n int, holders, maxHolders *atomic.Int32) []Job[int] {
 	for i := range jobs {
 		i := i
 		jobs[i] = func(ctx context.Context) (int, error) {
-			release, err := AcquireDevice(ctx)
+			err := HoldDevice(ctx, func() {
+				h := holders.Add(1)
+				for {
+					m := maxHolders.Load()
+					if h <= m || maxHolders.CompareAndSwap(m, h) {
+						break
+					}
+				}
+				time.Sleep(time.Millisecond)
+				holders.Add(-1)
+			})
 			if err != nil {
 				return 0, err
 			}
-			defer release()
-			h := holders.Add(1)
-			for {
-				m := maxHolders.Load()
-				if h <= m || maxHolders.CompareAndSwap(m, h) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			holders.Add(-1)
 			return i, nil
 		}
 	}
@@ -75,29 +75,27 @@ func TestDeviceContentionRecorded(t *testing.T) {
 	first := make(chan struct{})
 	jobs := []Job[int]{
 		func(ctx context.Context) (int, error) {
-			release, err := AcquireDevice(ctx)
+			err := HoldDevice(ctx, func() {
+				close(first) // board held; let the second job start queueing
+				<-gate
+			})
 			if err != nil {
 				return 0, err
 			}
-			defer release()
-			close(first) // board held; let the second job start queueing
-			<-gate
 			return 1, nil
 		},
 		func(ctx context.Context) (int, error) {
 			<-first
 			go func() {
-				// Give the acquire below a beat to start blocking, then
+				// Give the hold below a beat to start blocking, then
 				// free the board. Worst case the sleep is too short and
 				// the wait is just smaller — never flaky-negative.
 				time.Sleep(5 * time.Millisecond)
 				close(gate)
 			}()
-			release, err := AcquireDevice(ctx)
-			if err != nil {
+			if err := HoldDevice(ctx, func() {}); err != nil {
 				return 0, err
 			}
-			defer release()
 			return 2, nil
 		},
 	}
@@ -148,22 +146,19 @@ func TestDeviceDeterministicAcrossWorkersAndCapacity(t *testing.T) {
 	}
 }
 
-func TestAcquireDeviceWithoutDeviceIsFree(t *testing.T) {
-	release, err := AcquireDevice(context.Background())
-	if err != nil {
-		t.Fatal(err)
+func TestHoldDeviceWithoutDeviceIsFree(t *testing.T) {
+	ran := false
+	if err := HoldDevice(context.Background(), func() { ran = true }); err != nil || !ran {
+		t.Fatalf("device-less hold: ran=%v, err=%v", ran, err)
 	}
-	release()
-	release() // idempotent
 
 	results, st, err := runFresh(context.Background(), 1,
 		[]Job[int]{func(ctx context.Context) (int, error) {
-			r, err := AcquireDevice(ctx)
-			if err != nil {
+			v := 0
+			if err := HoldDevice(ctx, func() { v = 42 }); err != nil {
 				return 0, err
 			}
-			defer r()
-			return 42, nil
+			return v, nil
 		}}, false, nil)
 	if err != nil || results[0].Err != nil || results[0].Value != 42 {
 		t.Fatalf("device-less batch: %+v, %v", results, err)
@@ -173,28 +168,55 @@ func TestAcquireDeviceWithoutDeviceIsFree(t *testing.T) {
 	}
 }
 
-func TestAcquireDeviceHonorsCancel(t *testing.T) {
-	dev := NewDeviceWith(1, 0, sched.Config{})
+// holdOnGoroutine holds one board of ctx's device from a new goroutine,
+// inside fn, and returns once the board is held. The returned letGo ends
+// the hold and reports the hold's error.
+func holdOnGoroutine(t *testing.T, ctx context.Context) (letGo func() error) {
+	t.Helper()
+	held, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- HoldDevice(ctx, func() {
+			close(held)
+			<-release
+		})
+	}()
+	select {
+	case <-held:
+	case err := <-done:
+		t.Fatalf("hold failed: %v", err)
+	}
+	return func() error {
+		close(release)
+		return <-done
+	}
+}
+
+func TestHoldDeviceHonorsCancel(t *testing.T) {
+	dev := newDevice(1, 0, sched.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctx = WithDevice(ctx, dev)
+	ctx = withDevice(ctx, dev)
 
-	hold, err := AcquireDevice(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	letGo := holdOnGoroutine(t, ctx)
 
+	ran := false
 	waitErr := make(chan error, 1)
 	go func() {
-		_, err := AcquireDevice(ctx)
-		waitErr <- err
+		waitErr <- HoldDevice(ctx, func() { ran = true })
 	}()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	if err := <-waitErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("blocked acquire returned %v, want context.Canceled", err)
+		t.Fatalf("blocked hold returned %v, want context.Canceled", err)
 	}
-	hold() // stats for the successful acquisition land at release time
+	if ran {
+		t.Fatal("a hold canceled while queued ran its fn")
+	}
+	// Stats for the successful hold land when its fn returns.
+	if err := letGo(); err != nil {
+		t.Fatal(err)
+	}
 	// The aborted wait is real contention and must stay on the books.
 	ds := dev.Stats()
 	if ds.Wait <= 0 || ds.Contended == 0 {
@@ -205,27 +227,66 @@ func TestAcquireDeviceHonorsCancel(t *testing.T) {
 	}
 }
 
-func TestDeviceReleaseIdempotent(t *testing.T) {
-	dev := NewDeviceWith(1, 0, sched.Config{})
-	ctx := WithDevice(context.Background(), dev)
-	release, err := AcquireDevice(ctx)
-	if err != nil {
+// TestHoldDeviceCanceledDuringReconfig cancels a hold while its board is
+// being reprogrammed: fn never runs, the partial programming is booked as
+// one acquire and one reconfiguration, and the board is invalidated — the
+// same job's next hold must reprogram it again.
+func TestHoldDeviceCanceledDuringReconfig(t *testing.T) {
+	const cost = 50 * time.Millisecond
+	dev := newDevice(1, cost, sched.Config{})
+	classed := func(ctx context.Context) context.Context {
+		return withClass(withDevice(ctx, dev), sched.Class{Job: "a"})
+	}
+	ctx, cancel := context.WithCancel(classed(context.Background()))
+	defer cancel()
+	time.AfterFunc(5*time.Millisecond, cancel)
+	ran := false
+	if err := HoldDevice(ctx, func() { ran = true }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("hold returned %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Fatal("a hold canceled during reprogramming ran its fn")
+	}
+	ds := dev.Stats()
+	if ds.Acquires != 1 || ds.Reconfigs != 1 {
+		t.Fatalf("acquires = %d, reconfigs = %d, want 1 and 1", ds.Acquires, ds.Reconfigs)
+	}
+	if ds.ReconfigTime <= 0 || ds.ReconfigTime >= cost {
+		t.Fatalf("reconfig time %v, want the partial programming in (0, %v)", ds.ReconfigTime, cost)
+	}
+	if ds.Hold < ds.ReconfigTime {
+		t.Fatalf("hold %v < reconfig time %v (programming keeps the board busy)", ds.Hold, ds.ReconfigTime)
+	}
+	if err := HoldDevice(classed(context.Background()), func() {}); err != nil {
 		t.Fatal(err)
 	}
-	release()
-	release() // double release must not free a second token
+	if got := dev.Stats().Reconfigs; got != 2 {
+		t.Fatalf("reconfigs = %d, want 2: the aborted programming must leave the board unconfigured", got)
+	}
+}
+
+// TestHoldDeviceReleasesOnPanic pins release by construction: fn's panic
+// propagates, the hold stays on the books, and the board is free at once.
+func TestHoldDeviceReleasesOnPanic(t *testing.T) {
+	dev := newDevice(1, 0, sched.Config{})
+	ctx := withDevice(context.Background(), dev)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want fn's panic", r)
+			}
+		}()
+		_ = HoldDevice(ctx, func() { panic("boom") })
+	}()
 	if got := dev.Stats().Acquires; got != 1 {
 		t.Fatalf("acquires = %d, want 1", got)
 	}
-	// The pool still has exactly one token: two holders must contend.
-	again, err := AcquireDevice(ctx)
+	// A free board is granted even on a canceled context; a held one is not.
+	g, err := dev.sem.Acquire(canceledCtx(), sched.Class{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal("board still held after fn panicked")
 	}
-	defer again()
-	if _, err := dev.sem.Acquire(canceledCtx(), sched.Class{}); !errors.Is(err, context.Canceled) {
-		t.Fatal("second token available after double release")
-	}
+	dev.sem.Release(g.Board, sched.Class{})
 }
 
 func canceledCtx() context.Context {

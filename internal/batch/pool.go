@@ -48,7 +48,7 @@ type PoolConfig struct {
 	Workers int
 	// FPGAs is the modeled accelerator board count shared by every batch on
 	// the pool (0 = 1 board, the paper's single-card host; negative =
-	// unlimited, no device modeling) — the DevicePoolWith knob.
+	// unlimited, no device modeling).
 	FPGAs int
 	// QueueDepth bounds admitted jobs (queued + running, across batches);
 	// 0 = unbounded. A batch larger than the whole depth can never be
@@ -111,9 +111,13 @@ func NewPool(cfg PoolConfig) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	var device *Device
+	if cfg.FPGAs >= 0 {
+		device = newDevice(cfg.FPGAs, cfg.ReconfigCost, scfg)
+	}
 	p := &Pool{
 		workers:          workers,
-		device:           DevicePoolWith(cfg.FPGAs, cfg.ReconfigCost, scfg),
+		device:           device,
 		depth:            cfg.QueueDepth,
 		cdepth:           cfg.ClientDepth,
 		queue:            sched.NewTaskQueue(scfg),
@@ -285,7 +289,7 @@ func StreamClassedOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes
 		defer cancel()
 		runCtx := bctx
 		if p.device != nil {
-			runCtx = WithDevice(bctx, p.device)
+			runCtx = withDevice(bctx, p.device)
 		}
 
 		// Buffered to len(jobs): a finished worker never blocks on a slow

@@ -149,11 +149,9 @@ func TestRunOnDeviceStatsArePerBatchDeltas(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 2, FPGAs: 1})
 	defer p.Close()
 	job := func(ctx context.Context) (int, error) {
-		release, err := AcquireDevice(ctx)
-		if err != nil {
+		if err := HoldDevice(ctx, func() {}); err != nil {
 			return 0, err
 		}
-		defer release()
 		return 1, nil
 	}
 	for batchNo := 0; batchNo < 2; batchNo++ {

@@ -346,20 +346,16 @@ func TestCanceledBatchDrainsWithoutWorkers(t *testing.T) {
 // wait on the books — Wait > 0 and Contended counts each aborted attempt —
 // without double-freeing tokens.
 func TestDeviceCancelDuringWaitStats(t *testing.T) {
-	dev := NewDeviceWith(1, 0, sched.Config{})
+	dev := newDevice(1, 0, sched.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	ctx = WithDevice(ctx, dev)
+	ctx = withDevice(ctx, dev)
 
-	hold, err := AcquireDevice(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	letGo := holdOnGoroutine(t, ctx)
 	const waiters = 3
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			_, err := AcquireDevice(ctx)
-			errs <- err
+			errs <- HoldDevice(ctx, func() {})
 		}()
 	}
 	// Let every waiter queue, then cancel while the board is still held —
@@ -372,7 +368,9 @@ func TestDeviceCancelDuringWaitStats(t *testing.T) {
 		}
 	}
 	// Release after the cancellations — stats must survive this ordering.
-	hold()
+	if err := letGo(); err != nil {
+		t.Fatal(err)
+	}
 	ds := dev.Stats()
 	if ds.Acquires != 1 {
 		t.Fatalf("acquires = %d, want 1 (no canceled waiter got a token)", ds.Acquires)
@@ -383,13 +381,10 @@ func TestDeviceCancelDuringWaitStats(t *testing.T) {
 	if ds.Wait <= 0 {
 		t.Fatalf("aborted queue time vanished: %+v", ds)
 	}
-	// The board must be whole: a fresh acquire succeeds immediately.
-	fresh := WithDevice(context.Background(), dev)
-	release, err := AcquireDevice(fresh)
-	if err != nil {
+	// The board must be whole: a fresh hold succeeds immediately.
+	if err := HoldDevice(withDevice(context.Background(), dev), func() {}); err != nil {
 		t.Fatal(err)
 	}
-	release()
 	if got := dev.Stats().Acquires; got != 2 {
 		t.Fatalf("acquires after recovery = %d, want 2", got)
 	}
@@ -400,15 +395,12 @@ func TestDeviceCancelDuringWaitStats(t *testing.T) {
 // modeled delay); a job re-acquiring its own board does not.
 func TestDeviceReconfigChargedBetweenJobs(t *testing.T) {
 	const cost = 5 * time.Millisecond
-	dev := NewDeviceWith(1, cost, sched.Config{})
+	dev := newDevice(1, cost, sched.Config{})
 	acquireAs := func(job string) {
-		ctx := WithDevice(context.Background(), dev)
-		ctx = withClass(ctx, sched.Class{Job: job})
-		release, err := AcquireDevice(ctx)
-		if err != nil {
+		ctx := withClass(withDevice(context.Background(), dev), sched.Class{Job: job})
+		if err := HoldDevice(ctx, func() {}); err != nil {
 			t.Fatal(err)
 		}
-		release()
 	}
 	acquireAs("alpha") // first use: bitstream load
 	acquireAs("alpha") // warm: no reconfig
@@ -432,13 +424,10 @@ func TestDeviceReconfigChargedBetweenJobs(t *testing.T) {
 // cost, reconfigurations are counted but charge no time, so existing
 // configurations behave exactly as before.
 func TestDeviceReconfigFreeByDefault(t *testing.T) {
-	dev := NewDeviceWith(1, 0, sched.Config{})
-	ctx := WithDevice(context.Background(), dev)
-	release, err := AcquireDevice(ctx)
-	if err != nil {
+	dev := newDevice(1, 0, sched.Config{})
+	if err := HoldDevice(withDevice(context.Background(), dev), func() {}); err != nil {
 		t.Fatal(err)
 	}
-	release()
 	ds := dev.Stats()
 	if ds.Reconfigs != 1 || ds.ReconfigTime != 0 {
 		t.Fatalf("default-cost stats %+v, want 1 free reconfig", ds)

@@ -17,9 +17,9 @@ func benchHinges(n int) ([]Breakpoint, int, int) {
 		g := cur + rng.Intn(41) - 20
 		thresh := cur + rng.Intn(21) - 10
 		if rng.Intn(2) == 0 {
-			bps = append(bps, HingesForPush(cur, g, thresh)...)
+			bps = AppendHingesForPush(bps, cur, g, thresh)
 		} else {
-			bps = append(bps, HingesForPushLeft(cur, g, thresh)...)
+			bps = AppendHingesForPushLeft(bps, cur, g, thresh)
 		}
 	}
 	return bps[:n], 420, 580

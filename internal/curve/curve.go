@@ -70,16 +70,6 @@ func SumBase(bps []Breakpoint) int {
 	return s
 }
 
-// BruteForce evaluates the summed curve at x by direct summation. It is the
-// test oracle for both pipelines.
-func BruteForce(bps []Breakpoint, x int) int {
-	v := 0
-	for i := range bps {
-		v += bps[i].Eval(x)
-	}
-	return v
-}
-
 // merged is one merged breakpoint: accumulated slopes of all hinges at the
 // same x.
 type merged struct {
@@ -308,19 +298,12 @@ func EvalStreamed(bps []Breakpoint, lo, hi int, st *Stats) Result {
 	return e.Streamed(bps, lo, hi, st)
 }
 
-// HingesForPush returns the 1–2 hinge decomposition for a cell that a
-// rightward-moving target pushes right. cur is the cell's current position,
-// g its global-placement position, and thresh the target position at which
-// the push engages (newpos(x) = max(cur, x + (cur − thresh))).
-//
-// The mirrored left-push case is obtained by negating coordinates; see
-// HingesForPushLeft.
-func HingesForPush(cur, g, thresh int) []Breakpoint {
-	return AppendHingesForPush(nil, cur, g, thresh)
-}
-
-// AppendHingesForPush appends the push-right decomposition to dst and
-// returns the extended slice, for hot loops that reuse a hinge buffer.
+// AppendHingesForPush appends to dst the 1–2 hinge decomposition for a
+// cell that a rightward-moving target pushes right, and returns the
+// extended slice, so hot loops can reuse a hinge buffer. cur is the cell's
+// current position, g its global-placement position, and thresh the target
+// position at which the push engages (newpos(x) = max(cur, x + (cur −
+// thresh))). AppendHingesForPushLeft is the mirrored left-push case.
 func AppendHingesForPush(dst []Breakpoint, cur, g, thresh int) []Breakpoint {
 	if cur >= g {
 		// Monotone hinge: flat at cur−g, then slope +1.
@@ -333,13 +316,9 @@ func AppendHingesForPush(dst []Breakpoint, cur, g, thresh int) []Breakpoint {
 	)
 }
 
-// HingesForPushLeft returns the hinge decomposition for a cell pushed left:
-// newpos(x) = min(cur, x − (thresh − cur)) engages for x < thresh.
-func HingesForPushLeft(cur, g, thresh int) []Breakpoint {
-	return AppendHingesForPushLeft(nil, cur, g, thresh)
-}
-
-// AppendHingesForPushLeft appends the push-left decomposition to dst.
+// AppendHingesForPushLeft appends to dst the hinge decomposition for a cell
+// pushed left: newpos(x) = min(cur, x − (thresh − cur)) engages for
+// x < thresh.
 func AppendHingesForPushLeft(dst []Breakpoint, cur, g, thresh int) []Breakpoint {
 	if cur <= g {
 		return append(dst, Breakpoint{X: thresh, SL: -1, SR: 0, Base: g - cur})

@@ -23,6 +23,16 @@ func randomHinges(r *rand.Rand, n int) []Breakpoint {
 	return bps
 }
 
+// BruteForce evaluates the summed curve at x by direct summation. It is the
+// test oracle for both pipelines.
+func BruteForce(bps []Breakpoint, x int) int {
+	v := 0
+	for i := range bps {
+		v += bps[i].Eval(x)
+	}
+	return v
+}
+
 // bruteMin scans every integer in [lo, hi] for the true minimum.
 func bruteMin(bps []Breakpoint, lo, hi int) (int, int) {
 	bestX, bestV := lo, BruteForce(bps, lo)
@@ -129,7 +139,7 @@ func pushLeftOracle(cur, g, thresh, x int) int {
 func TestHingesForPushMatchesOracle(t *testing.T) {
 	f := func(cur, g, thresh int8, dx uint8) bool {
 		x := int(thresh) + int(dx)%100 - 50
-		bps := HingesForPush(int(cur), int(g), int(thresh))
+		bps := AppendHingesForPush(nil, int(cur), int(g), int(thresh))
 		return BruteForce(bps, x) == pushOracle(int(cur), int(g), int(thresh), x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
@@ -140,7 +150,7 @@ func TestHingesForPushMatchesOracle(t *testing.T) {
 func TestHingesForPushLeftMatchesOracle(t *testing.T) {
 	f := func(cur, g, thresh int8, dx uint8) bool {
 		x := int(thresh) - int(dx)%100 + 50
-		bps := HingesForPushLeft(int(cur), int(g), int(thresh))
+		bps := AppendHingesForPushLeft(nil, int(cur), int(g), int(thresh))
 		return BruteForce(bps, x) == pushLeftOracle(int(cur), int(g), int(thresh), x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {

@@ -131,14 +131,12 @@ func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	if e.FPGA {
-		release, err := batch.AcquireDevice(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+	if !e.FPGA {
+		return e.run(l, o), nil
 	}
-	return e.run(l, o), nil
+	var r *Result
+	err = batch.HoldDevice(ctx, func() { r = e.run(l, o) })
+	return r, err
 }
 
 func runFLEX(l *model.Layout, o Options) *Result {

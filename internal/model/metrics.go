@@ -1,7 +1,5 @@
 package model
 
-import "github.com/flex-eda/flex/internal/geom"
-
 // Metrics summarizes legalization quality for a layout, following Sec. 2.1
 // of the paper. Displacements are measured in multiples of the row height so
 // the values are comparable to the AveDis column of Table 1.
@@ -63,45 +61,4 @@ func Measure(l *Layout) Metrics {
 		m.AveDis /= float64(classes)
 	}
 	return m
-}
-
-// HeightHistogram returns, for each height class 1..MaxHeight, the number of
-// movable cells of that height.
-func HeightHistogram(l *Layout) []int {
-	hist := make([]int, l.MaxHeight()+1)
-	for i := range l.Cells {
-		if !l.Cells[i].Fixed {
-			hist[l.Cells[i].H]++
-		}
-	}
-	return hist
-}
-
-// TallCellFraction returns the fraction of movable cells strictly taller
-// than minRows rows (the gray series of the paper's Fig. 9 uses minRows=3).
-func TallCellFraction(l *Layout, minRows int) float64 {
-	tall, total := 0, 0
-	for i := range l.Cells {
-		if l.Cells[i].Fixed {
-			continue
-		}
-		total++
-		if l.Cells[i].H > minRows {
-			tall++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(tall) / float64(total)
-}
-
-// BoundingBoxOfCells returns the bounding box of the given cell IDs at their
-// current positions, or an empty rect when ids is empty.
-func BoundingBoxOfCells(l *Layout, ids []int) geom.Rect {
-	var bb geom.Rect
-	for _, id := range ids {
-		bb = bb.Union(l.Cells[id].Rect())
-	}
-	return bb
 }

@@ -71,9 +71,6 @@ type Cell struct {
 // Rect returns the rectangle currently occupied by the cell.
 func (c *Cell) Rect() geom.Rect { return geom.NewRect(c.X, c.Y, c.W, c.H) }
 
-// GlobalRect returns the rectangle at the global-placement position.
-func (c *Cell) GlobalRect() geom.Rect { return geom.NewRect(c.GX, c.GY, c.W, c.H) }
-
 // Area returns the cell area in site×row units.
 func (c *Cell) Area() int { return c.W * c.H }
 

@@ -149,16 +149,6 @@ func TestDensityAndHistogram(t *testing.T) {
 	if d := l.Density(); d < want-1e-12 || d > want+1e-12 {
 		t.Fatalf("Density = %v, want %v", d, want)
 	}
-	hist := HeightHistogram(l)
-	if hist[1] != 1 || hist[2] != 1 || hist[3] != 1 {
-		t.Fatalf("HeightHistogram = %v", hist)
-	}
-	if f := TallCellFraction(l, 2); f != 1.0/3.0 {
-		t.Fatalf("TallCellFraction(2) = %v, want 1/3", f)
-	}
-	if f := TallCellFraction(l, 3); f != 0 {
-		t.Fatalf("TallCellFraction(3) = %v, want 0", f)
-	}
 }
 
 func TestCloneAndReset(t *testing.T) {

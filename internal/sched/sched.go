@@ -186,9 +186,6 @@ func (fifoPolicy) Name() string { return "fifo" }
 // Less implements Policy.
 func (fifoPolicy) Less(a, b Waiter, _ time.Time) bool { return a.Seq < b.Seq }
 
-// PolicyNames lists the canonical names ParsePolicy accepts, default first.
-func PolicyNames() []string { return []string{"priority", "fifo"} }
-
 // ParsePolicy maps a policy name to its Policy ("" = the default priority
 // scheduler) — the shared knob parser of every CLI's -sched flag.
 func ParsePolicy(name string) (Policy, error) {
