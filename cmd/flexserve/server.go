@@ -23,8 +23,8 @@ type jobRequest struct {
 	Design  string  `json:"design,omitempty"`
 	Scale   float64 `json:"scale,omitempty"`
 	Layout  string  `json:"layout,omitempty"`
-	Engine  string  `json:"engine,omitempty"` // default "flex"
-	Threads int     `json:"threads,omitempty"`
+	Engine  string  `json:"engine,omitempty"`  // default "flex"
+	Threads int     `json:"threads,omitempty"` // MGL-MT's worker count (0 = 8); negative rejected
 	Tag     string  `json:"tag,omitempty"`
 	// Shards splits the job's layout into that many horizontal row bands
 	// legalized as independent pool jobs and stitched into one result
@@ -416,6 +416,9 @@ func (s *server) parseJobs(r *http.Request) ([]flex.BatchJob, legalizeRequest, e
 		}
 		if jr.Halo < 0 {
 			return nil, req, fmt.Errorf("job %d: halo must be >= 0, got %d", i, jr.Halo)
+		}
+		if jr.Threads < 0 {
+			return nil, req, fmt.Errorf("job %d: threads must be >= 0, got %d", i, jr.Threads)
 		}
 		if jr.Priority < -maxPriority || jr.Priority > maxPriority {
 			return nil, req, fmt.Errorf("job %d: priority must be in [%d, %d], got %d",

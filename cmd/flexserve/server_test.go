@@ -340,6 +340,26 @@ func TestLegalizeShardedJob(t *testing.T) {
 	}
 }
 
+// TestNegativeThreadsRejected: a negative thread count is a 400 naming the
+// field, whatever the engine. MGL-MT priced such a run in negative modeled
+// seconds and served it as legal.
+func TestNegativeThreadsRejected(t *testing.T) {
+	ts := newTestServer(t)
+	for _, body := range []string{
+		`{"jobs":[{"design":"fft_a_md2","scale":0.008,"engine":"mgl-mt","threads":-1000}]}`,
+		`{"jobs":[{"design":"fft_a_md2","scale":0.008,"engine":"flex","threads":-1}]}`,
+	} {
+		resp := postJSON(t, ts.URL, body)
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("%s: status %d, undecodable body: %v", body, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "threads must be >= 0") {
+			t.Fatalf("%s: status %d error %q, want 400 naming threads", body, resp.StatusCode, eb.Error)
+		}
+	}
+}
+
 // TestShardKnobValidation: shard counts outside [0, max-shards] are 400s,
 // on both the JSON and raw-payload paths.
 func TestShardKnobValidation(t *testing.T) {

@@ -99,6 +99,7 @@ func ParseEngine(name string) (Engine, error) {
 // two keep the same fields in the same order.
 type Options struct {
 	// Threads is the CPU baseline's worker count (EngineMGLMT; default 8).
+	// A negative count fails the run, whatever the engine.
 	Threads int
 	// SlidingWindow is FLEX's ordering window (default 8; negative
 	// disables the density reordering).

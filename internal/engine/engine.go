@@ -122,7 +122,8 @@ func Parse(name string) (Kind, bool) {
 
 // Run legalizes a clone of l with k's engine. An engine that needs the FPGA
 // holds one modeled board of ctx's pool for the run (free outside a pool);
-// a canceled ctx starts no engine.
+// a canceled ctx starts no engine. A negative thread count fails for every
+// engine: MGL-MT would price its run in negative seconds.
 func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -130,6 +131,9 @@ func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, erro
 	e, err := Lookup(k)
 	if err != nil {
 		return nil, err
+	}
+	if o.Threads < 0 {
+		return nil, fmt.Errorf("flex: threads must be >= 0, got %d", o.Threads)
 	}
 	if !e.FPGA {
 		return e.run(l, o), nil

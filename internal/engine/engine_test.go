@@ -79,3 +79,17 @@ func TestRunStartsNothingOnCanceledContext(t *testing.T) {
 		t.Fatalf("Run on a canceled context: %v", err)
 	}
 }
+
+// TestRunRejectsNegativeThreads: a negative thread count fails every
+// engine before it runs or takes a board.
+func TestRunRejectsNegativeThreads(t *testing.T) {
+	l, err := gen.Small(60, 0.5, 3).Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range table {
+		if r, err := Run(context.Background(), Kind(k), l, Options{Threads: -1}); err == nil {
+			t.Fatalf("%s: Threads -1 ran, modeled %g s", table[k].Name, r.ModeledSeconds)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
 )
@@ -17,12 +18,30 @@ func benchLayout(b *testing.B) *model.Layout {
 	return l
 }
 
+// BenchmarkCheck times the check every served result pays: Check(16) on
+// benchLayout legalized, which finds nothing and so scans everything.
 func BenchmarkCheck(b *testing.B) {
+	r := core.Legalize(benchLayout(b), core.Config{})
+	if !r.Legal {
+		b.Fatalf("legalized bench layout is illegal: %v", r.Violations)
+	}
+	l := r.Layout
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Check(16)
+	}
+}
+
+// BenchmarkCheckIllegal times Check(0) on benchLayout as generated, full
+// of overlaps: the row sweep, as the analytical engine's repair loop runs
+// it.
+func BenchmarkCheckIllegal(b *testing.B) {
 	l := benchLayout(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Check(8)
+		l.Check(0)
 	}
 }
 

@@ -149,3 +149,35 @@ func errText(err error) string {
 	}
 	return err.Error()
 }
+
+// FuzzCheckMatchesReference holds Check to the row sweep it replaced, on
+// small layouts built from fuzz bytes (checkLayout): the same violations in
+// the same order at limits 0, 1 and 16, and OverlapArea to the former sum.
+func FuzzCheckMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if l := checkLayout(data); l != nil {
+			checkMatchesReference(t, l)
+		}
+	})
+}
+
+// checkLayout builds a layout from fuzz bytes: two bytes size the die (up
+// to 63 sites by 11 rows), then each byte triple a, b, c packs a cell 1+a%6
+// sites wide and 1+a/6%3 rows tall on row b%12, c%3 sites after its rows'
+// cells and fixed if c&4 is set; or, with a's top bit set, perturbs the
+// cell b mod the count with kind a and other cell c mod the count.
+func checkLayout(data []byte) *Layout {
+	if len(data) < 2 {
+		return nil
+	}
+	p := newPacker("fuzz", int(data[0]%64), int(data[1]%12))
+	for data = data[2:]; len(data) >= 3; data = data[3:] {
+		a, b, c := int(data[0]), int(data[1]), int(data[2])
+		if a&0x80 == 0 {
+			p.place(1+a%6, 1+a/6%3, b%12, c%3, c&4 != 0)
+		} else if n := len(p.l.Cells); n > 0 {
+			perturb(p.l, a, b%n, c%n)
+		}
+	}
+	return p.l
+}

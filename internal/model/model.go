@@ -12,8 +12,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/flex-eda/flex/internal/geom"
 )
@@ -176,7 +178,15 @@ func (v Violation) String() string {
 // Check validates the layout against the legalization rules: every cell
 // inside the die, bottom row respecting P/G parity, fixed cells unmoved, and
 // no two cells overlapping. It returns all violations found (up to max, or
-// all if max <= 0).
+// all if max <= 0): the per-cell ones in cell order, then the overlaps row
+// by row.
+//
+// On a legal layout Check costs O(n·h + w + r) time for n cells at most h
+// rows tall on a die w sites wide and r rows high, and one buffer of
+// n + w + r ints: overlapFree proves in one pass that no two cells
+// overlap. A layout it cannot prove clean also pays the row sweep:
+// O(s log s) for its s row spans, plus a back-scan from each span over the
+// earlier ones that still reach it.
 func (l *Layout) Check(max int) []Violation {
 	var out []Violation
 	add := func(v Violation) bool {
@@ -202,46 +212,23 @@ func (l *Layout) Check(max int) []Violation {
 			}
 		}
 	}
-	// Overlap detection with a per-row sweep: O(n·h + k log k) instead of n².
-	type span struct {
-		lo, hi, id int
-	}
-	rows := make([][]span, l.NumRows+1)
-	for i := range l.Cells {
-		c := &l.Cells[i]
-		for y := c.Y; y < c.Y+c.H; y++ {
-			if y < 0 || y >= len(rows) {
-				continue // out-of-die already reported
-			}
-			rows[y] = append(rows[y], span{lo: c.X, hi: c.X + c.W, id: i})
-		}
+	if l.overlapFree() {
+		return out
 	}
 	type pair struct{ a, b int }
 	seen := make(map[pair]bool)
-	for _, spans := range rows {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-		for i := 1; i < len(spans); i++ {
-			// Check against preceding spans that may still reach this one.
-			for j := i - 1; j >= 0; j-- {
-				if spans[j].hi <= spans[i].lo {
-					// Sorted by lo, but an earlier wide span can still
-					// overlap; keep scanning back while any could reach.
-					continue
-				}
-				a, b := spans[j].id, spans[i].id
-				if a > b {
-					a, b = b, a
-				}
-				p := pair{a, b}
-				if !seen[p] {
-					seen[p] = true
-					if add(Violation{Kind: "overlap", CellA: a, CellB: b}) {
-						return out
-					}
-				}
-			}
+	l.sweepRows(func(s, t span) bool {
+		a, b := s.id, t.id
+		if a > b {
+			a, b = b, a
 		}
-	}
+		p := pair{a, b}
+		if seen[p] {
+			return true
+		}
+		seen[p] = true
+		return !add(Violation{Kind: "overlap", CellA: a, CellB: b})
+	})
 	return out
 }
 
@@ -251,30 +238,123 @@ func (l *Layout) Legal() bool { return len(l.Check(1)) == 0 }
 // OverlapArea returns the total pairwise overlap area between cells, a
 // progress measure for legalization (0 when fully resolved).
 func (l *Layout) OverlapArea() int {
-	type span struct {
-		lo, hi, id int
-	}
 	total := 0
-	rows := make([][]span, l.NumRows+1)
-	for i := range l.Cells {
-		c := &l.Cells[i]
+	l.sweepRows(func(s, t span) bool {
+		if ov := min(s.hi, t.hi) - t.lo; ov > 0 {
+			total += ov
+		}
+		return true
+	})
+	return total
+}
+
+// overlapFree reports whether one pass proves that the row sweep would
+// find no overlap. A counting sort over X visits the cells in (X, index)
+// order, and each must start at or after its rows' reach, the right end of
+// the cells already visited on them. Then every row's spans have distinct
+// left edges, so any sort puts them in one order, and none reaches the
+// next.
+//
+// The proof needs every cell inside the die and at least one site wide and
+// one row tall: the sweep also meets cells on row NumRows, and reports a
+// zero-width span inside a wider one. It keeps its buffer in proportion to
+// the cells, so it takes a die at most 64 sites per cell plus 4096 wide.
+// Otherwise it reports false, and Check sweeps.
+func (l *Layout) overlapFree() bool {
+	cells := l.Cells
+	n, w, h := len(cells), l.NumSitesX, l.NumRows
+	if n == 0 {
+		return true
+	}
+	if w < 1 || h < 1 || w > 64*n+4096 {
+		return false
+	}
+	buf := make([]int, w+1+n+h)
+	next, order, reach := buf[:w+1], buf[w+1:w+1+n], buf[w+1+n:]
+	for i := range cells {
+		c := &cells[i]
+		if c.W < 1 || c.H < 1 || c.W > w || c.H > h || c.X < 0 || c.Y < 0 || c.X > w-c.W || c.Y > h-c.H {
+			return false
+		}
+		next[c.X+1]++
+	}
+	for x := 1; x <= w; x++ {
+		next[x] += next[x-1]
+	}
+	for i := range cells {
+		x := cells[i].X
+		order[next[x]] = i
+		next[x]++
+	}
+	for _, i := range order {
+		c := &cells[i]
 		for y := c.Y; y < c.Y+c.H; y++ {
-			if y < 0 || y >= len(rows) {
-				continue
+			if c.X < reach[y] {
+				return false
 			}
-			rows[y] = append(rows[y], span{lo: c.X, hi: c.X + c.W, id: i})
+			reach[y] = c.X + c.W
 		}
 	}
-	for _, spans := range rows {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-		for i := 1; i < len(spans); i++ {
-			for j := i - 1; j >= 0; j-- {
-				ov := geom.Min(spans[j].hi, spans[i].hi) - spans[i].lo
-				if ov > 0 {
-					total += ov
+	return true
+}
+
+// span is a cell's extent [lo, hi) on one row. Once its row is sorted,
+// reach is the largest hi among the spans up to and including it.
+type span struct{ lo, hi, reach, id int }
+
+// sweepRows calls fn(s, t) for each pair of spans on one row where s sorts
+// before t and s.hi > t.lo, until fn returns false. It visits rows 0
+// through NumRows (a cell past the die's top edge still meets the cells
+// beside it there), then each t in sorted order, then each s from nearest
+// to farthest, and stops the back-scan at the first s whose reach is at or
+// before t.lo: no span sorted before it reaches t.
+//
+// The rows lie back to back in one buffer, each filled in cell order and
+// sorted by lo with slices.SortFunc. It runs the same pdqsort as sort.Slice,
+// comparison for comparison, so tied spans come out in sort.Slice's order:
+// the order of Check's overlap violations, which results carry, depends on
+// it.
+func (l *Layout) sweepRows(fn func(s, t span) bool) {
+	nrows := max(l.NumRows+1, 0)
+	rows := func(c *Cell) (int, int) { return max(c.Y, 0), min(c.Y+c.H, nrows) }
+	end := make([]int, nrows)
+	for i := range l.Cells {
+		y0, y1 := rows(&l.Cells[i])
+		for y := y0; y < y1; y++ {
+			end[y]++
+		}
+	}
+	total := 0
+	for y, k := range end {
+		end[y] = total
+		total += k
+	}
+	spans := make([]span, total)
+	for i := range l.Cells {
+		c := &l.Cells[i]
+		y0, y1 := rows(c)
+		for y := y0; y < y1; y++ {
+			spans[end[y]] = span{lo: c.X, hi: c.X + c.W, id: i}
+			end[y]++
+		}
+	}
+	start := 0
+	for _, e := range end {
+		row := spans[start:e]
+		start = e
+		slices.SortFunc(row, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+		reach := math.MinInt
+		for i := range row {
+			reach = max(reach, row[i].hi)
+			row[i].reach = reach
+		}
+		for i := 1; i < len(row); i++ {
+			t := row[i]
+			for j := i - 1; j >= 0 && row[j].reach > t.lo; j-- {
+				if row[j].hi > t.lo && !fn(row[j], t) {
+					return
 				}
 			}
 		}
 	}
-	return total
 }
