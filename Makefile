@@ -60,8 +60,9 @@ fuzz:
 race:
 	$(GO) test -shuffle=on -race ./...
 
+# -benchmem reports every benchmark's B/op and allocs/op.
 bench:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
 # Record a fresh trajectory point (stdout tables discarded; stderr kept).
 bench-record:

@@ -202,6 +202,7 @@ func benchEngine(kind int) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			switch kind {

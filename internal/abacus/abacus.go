@@ -9,6 +9,8 @@
 // an independent weighted single-row problem.
 package abacus
 
+import "slices"
+
 // Item is one cell (or subcell) to place in a row segment.
 type Item struct {
 	ID     int     // caller's identifier, returned untouched
@@ -33,10 +35,20 @@ func (c *cluster) optimal() float64 {
 	return c.q / c.e
 }
 
+// Solver places row segments while reusing its working memory across
+// calls: the cluster stack, the cluster starts and the returned positions.
+// The zero value is ready to use. Not safe for concurrent use.
+type Solver struct {
+	clusters []cluster
+	starts   []int
+	pos      []int
+}
+
 // Place positions the items (already ordered by desired position) inside
 // [lo, hi), preserving their order. It returns the x positions and reports
-// whether the items fit at all.
-func Place(items []Item, lo, hi int) ([]int, bool) {
+// whether the items fit at all. The positions are valid until the next
+// call.
+func (s *Solver) Place(items []Item, lo, hi int) ([]int, bool) {
 	n := len(items)
 	if n == 0 {
 		return nil, true
@@ -49,7 +61,7 @@ func Place(items []Item, lo, hi int) ([]int, bool) {
 		return nil, false
 	}
 
-	clusters := make([]cluster, 0, n)
+	clusters := s.clusters[:0]
 	for i := 0; i < n; i++ {
 		it := items[i]
 		wgt := it.Weight
@@ -75,11 +87,14 @@ func Place(items []Item, lo, hi int) ([]int, bool) {
 			clusters = clusters[:len(clusters)-1]
 		}
 	}
+	s.clusters = clusters
 
 	// Materialize positions with forward/backward feasibility clamping.
-	pos := make([]int, n)
+	s.pos = slices.Grow(s.pos[:0], n)[:n]
+	pos := s.pos
 	// Forward pass: clamp each cluster right of its predecessor.
-	starts := make([]int, len(clusters))
+	s.starts = slices.Grow(s.starts[:0], len(clusters))[:len(clusters)]
+	starts := s.starts
 	minStart := lo
 	for ci := range clusters {
 		c := &clusters[ci]

@@ -8,7 +8,7 @@ import (
 
 func TestPlaceNoOverlapNeeded(t *testing.T) {
 	items := []Item{{ID: 0, GX: 2, W: 3}, {ID: 1, GX: 10, W: 4}}
-	pos, ok := Place(items, 0, 30)
+	pos, ok := new(Solver).Place(items, 0, 30)
 	if !ok {
 		t.Fatal("feasible input rejected")
 	}
@@ -20,7 +20,7 @@ func TestPlaceNoOverlapNeeded(t *testing.T) {
 func TestPlaceResolvesOverlapSymmetrically(t *testing.T) {
 	// Two equal-weight cells wanting the same spot split the difference.
 	items := []Item{{ID: 0, GX: 10, W: 4}, {ID: 1, GX: 10, W: 4}}
-	pos, ok := Place(items, 0, 40)
+	pos, ok := new(Solver).Place(items, 0, 40)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -35,7 +35,7 @@ func TestPlaceResolvesOverlapSymmetrically(t *testing.T) {
 
 func TestPlaceRespectsBounds(t *testing.T) {
 	items := []Item{{ID: 0, GX: -5, W: 4}, {ID: 1, GX: 100, W: 4}}
-	pos, ok := Place(items, 0, 20)
+	pos, ok := new(Solver).Place(items, 0, 20)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -49,13 +49,13 @@ func TestPlaceRespectsBounds(t *testing.T) {
 
 func TestPlaceInfeasible(t *testing.T) {
 	items := []Item{{ID: 0, GX: 0, W: 10}, {ID: 1, GX: 0, W: 10}}
-	if _, ok := Place(items, 0, 15); ok {
+	if _, ok := new(Solver).Place(items, 0, 15); ok {
 		t.Fatal("accepted overfull segment")
 	}
 }
 
 func TestPlaceEmpty(t *testing.T) {
-	pos, ok := Place(nil, 0, 10)
+	pos, ok := new(Solver).Place(nil, 0, 10)
 	if !ok || pos != nil {
 		t.Fatal("empty input mishandled")
 	}
@@ -64,6 +64,7 @@ func TestPlaceEmpty(t *testing.T) {
 // TestPlaceNearOptimal compares against brute force on tiny instances.
 func TestPlaceNearOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	var s Solver // one for every instance, as the analytical engine keeps one
 	for iter := 0; iter < 60; iter++ {
 		n := 2 + rng.Intn(3)
 		items := make([]Item, n)
@@ -72,7 +73,7 @@ func TestPlaceNearOptimal(t *testing.T) {
 		}
 		sort.SliceStable(items, func(a, b int) bool { return items[a].GX < items[b].GX })
 		lo, hi := 0, 20
-		pos, ok := Place(items, lo, hi)
+		pos, ok := s.Place(items, lo, hi)
 		if !ok {
 			continue
 		}
@@ -116,7 +117,7 @@ func bruteOpt(items []Item, lo, hi int) float64 {
 func TestWeightsBiasCluster(t *testing.T) {
 	// A heavy cell should barely move; the light one absorbs the shift.
 	heavy := []Item{{ID: 0, GX: 10, W: 4, Weight: 100}, {ID: 1, GX: 10, W: 4, Weight: 1}}
-	pos, ok := Place(heavy, 0, 40)
+	pos, ok := new(Solver).Place(heavy, 0, 40)
 	if !ok {
 		t.Fatal("rejected")
 	}

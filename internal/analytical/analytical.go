@@ -19,8 +19,9 @@
 package analytical
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/flex-eda/flex/internal/abacus"
 	"github.com/flex-eda/flex/internal/fop"
@@ -107,13 +108,19 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 	segs := buildSegments(ll)
 	out.Stats.Rebalanced = balance(ll, segs)
 
+	// The consensus sums, the row items and the row solver are reused by
+	// every iteration.
+	zsum := make([]float64, len(ll.Cells))
+	zcnt := make([]int, len(ll.Cells))
+	var items []abacus.Item
+	var solver abacus.Solver
 	rho := cfg.Rho
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		out.Stats.Iterations++
 		assignCells(ll, segs)
 		iterItems := 0.0
-		zsum := make([]float64, len(ll.Cells))
-		zcnt := make([]int, len(ll.Cells))
+		clear(zsum)
+		clear(zcnt)
 		maxRes := 0.0
 
 		for row := 0; row < ll.NumRows; row++ {
@@ -121,7 +128,7 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 				if len(seg.cells) == 0 {
 					continue
 				}
-				items := make([]abacus.Item, 0, len(seg.cells))
+				items = items[:0]
 				for _, id := range seg.cells {
 					c := &ll.Cells[id]
 					// Row copies blend the consensus position with the
@@ -133,13 +140,13 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 						Weight: float64(c.H),
 					})
 				}
-				sort.SliceStable(items, func(a, b int) bool {
-					if items[a].GX != items[b].GX {
-						return items[a].GX < items[b].GX
+				slices.SortStableFunc(items, func(a, b abacus.Item) int {
+					if a.GX != b.GX {
+						return cmp.Compare(a.GX, b.GX)
 					}
-					return items[a].ID < items[b].ID
+					return cmp.Compare(a.ID, b.ID)
 				})
-				pos, ok := abacus.Place(items, seg.lo, seg.hi)
+				pos, ok := solver.Place(items, seg.lo, seg.hi)
 				out.Stats.RowSolves++
 				out.Stats.SubcellItems += int64(len(items))
 				iterItems += float64(len(items))
@@ -216,7 +223,7 @@ func repair(l *model.Layout) (int64, int) {
 		for id := range offenders {
 			ids = append(ids, id)
 		}
-		sort.Ints(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			if relocate(l, id) || forcePlace(l, id) {
 				relocated++
@@ -244,6 +251,7 @@ func forcePlace(l *model.Layout, id int) bool {
 	}
 	tg := fop.Target{GX: c.GX, GY: c.GY, W: c.W, H: c.H,
 		ParityOK: c.Parity.AllowsRow, RowHeight: l.RowHeight}
+	var sh shift.Shifter
 	for n := 0; n <= 4; n++ {
 		w := maxI(8*c.W, 64) << uint(n)
 		h := maxI(4*c.H, 6) << uint(n)
@@ -257,7 +265,7 @@ func forcePlace(l *model.Layout, id int) bool {
 			continue
 		}
 		p := shift.Placement{TX: cand.X, TY: cand.Y, TW: c.W, TH: c.H, Boundary2: cand.Boundary2}
-		if !shift.SACS(reg, p, nil) {
+		if !sh.SACS(reg, p, nil) {
 			continue
 		}
 		for i := range reg.Cells {
@@ -298,7 +306,7 @@ func relocate(l *model.Layout, id int) bool {
 		for row := y; row < y+c.H; row++ {
 			blocked = append(blocked, rowIv[row]...)
 		}
-		sort.Slice(blocked, func(a, b int) bool { return blocked[a].lo < blocked[b].lo })
+		slices.SortFunc(blocked, func(a, b iv) int { return cmp.Compare(a.lo, b.lo) })
 		cur := 0
 		tryGap := func(lo, hi int) {
 			if hi-lo < c.W {
@@ -349,7 +357,7 @@ func buildSegments(l *model.Layout) [][]segment {
 	}
 	for row := 0; row < l.NumRows; row++ {
 		ivs := blocked[row]
-		sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
+		slices.SortFunc(ivs, func(a, b iv) int { return cmp.Compare(a.lo, b.lo) })
 		cur := 0
 		for _, b := range ivs {
 			if b.lo > cur {
@@ -523,11 +531,11 @@ func project(l *model.Layout, segs [][]segment) int {
 
 	for pi, ids := range byPanel {
 		p := panels[pi]
-		sort.SliceStable(ids, func(a, b int) bool {
-			if l.Cells[ids[a]].X != l.Cells[ids[b]].X {
-				return l.Cells[ids[a]].X < l.Cells[ids[b]].X
+		slices.SortStableFunc(ids, func(a, b int) int {
+			if l.Cells[a].X != l.Cells[b].X {
+				return cmp.Compare(l.Cells[a].X, l.Cells[b].X)
 			}
-			return ids[a] < ids[b]
+			return cmp.Compare(a, b)
 		})
 		// Forward frontier sweep.
 		frontier := make([]int, l.NumRows)

@@ -16,7 +16,7 @@ func denseBest(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 	best := Candidate{Feasible: false}
 	win := reg.Window
 	var f Finder
-	order := f.xOrder(reg)
+	order := reg.XOrder(nil)
 	st.Shift.SortedCells += len(order)
 	if n := len(order); n > 1 {
 		logn := 0

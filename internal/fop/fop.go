@@ -169,7 +169,8 @@ func (f *Finder) Best(reg *region.Region, t Target, opt Options, st *Stats) Cand
 
 	// Ahead sort: one x-sort of the region's cells shared by every
 	// insertion point, mirroring the hardware's single per-region sorter.
-	order := f.xOrder(reg)
+	f.order = reg.XOrder(f.order)
+	order := f.order
 	st.Shift.SortedCells += len(order)
 	if n := len(order); n > 1 {
 		logn := 0
@@ -490,22 +491,6 @@ func (f *Finder) measureOriginal(reg *region.Region, t Target, y, b2, lo, hi int
 		reg.Cells[i].X = saved[i]
 	}
 	reg.SortSegmentCells()
-}
-
-// xOrder returns region cell indices sorted ascending by current x.
-func (f *Finder) xOrder(reg *region.Region) []int {
-	order := f.order[:0]
-	for i := range reg.Cells {
-		order = append(order, i)
-	}
-	// Insertion sort: region cell counts are small and mostly pre-sorted.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && reg.Cells[order[j]].X < reg.Cells[order[j-1]].X; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	f.order = order
-	return order
 }
 
 // grow resizes s to n, reusing its capacity.

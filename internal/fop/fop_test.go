@@ -36,7 +36,7 @@ func anyRow(int) bool { return true }
 func commitCost(reg *region.Region, t Target, c Candidate) (int, bool) {
 	cp := reg.Clone()
 	p := shift.Placement{TX: c.X, TY: c.Y, TW: t.W, TH: t.H, Boundary2: c.Boundary2}
-	if !shift.SACS(cp, p, nil) {
+	if !new(shift.Shifter).SACS(cp, p, nil) {
 		return 0, false
 	}
 	cost := geom.Abs(c.X-t.GX) + t.RowHeight*geom.Abs(c.Y-t.GY)

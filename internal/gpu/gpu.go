@@ -116,7 +116,28 @@ type engine struct {
 	placed []bool
 	st     mglStats
 	gst    Stats
-	fop    fop.Finder // FOP scratch; every evaluation runs serially
+	fop    fop.Finder    // FOP scratch; every evaluation runs serially
+	shift  shift.Shifter // commit scratch; every commit is serial
+	cands  []int         // query scratch; every query runs serially
+	ext    region.Extractor
+	// slots hold a kernel round's regions, one Extractor per target, until
+	// the round commits them; ext serves placeOne, whose region is done
+	// with before it returns. slots is sized once, so a pending region
+	// never moves.
+	slots []region.Extractor
+	// Per-round buffers: a round's targets, their windows and evaluations,
+	// the committed windows, and the spare queue the next round's
+	// leftovers fill.
+	batch, spare []int
+	wins, done   []geom.Rect
+	evals        []evaluation
+}
+
+// evaluation is one kernel-round target's frozen FOP result.
+type evaluation struct {
+	reg  *region.Region
+	cand fop.Candidate
+	win  geom.Rect
 }
 
 // Legalize runs the CPU-GPU baseline on a clone of l.
@@ -199,6 +220,9 @@ func (e *engine) run() {
 		}
 	}
 	e.gst.ToughCells = int64(len(toughQ))
+	// A round holds at most BatchMax targets and never more than the queue
+	// (one when BatchMax is below one).
+	e.slots = make([]region.Extractor, max(1, min(e.cfg.BatchMax, len(gpuQ))))
 
 	// Interleave: every kernel round is followed by a slice of tough cells
 	// on the CPU, approximating the concurrent scheduler. The CPU list is
@@ -222,7 +246,7 @@ func (e *engine) run() {
 			id := toughQ[0]
 			toughQ = toughQ[1:]
 			before := e.st.FOP
-			e.placeOne(id, false)
+			e.placeOne(id)
 			delta := fopWorkDelta(e.w, e.st.FOP, before)
 			e.gst.CPUSeconds += e.cpu.Seconds(delta)
 		}
@@ -231,10 +255,10 @@ func (e *engine) run() {
 
 // kernelRound collects a batch of disjoint regions, evaluates them (modeled
 // as one kernel), commits serially, and charges launch + compute + sync.
+// It returns the targets left for later rounds; queue's memory becomes the
+// spare the next round fills.
 func (e *engine) kernelRound(queue []int) []int {
-	var batch []int
-	var wins []geom.Rect
-	var rest []int
+	batch, wins, rest := e.batch[:0], e.wins[:0], e.spare[:0]
 	scanned := 0
 	for _, id := range queue {
 		if len(batch) >= e.cfg.BatchMax || scanned >= e.cfg.Lookahead {
@@ -262,6 +286,7 @@ func (e *engine) kernelRound(queue []int) []int {
 		batch = append(batch, rest[0])
 		rest = rest[1:]
 	}
+	e.batch, e.wins, e.spare = batch, wins, queue[:0]
 
 	e.gst.Rounds++
 	e.gst.BatchSum += int64(len(batch))
@@ -272,30 +297,26 @@ func (e *engine) kernelRound(queue []int) []int {
 	// Evaluate the batch against the frozen layout; the kernel's cost is
 	// the slowest region in the round (blocks run concurrently).
 	var maxUnits float64
-	var committedWins []geom.Rect
 	var moved int64
-	type evalRes struct {
-		reg  *region.Region
-		cand fop.Candidate
-		win  geom.Rect
-	}
-	evals := make([]evalRes, len(batch))
+	evals := e.evals[:0]
 	for i, id := range batch {
 		before := e.st.FOP
-		reg, cand, win := e.evaluate(id)
+		reg, cand, win := e.evaluate(id, &e.slots[i])
 		units := fopWorkDelta(e.w, e.st.FOP, before)
 		if units > maxUnits {
 			maxUnits = units
 		}
-		evals[i] = evalRes{reg, cand, win}
+		evals = append(evals, evaluation{reg, cand, win})
 	}
+	e.evals = evals
 	e.gst.KernelSeconds += e.dev.KernelLaunch + maxUnits*e.dev.NsPerUnit*1e-9
 
 	// Serial commit with conflict deferral (redone against fresh state).
+	done := e.done[:0]
 	for i, id := range batch {
 		r := evals[i]
 		conflict := !r.cand.Feasible
-		for _, w := range committedWins {
+		for _, w := range done {
 			if w.Overlaps(r.win) {
 				conflict = true
 				break
@@ -304,20 +325,21 @@ func (e *engine) kernelRound(queue []int) []int {
 		if conflict {
 			e.gst.Deferred++
 			before := e.st.FOP
-			e.placeOne(id, false)
+			e.placeOne(id)
 			delta := fopWorkDelta(e.w, e.st.FOP, before)
 			e.gst.CPUSeconds += e.cpu.Seconds(delta)
-			committedWins = append(committedWins, e.window(&e.l.Cells[id], 0))
+			done = append(done, e.window(&e.l.Cells[id], 0))
 			continue
 		}
 		beforeMoves := e.st.Commit.Moves
 		if !e.commit(id, r.reg, r.cand) {
 			e.gst.Deferred++
-			e.placeOne(id, false)
+			e.placeOne(id)
 		}
 		moved += int64(e.st.Commit.Moves - beforeMoves + 1)
-		committedWins = append(committedWins, r.win)
+		done = append(done, r.win)
 	}
+	e.done = done
 
 	// Post-round synchronization: gather all updated positions to the
 	// host, scatter the fresh state back to the device.
@@ -325,8 +347,9 @@ func (e *engine) kernelRound(queue []int) []int {
 	return rest
 }
 
-// evaluate runs steps c)+d) without committing, expanding as needed.
-func (e *engine) evaluate(id int) (*region.Region, fop.Candidate, geom.Rect) {
+// evaluate runs steps c)+d) without committing, expanding as needed. The
+// region lives in x until x's next extraction.
+func (e *engine) evaluate(id int, x *region.Extractor) (*region.Region, fop.Candidate, geom.Rect) {
 	c := &e.l.Cells[id]
 	tg := fop.Target{GX: c.GX, GY: c.GY, W: c.W, H: c.H,
 		ParityOK: c.Parity.AllowsRow, RowHeight: e.l.RowHeight}
@@ -335,8 +358,8 @@ func (e *engine) evaluate(id int) (*region.Region, fop.Candidate, geom.Rect) {
 		if n >= 4 {
 			win = e.l.Die()
 		}
-		cands := e.idx.Query(win, nil)
-		reg := region.ExtractFrom(e.l, e.placed, id, win, cands)
+		e.cands = e.idx.Query(win, e.cands[:0])
+		reg := x.From(e.l, e.placed, id, win, e.cands)
 		cand := e.fop.Best(reg, tg, fop.Options{}, &e.st.FOP)
 		if cand.Feasible || n >= 4 {
 			return reg, cand, win
@@ -345,8 +368,8 @@ func (e *engine) evaluate(id int) (*region.Region, fop.Candidate, geom.Rect) {
 }
 
 // placeOne is the sequential fallback path (CPU side).
-func (e *engine) placeOne(id int, gpuSide bool) bool {
-	reg, cand, _ := e.evaluate(id)
+func (e *engine) placeOne(id int) bool {
+	reg, cand, _ := e.evaluate(id, &e.ext)
 	if cand.Feasible && e.commit(id, reg, cand) {
 		return true
 	}
@@ -356,7 +379,7 @@ func (e *engine) placeOne(id int, gpuSide bool) bool {
 
 func (e *engine) commit(id int, reg *region.Region, cand fop.Candidate) bool {
 	p := shift.Placement{TX: cand.X, TY: cand.Y, TW: reg.TargetW, TH: reg.TargetH, Boundary2: cand.Boundary2}
-	if !shift.SACS(reg, p, &e.st.Commit) {
+	if !e.shift.SACS(reg, p, &e.st.Commit) {
 		return false
 	}
 	for i := range reg.Cells {

@@ -45,7 +45,8 @@ type Config struct {
 	// Threads > 1 enables the region-parallel batched engine.
 	Threads int
 	// Lookahead bounds how far past the queue head batching may scan for
-	// non-conflicting targets (default 4×Threads).
+	// non-conflicting targets (default 4×Threads, with Threads capped at
+	// the cell count).
 	Lookahead int
 	// SlidingWindow enables the FLEX size+density ordering with the given
 	// window length; zero uses plain size-descending order.
@@ -134,6 +135,7 @@ type engine struct {
 	candBuf []int            // serial-path query scratch (placeOne/extract only)
 	ext     region.Extractor // serial-path region scratch (placeOne/extract only)
 	fop     fop.Finder       // serial-path FOP scratch (placeOne only)
+	shift   shift.Shifter    // commit scratch; every commit is serial
 }
 
 func newEngine(l *model.Layout, cfg Config) *engine {
@@ -146,7 +148,9 @@ func newEngine(l *model.Layout, cfg Config) *engine {
 		e.cfg.MaxExpand = 4
 	}
 	if e.cfg.Lookahead == 0 {
-		e.cfg.Lookahead = 4 * maxInt(1, cfg.Threads)
+		// A batch never scans more than the cells, so the cap changes no
+		// batch; it keeps a caller's huge thread count from overflowing.
+		e.cfg.Lookahead = 4 * maxInt(1, min(cfg.Threads, len(l.Cells)))
 	}
 	e.preMove()
 	e.placed = make([]bool, len(e.l.Cells))
@@ -296,7 +300,7 @@ func (e *engine) commit(id int, reg *region.Region, cand fop.Candidate) bool {
 	if e.cfg.CommitOriginal {
 		ok = shift.Original(reg, p, &e.st.Commit)
 	} else {
-		ok = shift.SACS(reg, p, &e.st.Commit)
+		ok = e.shift.SACS(reg, p, &e.st.Commit)
 	}
 	if !ok {
 		return false
@@ -348,6 +352,16 @@ type mtResult struct {
 	builds   int64
 }
 
+// mtSlot is one batch position's scratch for the whole run. Only the
+// goroutine evaluating that position touches it during the parallel phase,
+// and the region it returns lives in ext until the position's next batch,
+// so it survives the serial commit phase.
+type mtSlot struct {
+	ext   region.Extractor
+	fop   fop.Finder
+	cands []int
+}
+
 // runParallel processes batches of targets with non-overlapping windows.
 // Within a batch, extraction and FOP run concurrently against a frozen
 // layout; commits are serial in batch order. A worker that expanded its
@@ -363,12 +377,23 @@ func (e *engine) runParallel() {
 		pendingQueue = append(pendingQueue, id)
 	}
 
+	// A batch holds at most threads targets and never more than the queue,
+	// so every per-batch buffer is sized once to the smaller of the two (the
+	// thread count comes from the caller and may be far above the cell
+	// count). The slots are never appended to, so a pending region never
+	// moves.
 	threads := e.cfg.Threads
+	n := min(threads, len(pendingQueue))
+	slots := make([]mtSlot, n)
+	results := make([]mtResult, n)
+	batch := make([]int, 0, n)
+	wins := make([]geom.Rect, 0, n)
+	committed := make([]geom.Rect, 0, n)
+	var rest []int
+	var wg sync.WaitGroup
 	for len(pendingQueue) > 0 {
 		// Collect a batch of targets whose initial windows do not overlap.
-		var batch []int
-		var wins []geom.Rect
-		var rest []int
+		batch, wins, rest = batch[:0], wins[:0], rest[:0]
 		scanned := 0
 		for _, id := range pendingQueue {
 			if len(batch) >= threads || scanned >= e.cfg.Lookahead {
@@ -391,7 +416,8 @@ func (e *engine) runParallel() {
 			batch = append(batch, id)
 			wins = append(wins, win)
 		}
-		pendingQueue = rest
+		// The old queue's memory takes the next batch's leftovers.
+		pendingQueue, rest = rest, pendingQueue
 		if len(batch) == 0 {
 			break
 		}
@@ -400,18 +426,15 @@ func (e *engine) runParallel() {
 		e.st.OrderOps += int64(len(batch))
 		e.st.WorkSerial += e.w.OrderOp * float64(len(batch))
 
-		// Parallel phase: extract + FOP against the frozen layout.
-		results := make([]mtResult, len(batch))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, threads)
+		// Parallel phase: extract + FOP against the frozen layout, one
+		// goroutine per batch position.
+		results = results[:len(batch)]
 		for i, id := range batch {
 			wg.Add(1)
-			sem <- struct{}{}
-			go func(slot, id int) {
+			go func() {
 				defer wg.Done()
-				defer func() { <-sem }()
-				results[slot] = e.evaluateFrozen(id)
-			}(i, id)
+				results[i] = e.evaluateFrozen(id, &slots[i])
+			}()
 		}
 		wg.Wait()
 
@@ -430,7 +453,7 @@ func (e *engine) runParallel() {
 		e.st.WorkCritical += maxWork
 
 		// Serial commit phase.
-		var committed []geom.Rect
+		committed = committed[:0]
 		for i := range results {
 			r := &results[i]
 			conflict := false
@@ -463,9 +486,10 @@ func (e *engine) runParallel() {
 }
 
 // evaluateFrozen runs steps c)+d) for one target without committing,
-// expanding the window as needed. Safe to run concurrently: the layout and
-// placed flags are not mutated during the parallel phase.
-func (e *engine) evaluateFrozen(id int) mtResult {
+// expanding the window as needed, on slot's scratch. Safe to run
+// concurrently with other slots: the layout and placed flags are not
+// mutated during the parallel phase.
+func (e *engine) evaluateFrozen(id int, slot *mtSlot) mtResult {
 	c := &e.l.Cells[id]
 	tg := fop.Target{
 		GX: c.GX, GY: c.GY, W: c.W, H: c.H,
@@ -478,14 +502,15 @@ func (e *engine) evaluateFrozen(id int) mtResult {
 		if n >= e.cfg.MaxExpand {
 			win = e.l.Die()
 		}
-		cands := e.idx.Query(win, nil)
+		slot.cands = e.idx.Query(win, slot.cands[:0])
+		cands := slot.cands
 		out.builds++
 		out.cands += len(cands)
 		out.rows += win.Intersect(e.l.Die()).H
 		out.work += e.w.RegionCand*float64(len(cands)) + e.w.RegionRow*float64(win.H)
-		reg := region.ExtractFromSoA(e.soa, e.placed, id, e.l.Die(), win, cands)
+		reg := slot.ext.FromSoA(e.soa, e.placed, id, e.l.Die(), win, cands)
 		var st fop.Stats
-		cand := fop.Best(reg, tg, opts, &st)
+		cand := slot.fop.Best(reg, tg, opts, &st)
 		out.fopStats.Add(&st)
 		out.work += e.w.FOPWork(st)
 		if cand.Feasible || n >= e.cfg.MaxExpand {

@@ -1,6 +1,7 @@
 package mgl
 
 import (
+	"math"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/gen"
@@ -86,7 +87,9 @@ func TestCommitOriginalMatchesSACS(t *testing.T) {
 
 func TestParallelEngineLegalizes(t *testing.T) {
 	l := testLayout(t, 300, 0.55, 106)
-	for _, threads := range []int{2, 4} {
+	// The thread count comes from callers (a flexserve request's
+	// "threads"), so it may be far above the cell count.
+	for _, threads := range []int{2, 4, 1 << 40, math.MaxInt} {
 		res := Legalize(l, Config{Threads: threads})
 		if !res.Legal {
 			t.Fatalf("threads=%d: not legal: %v", threads, res.Violations)

@@ -215,18 +215,33 @@ func (l *Layout) Check(max int) []Violation {
 	if l.overlapFree() {
 		return out
 	}
+	// Two non-empty spans that overlap on one row overlap on every row
+	// their cells share, whichever of them sorts first, so such a pair is
+	// reported on its first shared row: the row one of the cells starts
+	// on, or row 0. Whether a pair with an empty span meets depends on the
+	// row's order of tied left edges, so those pairs alone are
+	// deduplicated exactly.
 	type pair struct{ a, b int }
-	seen := make(map[pair]bool)
-	l.sweepRows(func(s, t span) bool {
+	var seen map[pair]bool
+	l.sweepRows(func(y int, s, t span) bool {
 		a, b := s.id, t.id
 		if a > b {
 			a, b = b, a
 		}
-		p := pair{a, b}
-		if seen[p] {
-			return true
+		if s.lo < s.hi && t.lo < t.hi {
+			if y > 0 && y != l.Cells[a].Y && y != l.Cells[b].Y {
+				return true
+			}
+		} else {
+			p := pair{a, b}
+			if seen[p] {
+				return true
+			}
+			if seen == nil {
+				seen = make(map[pair]bool)
+			}
+			seen[p] = true
 		}
-		seen[p] = true
 		return !add(Violation{Kind: "overlap", CellA: a, CellB: b})
 	})
 	return out
@@ -239,7 +254,7 @@ func (l *Layout) Legal() bool { return len(l.Check(1)) == 0 }
 // progress measure for legalization (0 when fully resolved).
 func (l *Layout) OverlapArea() int {
 	total := 0
-	l.sweepRows(func(s, t span) bool {
+	l.sweepRows(func(_ int, s, t span) bool {
 		if ov := min(s.hi, t.hi) - t.lo; ov > 0 {
 			total += ov
 		}
@@ -302,8 +317,8 @@ func (l *Layout) overlapFree() bool {
 // reach is the largest hi among the spans up to and including it.
 type span struct{ lo, hi, reach, id int }
 
-// sweepRows calls fn(s, t) for each pair of spans on one row where s sorts
-// before t and s.hi > t.lo, until fn returns false. It visits rows 0
+// sweepRows calls fn(y, s, t) for each pair of spans on row y where s
+// sorts before t and s.hi > t.lo, until fn returns false. It visits rows 0
 // through NumRows (a cell past the die's top edge still meets the cells
 // beside it there), then each t in sorted order, then each s from nearest
 // to farthest, and stops the back-scan at the first s whose reach is at or
@@ -314,7 +329,7 @@ type span struct{ lo, hi, reach, id int }
 // comparison for comparison, so tied spans come out in sort.Slice's order:
 // the order of Check's overlap violations, which results carry, depends on
 // it.
-func (l *Layout) sweepRows(fn func(s, t span) bool) {
+func (l *Layout) sweepRows(fn func(y int, s, t span) bool) {
 	nrows := max(l.NumRows+1, 0)
 	rows := func(c *Cell) (int, int) { return max(c.Y, 0), min(c.Y+c.H, nrows) }
 	end := make([]int, nrows)
@@ -339,7 +354,7 @@ func (l *Layout) sweepRows(fn func(s, t span) bool) {
 		}
 	}
 	start := 0
-	for _, e := range end {
+	for y, e := range end {
 		row := spans[start:e]
 		start = e
 		slices.SortFunc(row, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
@@ -351,7 +366,7 @@ func (l *Layout) sweepRows(fn func(s, t span) bool) {
 		for i := 1; i < len(row); i++ {
 			t := row[i]
 			for j := i - 1; j >= 0 && row[j].reach > t.lo; j-- {
-				if row[j].hi > t.lo && !fn(row[j], t) {
+				if row[j].hi > t.lo && !fn(y, row[j], t) {
 					return
 				}
 			}

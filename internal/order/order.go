@@ -6,7 +6,8 @@
 package order
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/flex-eda/flex/internal/geom"
 	"github.com/flex-eda/flex/internal/model"
@@ -32,15 +33,15 @@ type Scheduler interface {
 // bySizeDesc sorts cell IDs by descending area, breaking ties by descending
 // height then ascending ID, matching the "larger cells first" heuristic.
 func bySizeDesc(l *model.Layout, ids []int) {
-	sort.SliceStable(ids, func(a, b int) bool {
-		ca, cb := &l.Cells[ids[a]], &l.Cells[ids[b]]
+	slices.SortStableFunc(ids, func(a, b int) int {
+		ca, cb := &l.Cells[a], &l.Cells[b]
 		if ca.Area() != cb.Area() {
-			return ca.Area() > cb.Area()
+			return cmp.Compare(cb.Area(), ca.Area())
 		}
 		if ca.H != cb.H {
-			return ca.H > cb.H
+			return cmp.Compare(cb.H, ca.H)
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 }
 

@@ -55,39 +55,24 @@ func benchExtraction(b *testing.B) (*model.Layout, *region.Index, []bool, int, [
 	return l, idx, placed, target, wins
 }
 
-// BenchmarkExtractFrom builds the local region for a fixed window set,
-// the per-cell extraction step dominating the serial legalizer prologue.
+// BenchmarkExtractFrom builds the local region for a fixed window set on
+// one reused Extractor, the per-cell extraction step of every engine.
 func BenchmarkExtractFrom(b *testing.B) {
 	l, idx, placed, target, wins := benchExtraction(b)
+	var x region.Extractor
 	var cands []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		win := wins[i%len(wins)]
 		cands = idx.Query(win, cands[:0])
-		region.ExtractFrom(l, placed, target, win, cands)
+		x.From(l, placed, target, win, cands)
 	}
 }
 
 // BenchmarkExtractFromSoA is BenchmarkExtractFrom reading candidate
-// geometry from the structure-of-arrays mirror.
+// geometry from the structure-of-arrays mirror, the mgl engine's path.
 func BenchmarkExtractFromSoA(b *testing.B) {
-	l, idx, placed, target, wins := benchExtraction(b)
-	soa := model.NewSoA(l)
-	var cands []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		win := wins[i%len(wins)]
-		cands = idx.Query(win, cands[:0])
-		region.ExtractFromSoA(soa, placed, target, l.Die(), win, cands)
-	}
-}
-
-// BenchmarkExtractorFromSoA is BenchmarkExtractFromSoA on one reused
-// Extractor, the mgl engine's path: the serial engines extract every
-// target this way.
-func BenchmarkExtractorFromSoA(b *testing.B) {
 	l, idx, placed, target, wins := benchExtraction(b)
 	soa := model.NewSoA(l)
 	var x region.Extractor

@@ -129,6 +129,23 @@ func (r *Region) SortSegmentCells() {
 	}
 }
 
+// XOrder returns the indices of r.Cells sorted ascending by current X, ties
+// in index order, in dst's memory when it is large enough. It is the single
+// x-sort that FOP and SACS each run per region; a stable insertion sort
+// fits the short, mostly pre-sorted cell lists without closure allocations.
+func (r *Region) XOrder(dst []int) []int {
+	order := dst[:0]
+	for i := range r.Cells {
+		order = append(order, i)
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && r.Cells[order[j]].X < r.Cells[order[j-1]].X; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return order
+}
+
 // Clone deep-copies the region so one extraction can be evaluated by
 // multiple engines.
 func (r *Region) Clone() *Region {
@@ -156,8 +173,10 @@ func (r *Region) Clone() *Region {
 // (like fixed blockages). The fixpoint iteration resolves the mutual
 // dependence between segment extents and localCell containment.
 //
-// Extract scans the whole layout for window members; the legalizer hot path
-// should use ExtractFrom with candidates from an Index query.
+// Extract scans the whole layout for window members and runs on a
+// throwaway Extractor, so the region is the caller's to keep; the
+// legalizer hot path keeps an Extractor and feeds it candidates from an
+// Index query.
 func Extract(l *model.Layout, placed []bool, targetID int, win geom.Rect) *Region {
 	var candidates []int
 	for i := range l.Cells {
@@ -169,7 +188,8 @@ func Extract(l *model.Layout, placed []bool, targetID int, win geom.Rect) *Regio
 			candidates = append(candidates, i)
 		}
 	}
-	return ExtractFrom(l, placed, targetID, win, candidates)
+	var x Extractor
+	return x.From(l, placed, targetID, win, candidates)
 }
 
 // candCell is one gathered extraction candidate: exactly the geometry the
@@ -185,24 +205,6 @@ func (c *candCell) rect() geom.Rect {
 	return geom.NewRect(int(c.x), int(c.y), int(c.w), int(c.h))
 }
 
-// ExtractFrom is Extract with a precomputed candidate set (typically an
-// Index query over the window). Candidates outside the window, unplaced
-// movable candidates, and the target itself are ignored. It runs on a
-// throwaway Extractor, so the region is the caller's to keep.
-func ExtractFrom(l *model.Layout, placed []bool, targetID int, win geom.Rect, rawCandidates []int) *Region {
-	var x Extractor
-	return x.from(l, placed, targetID, win, rawCandidates)
-}
-
-// ExtractFromSoA is ExtractFrom reading candidate geometry from a
-// structure-of-arrays mirror instead of the layout's cell structs; the
-// mirror must be in sync with l. Results are identical — the fixpoint
-// sees the same geometry either way.
-func ExtractFromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.Rect, rawCandidates []int) *Region {
-	var x Extractor
-	return x.FromSoA(soa, placed, targetID, die, win, rawCandidates)
-}
-
 // Extractor builds local regions while reusing its working memory across
 // calls: the gathered candidates, the fixpoint's flags and blocked
 // intervals, and the returned region's segments, localCells and
@@ -210,13 +212,12 @@ func ExtractFromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.R
 // concurrent use.
 //
 // A returned region is valid only until the next call on the same
-// Extractor. Serial place-and-commit loops, which are done with one
-// target's region before extracting the next (mgl's placeOne, serving
-// FLEX, MGL and MGL-MT's redo path), should keep one. Callers that keep
-// regions across calls must not: MGL-MT's concurrent phase commits its
-// regions after the whole batch is evaluated, and the GPU engine evaluates
-// a round's targets before committing any. They use ExtractFrom and
-// ExtractFromSoA, which run on a throwaway Extractor.
+// Extractor. A serial place-and-commit loop, done with one target's region
+// before it extracts the next (mgl's placeOne, which serves FLEX, MGL and
+// MGL-MT's redo path, and the GPU engine's CPU side), keeps one. An engine
+// that holds several regions before committing them keeps one Extractor
+// per pending region: MGL-MT one per concurrent batch slot, the GPU engine
+// one per target of a kernel round.
 type Extractor struct {
 	reg     Region
 	cands   []candCell
@@ -227,8 +228,11 @@ type Extractor struct {
 	cells   []LocalCell
 }
 
-// from is ExtractFrom on the Extractor's reused memory.
-func (x *Extractor) from(l *model.Layout, placed []bool, targetID int, win geom.Rect, rawCandidates []int) *Region {
+// From builds the localRegion for target inside the window win from a
+// precomputed candidate set (typically an Index query over the window), as
+// Extract does. Candidates outside the window, unplaced movable
+// candidates, and the target itself are ignored.
+func (x *Extractor) From(l *model.Layout, placed []bool, targetID int, win geom.Rect, rawCandidates []int) *Region {
 	win = win.Intersect(l.Die())
 	target := &l.Cells[targetID]
 	x.reg = Region{Target: targetID, TargetW: target.W, TargetH: target.H, Window: win}
@@ -257,7 +261,10 @@ func (x *Extractor) from(l *model.Layout, placed []bool, targetID int, win geom.
 	return &x.reg
 }
 
-// FromSoA is ExtractFromSoA on the Extractor's reused memory.
+// FromSoA is From reading candidate geometry from a structure-of-arrays
+// mirror instead of the layout's cell structs; the mirror must be in sync
+// with the layout. Results are identical: the fixpoint sees the same
+// geometry either way.
 func (x *Extractor) FromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.Rect, rawCandidates []int) *Region {
 	win = win.Intersect(die)
 	x.reg = Region{

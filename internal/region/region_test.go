@@ -312,7 +312,7 @@ func TestIndexRandomOpsMatchBruteForce(t *testing.T) {
 func TestExtractFromRestrictsToCandidates(t *testing.T) {
 	l, placed := grid()
 	// Candidate list deliberately omits cell a: it must be invisible.
-	r := ExtractFrom(l, placed, 5, geom.NewRect(0, 0, 18, 1), []int{1, 2, 3, 4})
+	r := new(Extractor).From(l, placed, 5, geom.NewRect(0, 0, 18, 1), []int{1, 2, 3, 4})
 	for _, lc := range r.Cells {
 		if lc.ID == 0 {
 			t.Fatal("non-candidate cell appeared in region")
@@ -348,9 +348,10 @@ func extractorFixture(t testing.TB) (*model.Layout, *Index, *model.SoA, []bool, 
 	return l, NewIndex(l, 32, 4, nil), model.NewSoA(l), placed, wins
 }
 
-// TestExtractorMatchesThrowaway checks both reusable gathers against the
-// package-level extraction, scrambling each returned region (as a shift
-// commit would) before the next call, so no state leaks between calls.
+// TestExtractorMatchesThrowaway checks both reusable gathers against a
+// fresh Extractor on every call, scrambling each returned region (as a
+// shift commit would) before the next call, so no state leaks between
+// calls.
 func TestExtractorMatchesThrowaway(t *testing.T) {
 	l, idx, soa, placed, wins := extractorFixture(t)
 	var fromSoA, fromLayout Extractor
@@ -358,13 +359,13 @@ func TestExtractorMatchesThrowaway(t *testing.T) {
 	for i, win := range wins {
 		target := (i * 7) % len(l.Cells)
 		cands = idx.Query(win, cands[:0])
-		want := ExtractFrom(l, placed, target, win, cands).Clone()
+		want := new(Extractor).From(l, placed, target, win, cands).Clone()
 		for _, got := range []*Region{
 			fromSoA.FromSoA(soa, placed, target, l.Die(), win, cands),
-			fromLayout.from(l, placed, target, win, cands),
+			fromLayout.From(l, placed, target, win, cands),
 		} {
 			if !reflect.DeepEqual(got.Clone(), want) {
-				t.Fatalf("window %d: reused region differs from ExtractFrom", i)
+				t.Fatalf("window %d: reused region differs from a fresh one", i)
 			}
 			for si := range got.Segments {
 				slices.Reverse(got.Segments[si].Cells)

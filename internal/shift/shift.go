@@ -19,7 +19,7 @@
 package shift
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/flex-eda/flex/internal/region"
 )
@@ -58,10 +58,11 @@ const (
 	sideRight = 1
 )
 
-// classifySides returns the side of every localCell for the placement.
-func classifySides(reg *region.Region, p Placement) []int8 {
+// classifySides returns the side of every localCell for the placement, in
+// dst's memory when it is large enough.
+func classifySides(dst []int8, reg *region.Region, p Placement) []int8 {
 	b2 := p.boundary2()
-	sides := make([]int8, len(reg.Cells))
+	sides := slices.Grow(dst[:0], len(reg.Cells))[:len(reg.Cells)]
 	for i := range reg.Cells {
 		c := &reg.Cells[i]
 		inTargetRows := c.Y < p.TY+p.TH && c.Y+c.H > p.TY
@@ -86,7 +87,7 @@ func Original(reg *region.Region, p Placement, st *Stats) bool {
 	if st == nil {
 		st = &Stats{}
 	}
-	sides := classifySides(reg, p)
+	sides := classifySides(nil, reg, p)
 	if !originalPhase(reg, p, sides, true, st) {
 		return false
 	}
@@ -186,23 +187,30 @@ func originalPhase(reg *region.Region, p Placement, sides []int8, left bool, st 
 	}
 }
 
+// Shifter runs SACS while reusing its working memory across calls: the
+// side flags, the ahead sorter's x-order and the per-row frontiers. The
+// zero value is ready to use. Not safe for concurrent use.
+type Shifter struct {
+	sides    []int8
+	order    []int
+	frontier []int
+}
+
 // SACS runs the sort-ahead single-pass shifting algorithm, mutating the
 // region's cell positions. The result is identical to Original; the
 // structure is one sorted outward sweep per phase, with per-segment
 // frontier cursors standing in for the paper's CurSegPtr/CurSegEnd tables.
-func SACS(reg *region.Region, p Placement, st *Stats) bool {
+func (s *Shifter) SACS(reg *region.Region, p Placement, st *Stats) bool {
 	if st == nil {
 		st = &Stats{}
 	}
-	sides := classifySides(reg, p)
+	s.sides = classifySides(s.sides, reg, p)
 
-	// Ahead sorter: all localCells by x. The hardware sorts once and reads
-	// the order backwards for the left phase and forwards for the right.
-	order := make([]int, len(reg.Cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return reg.Cells[order[a]].X < reg.Cells[order[b]].X })
+	// Ahead sorter: all localCells by x, ties in index order. The hardware
+	// sorts once and reads the order backwards for the left phase and
+	// forwards for the right.
+	s.order = reg.XOrder(s.order)
+	order := s.order
 	st.SortedCells += len(order)
 	if n := len(order); n > 1 {
 		logn := 0
@@ -212,18 +220,20 @@ func SACS(reg *region.Region, p Placement, st *Stats) bool {
 		st.SortOps += n * logn
 	}
 
-	if !sacsPhase(reg, p, sides, order, true, st) {
+	if !s.phase(reg, p, true, st) {
 		return false
 	}
-	return sacsPhase(reg, p, sides, order, false, st)
+	return s.phase(reg, p, false, st)
 }
 
-func sacsPhase(reg *region.Region, p Placement, sides []int8, order []int, left bool, st *Stats) bool {
+func (s *Shifter) phase(reg *region.Region, p Placement, left bool, st *Stats) bool {
 	st.Passes++
+	sides, order := s.sides, s.order
 	// frontier[row-index]: for the left phase, the x bound the next cell's
 	// right edge must not exceed; for the right phase, the x bound the next
 	// cell's left edge must meet.
-	frontier := make([]int, len(reg.Segments))
+	s.frontier = slices.Grow(s.frontier[:0], len(reg.Segments))[:len(reg.Segments)]
+	frontier := s.frontier
 	for si := range reg.Segments {
 		seg := &reg.Segments[si]
 		inTarget := seg.Row >= p.TY && seg.Row < p.TY+p.TH

@@ -90,7 +90,7 @@ func TestOriginalNeedsMultiplePasses(t *testing.T) {
 func TestSACSSinglePass(t *testing.T) {
 	r, p := fig6Case()
 	var st Stats
-	if !SACS(r, p, &st) {
+	if !new(Shifter).SACS(r, p, &st) {
 		t.Fatal("SACS reported infeasible")
 	}
 	checkResolved(t, r, p)
@@ -117,7 +117,7 @@ func TestRightMovePhase(t *testing.T) {
 	r := buildRegion(win, [2]int{0, 40}, cells)
 	p := Placement{TX: 10, TY: 0, TW: 5, TH: 1}
 	r2 := r.Clone()
-	if !Original(r, p, nil) || !SACS(r2, p, nil) {
+	if !Original(r, p, nil) || !new(Shifter).SACS(r2, p, nil) {
 		t.Fatal("shift infeasible")
 	}
 	checkResolved(t, r, p)
@@ -142,7 +142,7 @@ func TestInfeasiblePush(t *testing.T) {
 	p := Placement{TX: 4, TY: 0, TW: 4, TH: 1}
 	r2 := r.Clone()
 	okO := Original(r, p, nil)
-	okS := SACS(r2, p, nil)
+	okS := new(Shifter).SACS(r2, p, nil)
 	if okO || okS {
 		t.Fatalf("feasibility disagreement or false positive: original=%v sacs=%v", okO, okS)
 	}
@@ -157,7 +157,7 @@ func TestNoOpWhenNoOverlap(t *testing.T) {
 	r := buildRegion(win, [2]int{0, 40}, cells)
 	p := Placement{TX: 15, TY: 0, TW: 4, TH: 2}
 	var st Stats
-	if !SACS(r, p, &st) {
+	if !new(Shifter).SACS(r, p, &st) {
 		t.Fatal("infeasible")
 	}
 	if st.Moves != 0 {
@@ -183,6 +183,7 @@ func TestOriginalEquivalentToSACS(t *testing.T) {
 	}
 	movable := l.MovableIDs()
 	cases, feasible := 0, 0
+	var sh Shifter // one for every case, as an engine keeps one per run
 	for iter := 0; iter < 120; iter++ {
 		target := movable[rng.Intn(len(movable))]
 		placed[target] = false
@@ -207,7 +208,7 @@ func TestOriginalEquivalentToSACS(t *testing.T) {
 		a, b := reg.Clone(), reg.Clone()
 		var sa, sb Stats
 		okA := Original(a, p, &sa)
-		okB := SACS(b, p, &sb)
+		okB := sh.SACS(b, p, &sb)
 		cases++
 		if okA != okB {
 			t.Fatalf("iter %d: feasibility disagreement original=%v sacs=%v", iter, okA, okB)
@@ -243,14 +244,14 @@ func TestClassifySides(t *testing.T) {
 	}
 	r := buildRegion(win, [2]int{0, 40}, cells)
 	p := Placement{TX: 15, TY: 0, TW: 6, TH: 2}
-	sides := classifySides(r, p)
+	sides := classifySides(nil, r, p)
 	if sides[0] != sideLeft || sides[1] != sideRight || sides[2] != sideNone {
 		t.Fatalf("sides = %v", sides)
 	}
 	// Explicit boundary override: boundary at x=0.5, so every cell in the
 	// target rows lies to its right.
 	p.Boundary2 = 1
-	sides = classifySides(r, p)
+	sides = classifySides(nil, r, p)
 	if sides[0] != sideRight || sides[1] != sideRight {
 		t.Fatalf("override sides = %v", sides)
 	}
