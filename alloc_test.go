@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestBaselineAllocationCeilings caps what one run of each Table 1 baseline
+// TestBaselineAllocationCeilings caps what one run of each Table 1 engine
 // allocates on BenchmarkEngines' 600-cell input, through the public API.
 // The engines keep their regions, FOP scratch, row-solver and sort buffers
 // for the whole run, so an engine that goes back to building them per
@@ -20,6 +20,8 @@ func TestBaselineAllocationCeilings(t *testing.T) {
 		name string
 		run  func() bool
 	}{
+		{"FLEX", func() bool { return legalizeFLEX(l) }},
+		{"MGL-seq", func() bool { return legalizeMGL(l, 1) }},
 		{"MGL-8T", func() bool { return legalizeMGL(l, 8) }},
 		{"GPU", func() bool { return legalizeGPU(l) }},
 		{"Analytical", func() bool { return legalizeAnalytical(l) }},

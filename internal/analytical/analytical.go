@@ -195,6 +195,7 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 // with). Returns (relocated, unplaceable).
 func repair(l *model.Layout) (int64, int) {
 	var relocated int64
+	var fp forcePlacer
 	for attempt := 0; attempt < 8; attempt++ {
 		vs := l.Check(0)
 		offenders := map[int]bool{}
@@ -225,7 +226,7 @@ func repair(l *model.Layout) (int64, int) {
 		}
 		slices.Sort(ids)
 		for _, id := range ids {
-			if relocate(l, id) || forcePlace(l, id) {
+			if relocate(l, id) || fp.place(l, id) {
 				relocated++
 			}
 		}
@@ -240,18 +241,28 @@ func repair(l *model.Layout) (int64, int) {
 	return relocated, rest
 }
 
-// forcePlace handles offenders for which no free gap exists: it runs one
+// forcePlacer places offenders for which no free gap exists: it runs one
 // MGL-style FOP placement (internal/fop) that shifts neighbours aside —
-// the local-legalization ending dense analytical flows need.
-func forcePlace(l *model.Layout, id int) bool {
-	c := &l.Cells[id]
-	placed := make([]bool, len(l.Cells))
-	for i := range placed {
-		placed[i] = i != id
+// the local-legalization ending dense analytical flows need. One
+// forcePlacer serves a whole repair pass, keeping its placed flags and its
+// region, FOP and shifting scratch across windows and offenders.
+type forcePlacer struct {
+	placed []bool // every cell: the extraction ignores the target itself
+	ext    region.Extractor
+	fop    fop.Finder
+	sh     shift.Shifter
+}
+
+func (fp *forcePlacer) place(l *model.Layout, id int) bool {
+	if fp.placed == nil {
+		fp.placed = make([]bool, len(l.Cells))
+		for i := range fp.placed {
+			fp.placed[i] = true
+		}
 	}
+	c := &l.Cells[id]
 	tg := fop.Target{GX: c.GX, GY: c.GY, W: c.W, H: c.H,
 		ParityOK: c.Parity.AllowsRow, RowHeight: l.RowHeight}
-	var sh shift.Shifter
 	for n := 0; n <= 4; n++ {
 		w := maxI(8*c.W, 64) << uint(n)
 		h := maxI(4*c.H, 6) << uint(n)
@@ -259,13 +270,13 @@ func forcePlace(l *model.Layout, id int) bool {
 		if n == 4 {
 			win = l.Die()
 		}
-		reg := region.Extract(l, placed, id, win)
-		cand := fop.Best(reg, tg, fop.Options{}, nil)
+		reg := fp.ext.Extract(l, fp.placed, id, win)
+		cand := fp.fop.Best(reg, tg, fop.Options{}, nil)
 		if !cand.Feasible {
 			continue
 		}
 		p := shift.Placement{TX: cand.X, TY: cand.Y, TW: c.W, TH: c.H, Boundary2: cand.Boundary2}
-		if !sh.SACS(reg, p, nil) {
+		if !fp.sh.SACS(reg, p, nil) {
 			continue
 		}
 		for i := range reg.Cells {

@@ -1,6 +1,7 @@
 package analytical
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/core"
@@ -86,5 +87,37 @@ func TestQualityReasonable(t *testing.T) {
 	}
 	if res.Metrics.AveDis <= 0 || res.Metrics.AveDis > 8 {
 		t.Fatalf("AveDis %v implausible", res.Metrics.AveDis)
+	}
+}
+
+// TestRepairAllocationCeiling caps what one run allocates on a dense
+// des_perf_1-shaped input whose projection leaves offenders for the repair
+// pass. The pass keeps its placed flags and its region, FOP and shifting
+// scratch for all its windows and offenders, so going back to a fresh set
+// per window blows the ceiling.
+func TestRepairAllocationCeiling(t *testing.T) {
+	spec, _ := gen.ByName("des_perf_1")
+	spec.Seed = 16
+	l, err := spec.Generate(500 / float64(spec.NumCells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	run := func() { res = Legalize(l, Config{}) }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if res.Stats.Repaired == 0 {
+		t.Fatal("the input no longer reaches the repair pass")
+	}
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("%d B, %d allocs per run", bytes, objects)
+	const maxBytes, maxObjects = 4 << 20, 12_000
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("one run allocates %d B and %d objects; the ceiling is %d B and %d objects",
+			bytes, objects, maxBytes, maxObjects)
 	}
 }

@@ -62,9 +62,8 @@ type Config struct {
 	// negative disables the density reordering, for ablations).
 	SlidingWindow int
 	// CPU prices the host-side steps; zero value uses perf.DefaultCPU.
+	// Operations are weighted by perf.DefaultWeights.
 	CPU *perf.CPUModel
-	// Weights price CPU operations; zero value uses perf.DefaultWeights.
-	Weights *perf.Weights
 	// MeasureOriginalShift threads the instrumentation flag through to FOP.
 	MeasureOriginalShift bool
 }
@@ -81,13 +80,6 @@ func (c Config) cpu() perf.CPUModel {
 		return *c.CPU
 	}
 	return perf.DefaultCPU
-}
-
-func (c Config) weights() perf.Weights {
-	if c.Weights != nil {
-		return *c.Weights
-	}
-	return perf.DefaultWeights
 }
 
 // Result extends the algorithmic result with the platform time breakdown.
@@ -117,7 +109,7 @@ type Result struct {
 func Legalize(l *model.Layout, cfg Config) *Result {
 	pe := cfg.pe()
 	cpu := cfg.cpu()
-	w := cfg.weights()
+	w := perf.DefaultWeights
 
 	sw := cfg.SlidingWindow
 	if sw == 0 {
@@ -139,7 +131,6 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 		Streamed:             true,
 		SlidingWindow:        sw,
 		MeasureOriginalShift: cfg.MeasureOriginalShift,
-		Weights:              &w,
 		TraceFn: func(tt mgl.TargetTrace) {
 			ftr := fpga.TraceFromFOP(tt.FOP, int(tt.CommitMoved))
 			fopCycles += pe.RegionCycles(ftr)

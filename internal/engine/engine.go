@@ -16,7 +16,6 @@ import (
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/fpga"
-	"github.com/flex-eda/flex/internal/gpu"
 	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/perf"
@@ -176,15 +175,18 @@ func runMGLMT(l *model.Layout, o Options) *Result {
 	}
 	r := mgl.Legalize(l, mgl.Config{Threads: threads})
 	st := &r.Stats
+	// No batch holds more targets than there are movable cells (each of
+	// which pre-move counts), so no more threads than that are priced.
+	priced := max(1, min(threads, int(st.PreMoveCells)))
 	return &Result{
 		Layout: r.Layout, Metrics: r.Metrics, Legal: r.Legal, Violations: r.Violations,
-		ModeledSeconds: perf.DefaultCPU.ParallelSeconds(st.WorkSerial, st.WorkCritical, int(st.Batches), threads),
+		ModeledSeconds: perf.DefaultCPU.ParallelSeconds(st.WorkSerial, st.WorkCritical, int(st.Batches), priced),
 		ops:            func() benchjson.Ops { return mglOps(r.Stats) },
 	}
 }
 
 func runGPU(l *model.Layout, _ Options) *Result {
-	r := gpu.Legalize(l, gpu.Config{})
+	r := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 	return &Result{
 		Layout: r.Layout, Metrics: r.Metrics, Legal: r.Legal, Violations: r.Violations,
 		ModeledSeconds: r.TotalSeconds,

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/gen"
+	"github.com/flex-eda/flex/internal/model"
 )
 
 func TestTableRoundTrips(t *testing.T) {
@@ -90,6 +93,38 @@ func TestRunRejectsNegativeThreads(t *testing.T) {
 	for k := range table {
 		if r, err := Run(context.Background(), Kind(k), l, Options{Threads: -1}); err == nil {
 			t.Fatalf("%s: Threads -1 ran, modeled %g s", table[k].Name, r.ModeledSeconds)
+		}
+	}
+}
+
+// TestMGLMTThreadsAboveMovableCells: no batch holds more targets than the
+// layout has movable cells, so a caller's thread count above that places
+// and prices exactly as that count does, instead of charging spawn and
+// contention for threads that never run.
+func TestMGLMTThreadsAboveMovableCells(t *testing.T) {
+	l, err := gen.Small(200, 0.6, 7).Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(threads int) (*Result, []byte) {
+		t.Helper()
+		r, err := Run(context.Background(), MGLMT, l, Options{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := model.Encode(&buf, r.Layout); err != nil {
+			t.Fatal(err)
+		}
+		return r, buf.Bytes()
+	}
+	movable := len(l.MovableIDs())
+	want, wantBytes := run(movable)
+	for _, threads := range []int{1 << 40, math.MaxInt} {
+		got, gotBytes := run(threads)
+		if !bytes.Equal(gotBytes, wantBytes) || got.ModeledSeconds != want.ModeledSeconds {
+			t.Errorf("threads=%d: modeled %g s, layout equal %v; threads=%d (the movable cells): modeled %g s",
+				threads, got.ModeledSeconds, bytes.Equal(gotBytes, wantBytes), movable, want.ModeledSeconds)
 		}
 	}
 }

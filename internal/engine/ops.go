@@ -5,7 +5,6 @@ import (
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/fop"
-	"github.com/flex-eda/flex/internal/gpu"
 	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/shift"
 )
@@ -72,12 +71,12 @@ func flexBreakdown(res *core.Result) *benchjson.Breakdown {
 	}
 }
 
-func gpuOps(res *gpu.Result) benchjson.Ops {
+func gpuOps(res *mgl.GPUResult) benchjson.Ops {
 	o := benchjson.Ops{}
-	fopOps(o, res.MGLStats.FOP)
-	shiftOps(o, "commit", res.MGLStats.Commit)
-	o["placed"] = res.MGLStats.Placed
-	o["failed"] = res.MGLStats.Failed
+	fopOps(o, res.Stats.FOP)
+	shiftOps(o, "commit", res.Stats.Commit)
+	o["placed"] = res.Stats.Placed
+	o["failed"] = res.Stats.Failed
 	o["gpu.rounds"] = res.GPU.Rounds
 	o["gpu.maxBatch"] = int64(res.GPU.MaxBatch)
 	o["gpu.batchSum"] = res.GPU.BatchSum

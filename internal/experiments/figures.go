@@ -7,7 +7,6 @@ import (
 	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
-	"github.com/flex-eda/flex/internal/gpu"
 	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/perf"
@@ -78,7 +77,7 @@ func Fig2b(opt Options) ([]SyncPoint, error) {
 	opt = opt.withDefaults()
 	// Superblue designs are huge; scale them harder.
 	return perSpec(opt, gen.Superblue(), opt.Scale/4, func(spec gen.Spec, l *model.Layout) (SyncPoint, error) {
-		res := gpu.Legalize(l, gpu.Config{})
+		res := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 		return SyncPoint{Name: spec.Name, SyncShare: res.GPU.SyncShare(res.TotalSeconds)}, nil
 	})
 }
@@ -105,14 +104,14 @@ type ParallelismPoint struct {
 func Fig2c(opt Options) ([]ParallelismPoint, error) {
 	opt = opt.withDefaults()
 	return perSpec(opt, gen.Superblue(), opt.Scale/4, func(spec gen.Spec, l *model.Layout) (ParallelismPoint, error) {
-		res := gpu.Legalize(l, gpu.Config{BatchMax: 4096, Lookahead: 8192})
+		res := mgl.LegalizeGPU(l, mgl.GPUConfig{BatchMax: 4096, Lookahead: 8192})
 		avg := 0.0
 		if res.GPU.Rounds > 0 {
 			avg = float64(res.GPU.BatchSum) / float64(res.GPU.Rounds)
 		}
 		return ParallelismPoint{
 			Name: spec.Name, MaxBatch: res.GPU.MaxBatch, AvgBatch: avg,
-			CUDACores: gpu.GTX1660Ti.CUDACores,
+			CUDACores: mgl.CUDACores,
 		}, nil
 	})
 }

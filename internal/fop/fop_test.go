@@ -200,7 +200,7 @@ func TestStreamedAndOriginalAgree(t *testing.T) {
 		placed[id] = false
 		tc := &l.Cells[id]
 		win := geom.NewRect(tc.X-24, tc.Y-3, 48+tc.W, 6+tc.H)
-		reg := region.Extract(l, placed, id, win)
+		reg := new(region.Extractor).Extract(l, placed, id, win)
 		placed[id] = true
 		tg := Target{GX: tc.GX, GY: tc.GY, W: tc.W, H: tc.H,
 			ParityOK: tc.Parity.AllowsRow, RowHeight: l.RowHeight}

@@ -1,4 +1,4 @@
-package gpu
+package mgl
 
 import (
 	"testing"
@@ -8,7 +8,7 @@ import (
 
 func TestGPUEmptyLayout(t *testing.T) {
 	l := &model.Layout{Name: "empty", NumSitesX: 10, NumRows: 4, RowHeight: 8}
-	res := Legalize(l, Config{})
+	res := LegalizeGPU(l, GPUConfig{})
 	if !res.Legal {
 		t.Fatal("empty layout illegal")
 	}
@@ -26,7 +26,7 @@ func TestGPUAllTough(t *testing.T) {
 			Parity: model.ParityEven,
 		})
 	}
-	res := Legalize(l, Config{})
+	res := LegalizeGPU(l, GPUConfig{})
 	if !res.Legal {
 		t.Fatalf("all-tough layout illegal: %v", res.Violations)
 	}
@@ -48,7 +48,7 @@ func TestGPUBatchMaxRespected(t *testing.T) {
 			Parity: model.ParityAny,
 		})
 	}
-	res := Legalize(l, Config{BatchMax: 4})
+	res := LegalizeGPU(l, GPUConfig{BatchMax: 4})
 	if !res.Legal {
 		t.Fatal("batch test illegal")
 	}
@@ -58,7 +58,7 @@ func TestGPUBatchMaxRespected(t *testing.T) {
 }
 
 func TestSyncShareZeroTotal(t *testing.T) {
-	var s Stats
+	var s GPUStats
 	if s.SyncShare(0) != 0 {
 		t.Fatal("zero total must give zero share")
 	}

@@ -1,10 +1,11 @@
-package gpu
+package mgl_test
 
 import (
 	"testing"
 
 	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/gen"
+	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 )
 
@@ -19,7 +20,7 @@ func testLayout(t *testing.T, n int, density float64, seed int64) *model.Layout 
 
 func TestGPULegalizes(t *testing.T) {
 	l := testLayout(t, 400, 0.6, 301)
-	res := Legalize(l, Config{})
+	res := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 	if !res.Legal {
 		t.Fatalf("GPU baseline illegal: %v", res.Violations)
 	}
@@ -36,8 +37,8 @@ func TestGPULegalizes(t *testing.T) {
 
 func TestGPUDeterminism(t *testing.T) {
 	l := testLayout(t, 250, 0.6, 302)
-	a := Legalize(l, Config{})
-	b := Legalize(l, Config{})
+	a := mgl.LegalizeGPU(l, mgl.GPUConfig{})
+	b := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 	if a.TotalSeconds != b.TotalSeconds {
 		t.Fatalf("time differs: %v vs %v", a.TotalSeconds, b.TotalSeconds)
 	}
@@ -52,7 +53,7 @@ func TestSyncShareSignificant(t *testing.T) {
 	// Fig. 2(b): data synchronization is a large share of the GPU
 	// legalizer's runtime.
 	l := testLayout(t, 600, 0.6, 303)
-	res := Legalize(l, Config{})
+	res := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 	share := res.GPU.SyncShare(res.TotalSeconds)
 	if share < 0.10 || share > 0.75 {
 		t.Fatalf("sync share %v outside plausible band [0.10, 0.75]", share)
@@ -63,9 +64,9 @@ func TestMaxParallelismBelowCUDACores(t *testing.T) {
 	// Fig. 2(c): the number of concurrently processable regions is far
 	// below the CUDA core count.
 	l := testLayout(t, 800, 0.55, 304)
-	res := Legalize(l, Config{})
-	if res.GPU.MaxBatch >= GTX1660Ti.CUDACores {
-		t.Fatalf("max parallelism %d not below core count %d", res.GPU.MaxBatch, GTX1660Ti.CUDACores)
+	res := mgl.LegalizeGPU(l, mgl.GPUConfig{})
+	if res.GPU.MaxBatch >= mgl.CUDACores {
+		t.Fatalf("max parallelism %d not below core count %d", res.GPU.MaxBatch, mgl.CUDACores)
 	}
 }
 
@@ -73,7 +74,7 @@ func TestGPUSlowerThanFLEXAndWorseQuality(t *testing.T) {
 	// Table 1 shape: FLEX beats the CPU-GPU baseline in runtime, and the
 	// baseline's displacement is no better than FLEX's.
 	l := testLayout(t, 500, 0.65, 305)
-	g := Legalize(l, Config{})
+	g := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 	f := core.Legalize(l, core.Config{})
 	if f.TotalSeconds >= g.TotalSeconds {
 		t.Fatalf("FLEX (%.6fs) not faster than CPU-GPU (%.6fs)", f.TotalSeconds, g.TotalSeconds)

@@ -8,10 +8,15 @@
 //	d) FOP                — evaluate all insertion points (internal/fop)
 //	e) insert & update    — commit the winning position via cell shifting
 //
-// The sequential engine is the reference; the multi-threaded engine
-// reproduces the TCAD'22 baseline's region-parallel batching, including the
-// behaviours the paper calls out: processing order deviations (quality
-// loss) and per-batch synchronization (scaling saturation, Fig. 2(a)).
+// One engine runs the flow under three schedules. The sequential one is
+// the reference (and, traced, FLEX's); the multi-threaded one reproduces
+// the TCAD'22 baseline's region-parallel batching, including the behaviours
+// the paper calls out: processing order deviations (quality loss) and
+// per-batch synchronization (scaling saturation, Fig. 2(a)); and the GPU
+// rounds reproduce the DATE'22 CPU-GPU baseline (gpu.go). The schedules
+// share pre-move, the window ladder, the per-target evaluation, commit and
+// the disjoint-window batch collector, and differ only in order and
+// pricing.
 package mgl
 
 import (
@@ -26,34 +31,25 @@ import (
 	"github.com/flex-eda/flex/internal/shift"
 )
 
-// Config selects engine variants.
+// maxExpand is the number of window doublings before the die-wide
+// fallback.
+const maxExpand = 4
+
+// Config selects engine variants. Every engine prices its work with
+// perf.DefaultWeights and commits with SACS.
 type Config struct {
-	// WindowW/WindowH: initial localRegion window extents (sites, rows).
-	// Zero selects defaults scaled to the cell.
-	WindowW, WindowH int
-	// MaxExpand bounds window-doubling attempts before the die-wide
-	// fallback (default 4).
-	MaxExpand int
 	// Streamed selects the restructured curve pipeline inside FOP.
 	Streamed bool
 	// MeasureOriginalShift instruments FOP with the original multi-pass
 	// shifting algorithm (slow; for breakdown experiments).
 	MeasureOriginalShift bool
-	// CommitOriginal commits with the original shifting algorithm instead
-	// of SACS. Results are identical; op accounting differs.
-	CommitOriginal bool
-	// Threads > 1 enables the region-parallel batched engine.
+	// Threads > 1 enables the region-parallel batched engine. A batch
+	// scans at most 4×Threads targets past the queue head for ones whose
+	// windows do not conflict.
 	Threads int
-	// Lookahead bounds how far past the queue head batching may scan for
-	// non-conflicting targets (default 4×Threads, with Threads capped at
-	// the cell count).
-	Lookahead int
 	// SlidingWindow enables the FLEX size+density ordering with the given
 	// window length; zero uses plain size-descending order.
 	SlidingWindow int
-	// Weights price operations for the critical-path accounting; zero
-	// value uses perf.DefaultWeights.
-	Weights *perf.Weights
 	// TraceFn, when set, is invoked after each target is placed by the
 	// sequential engine with that target's isolated work trace. The FLEX
 	// accelerator model consumes these traces.
@@ -69,13 +65,6 @@ type TargetTrace struct {
 	LocalCells  int         // localCells in the final region
 	Window      geom.Rect   // final (possibly expanded) window
 	Placed      bool
-}
-
-func (c Config) weights() perf.Weights {
-	if c.Weights != nil {
-		return *c.Weights
-	}
-	return perf.DefaultWeights
 }
 
 // Stats aggregates the work of one legalization run, split by flow step so
@@ -128,35 +117,30 @@ type engine struct {
 	cfg     Config
 	w       perf.Weights
 	idx     *region.Index
-	soa     *model.SoA // geometry mirror for the extraction hot path
 	placed  []bool
 	st      Stats
 	sched   order.Scheduler  // the sequential engine's target order
-	candBuf []int            // serial-path query scratch (placeOne/extract only)
-	ext     region.Extractor // serial-path region scratch (placeOne/extract only)
-	fop     fop.Finder       // serial-path FOP scratch (placeOne only)
+	candBuf []int            // serial-path query scratch
+	ext     region.Extractor // serial-path region scratch
+	fop     fop.Finder       // serial-path FOP scratch
 	shift   shift.Shifter    // commit scratch; every commit is serial
+	// Per-batch buffers: a batch's targets and initial windows, their
+	// evaluations and the windows committed so far (sized once per run by
+	// sizeBatches), and the spare queue the next batch's leftovers fill.
+	batch, spare []int
+	wins, done   []geom.Rect
+	evals        []evaluation
 }
 
 func newEngine(l *model.Layout, cfg Config) *engine {
 	e := &engine{
 		l:   l.Clone(),
 		cfg: cfg,
-		w:   cfg.weights(),
-	}
-	if e.cfg.MaxExpand == 0 {
-		e.cfg.MaxExpand = 4
-	}
-	if e.cfg.Lookahead == 0 {
-		// A batch never scans more than the cells, so the cap changes no
-		// batch; it keeps a caller's huge thread count from overflowing.
-		e.cfg.Lookahead = 4 * maxInt(1, min(cfg.Threads, len(l.Cells)))
+		w:   perf.DefaultWeights,
 	}
 	e.preMove()
 	e.placed = make([]bool, len(e.l.Cells))
 	e.idx = region.NewIndex(e.l, 32, 4, func(i int) bool { return e.l.Cells[i].Fixed })
-	// Snapshot geometry after pre-move; commit keeps the mirror in sync.
-	e.soa = model.NewSoA(e.l)
 	return e
 }
 
@@ -229,36 +213,38 @@ func (e *engine) runSequential() {
 	}
 }
 
-// window returns the FOP window for a target after n expansions.
+// window is the window ladder: the FOP window for a target after n
+// expansions, doubling in both extents each time from a start scaled to
+// the cell, and the whole die from maxExpand expansions on.
 func (e *engine) window(c *model.Cell, n int) geom.Rect {
-	w := e.cfg.WindowW
-	h := e.cfg.WindowH
-	if w == 0 {
-		w = maxInt(8*c.W, 64)
+	if n >= maxExpand {
+		return e.l.Die()
 	}
-	if h == 0 {
-		h = maxInt(4*c.H, 6)
+	w := max(8*c.W, 64) << n
+	h := max(4*c.H, 6) << n
+	return geom.NewRect(c.GX+c.W/2-w/2, c.GY+c.H/2-h/2, w, h)
+}
+
+func (e *engine) target(c *model.Cell) fop.Target {
+	return fop.Target{
+		GX: c.GX, GY: c.GY, W: c.W, H: c.H,
+		ParityOK: c.Parity.AllowsRow, RowHeight: e.l.RowHeight,
 	}
-	w <<= uint(n)
-	h <<= uint(n)
-	cx := c.GX + c.W/2
-	cy := c.GY + c.H/2
-	return geom.NewRect(cx-w/2, cy-h/2, w, h)
+}
+
+func (e *engine) fopOptions() fop.Options {
+	return fop.Options{Streamed: e.cfg.Streamed, MeasureOriginalShift: e.cfg.MeasureOriginalShift}
 }
 
 // placeOne runs steps c)–e) for one target, expanding the window as needed.
 func (e *engine) placeOne(id int) TargetTrace {
 	c := &e.l.Cells[id]
-	tg := fop.Target{
-		GX: c.GX, GY: c.GY, W: c.W, H: c.H,
-		ParityOK: c.Parity.AllowsRow, RowHeight: e.l.RowHeight,
-	}
-	opts := fop.Options{Streamed: e.cfg.Streamed, MeasureOriginalShift: e.cfg.MeasureOriginalShift}
+	tg := e.target(c)
+	opts := e.fopOptions()
 	tr := TargetTrace{ID: id}
 	for n := 0; ; n++ {
 		win := e.window(c, n)
-		if n >= e.cfg.MaxExpand {
-			win = e.l.Die()
+		if n >= maxExpand {
 			e.st.Fallbacks++
 		} else if n > 0 {
 			e.st.Expansions++
@@ -271,7 +257,7 @@ func (e *engine) placeOne(id int) TargetTrace {
 			tr.Placed = true
 			return tr
 		}
-		if n >= e.cfg.MaxExpand {
+		if n >= maxExpand {
 			e.st.Failed++
 			return tr
 		}
@@ -289,20 +275,14 @@ func (e *engine) extract(id int, win geom.Rect) *region.Region {
 	e.st.RegionCands += int64(len(cands))
 	e.st.RegionRows += int64(win.Intersect(e.l.Die()).H)
 	e.st.WorkSerial += e.w.RegionCand*float64(len(cands)) + e.w.RegionRow*float64(win.H)
-	return e.ext.FromSoA(e.soa, e.placed, id, e.l.Die(), win, cands)
+	return e.ext.From(e.l, e.placed, id, win, cands)
 }
 
-// commit is step e): run the committing shift on the region and write the
-// new positions back into the layout and index.
+// commit is step e): run SACS on the region and write the new positions
+// back into the layout and index.
 func (e *engine) commit(id int, reg *region.Region, cand fop.Candidate) bool {
 	p := shift.Placement{TX: cand.X, TY: cand.Y, TW: reg.TargetW, TH: reg.TargetH, Boundary2: cand.Boundary2}
-	var ok bool
-	if e.cfg.CommitOriginal {
-		ok = shift.Original(reg, p, &e.st.Commit)
-	} else {
-		ok = e.shift.SACS(reg, p, &e.st.Commit)
-	}
-	if !ok {
+	if !e.shift.SACS(reg, p, &e.st.Commit) {
 		return false
 	}
 	moved := 0
@@ -311,14 +291,12 @@ func (e *engine) commit(id int, reg *region.Region, cand fop.Candidate) bool {
 		cell := &e.l.Cells[lc.ID]
 		if cell.X != lc.X {
 			cell.X = lc.X
-			e.soa.Set(lc.ID, cell.X, cell.Y)
 			e.idx.Update(lc.ID)
 			moved++
 		}
 	}
 	t := &e.l.Cells[id]
 	t.X, t.Y = cand.X, cand.Y
-	e.soa.Set(id, t.X, t.Y)
 	e.placed[id] = true
 	e.idx.Add(id)
 	e.st.Placed++
@@ -338,14 +316,64 @@ func (e *engine) finish() *Result {
 	return res
 }
 
+// sizeBatches sizes the per-batch buffers once for batches of at most n
+// targets.
+func (e *engine) sizeBatches(n int) {
+	e.batch = make([]int, 0, n)
+	e.wins = make([]geom.Rect, 0, n)
+	e.done = make([]geom.Rect, 0, n)
+	e.evals = make([]evaluation, n)
+}
+
+// collect is the disjoint-window batch collector: it fills e.batch with up
+// to limit targets from the head of queue whose initial windows are
+// pairwise disjoint, scanning at most lookahead of them, and e.wins with
+// their windows. When nothing qualifies (a limit or lookahead below one)
+// it takes the head alone, so every call makes progress. It returns the
+// targets left, in queue order, in e.spare's memory; queue's memory
+// becomes the next call's spare.
+func (e *engine) collect(queue []int, limit, lookahead int) []int {
+	batch, wins, rest := e.batch[:0], e.wins[:0], e.spare[:0]
+	scanned := 0
+	for _, id := range queue {
+		if len(batch) >= limit || scanned >= lookahead {
+			rest = append(rest, id)
+			continue
+		}
+		scanned++
+		win := e.window(&e.l.Cells[id], 0)
+		if overlapsAny(wins, win) {
+			rest = append(rest, id)
+			continue
+		}
+		batch = append(batch, id)
+		wins = append(wins, win)
+	}
+	if len(batch) == 0 && len(rest) > 0 {
+		batch = append(batch, rest[0])
+		rest = rest[1:]
+	}
+	e.batch, e.wins, e.spare = batch, wins, queue[:0]
+	return rest
+}
+
+func overlapsAny(ws []geom.Rect, r geom.Rect) bool {
+	for _, w := range ws {
+		if w.Overlaps(r) {
+			return true
+		}
+	}
+	return false
+}
+
 // --- multi-threaded engine (TCAD'22-style region-parallel batching) ---
 
-type mtResult struct {
-	id       int
+// evaluation is one batch target's frozen steps c)+d) and their work;
+// the FOP counters go to the caller's Stats.
+type evaluation struct {
 	reg      *region.Region
 	cand     fop.Candidate
 	expanded geom.Rect
-	fopStats fop.Stats
 	work     float64
 	cands    int
 	rows     int
@@ -360,6 +388,7 @@ type mtSlot struct {
 	ext   region.Extractor
 	fop   fop.Finder
 	cands []int
+	stats fop.Stats // the current batch's FOP counters
 }
 
 // runParallel processes batches of targets with non-overlapping windows.
@@ -367,60 +396,29 @@ type mtSlot struct {
 // layout; commits are serial in batch order. A worker that expanded its
 // window into a peer's committed area is deterministically redone serially.
 func (e *engine) runParallel() {
-	queue := order.NewSizeOrder(e.l)
-	var pendingQueue []int
-	for {
-		id, ok := queue.Next()
+	var queue []int
+	for sched := order.NewSizeOrder(e.l); ; {
+		id, ok := sched.Next()
 		if !ok {
 			break
 		}
-		pendingQueue = append(pendingQueue, id)
+		queue = append(queue, id)
 	}
-
 	// A batch holds at most threads targets and never more than the queue,
-	// so every per-batch buffer is sized once to the smaller of the two (the
-	// thread count comes from the caller and may be far above the cell
-	// count). The slots are never appended to, so a pending region never
-	// moves.
+	// so the slots and per-batch buffers are sized once to the smaller of
+	// the two (the thread count comes from the caller and may be far above
+	// the cell count). The slots are never appended to, so a pending region
+	// never moves.
 	threads := e.cfg.Threads
-	n := min(threads, len(pendingQueue))
+	n := min(threads, len(queue))
 	slots := make([]mtSlot, n)
-	results := make([]mtResult, n)
-	batch := make([]int, 0, n)
-	wins := make([]geom.Rect, 0, n)
-	committed := make([]geom.Rect, 0, n)
-	var rest []int
+	e.sizeBatches(n)
 	var wg sync.WaitGroup
-	for len(pendingQueue) > 0 {
-		// Collect a batch of targets whose initial windows do not overlap.
-		batch, wins, rest = batch[:0], wins[:0], rest[:0]
-		scanned := 0
-		for _, id := range pendingQueue {
-			if len(batch) >= threads || scanned >= e.cfg.Lookahead {
-				rest = append(rest, id)
-				continue
-			}
-			scanned++
-			win := e.window(&e.l.Cells[id], 0)
-			conflict := false
-			for _, w := range wins {
-				if w.Overlaps(win) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				rest = append(rest, id)
-				continue
-			}
-			batch = append(batch, id)
-			wins = append(wins, win)
-		}
-		// The old queue's memory takes the next batch's leftovers.
-		pendingQueue, rest = rest, pendingQueue
-		if len(batch) == 0 {
-			break
-		}
+	for len(queue) > 0 {
+		// The lookahead is 4×Threads; capping it at 4× the queue changes
+		// no batch, since no batch scans past the queue.
+		queue = e.collect(queue, threads, 4*n)
+		batch := e.batch
 		e.st.Batches++
 		e.st.BatchSizeSum += int64(len(batch))
 		e.st.OrderOps += int64(len(batch))
@@ -428,92 +426,83 @@ func (e *engine) runParallel() {
 
 		// Parallel phase: extract + FOP against the frozen layout, one
 		// goroutine per batch position.
-		results = results[:len(batch)]
+		evals := e.evals[:len(batch)]
 		for i, id := range batch {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[i] = e.evaluateFrozen(id, &slots[i])
+				s := &slots[i]
+				s.stats = fop.Stats{}
+				evals[i] = e.evaluate(id, &s.ext, &s.fop, &s.cands, &s.stats)
 			}()
 		}
 		wg.Wait()
 
 		// Account parallel work: total and per-batch critical path.
 		maxWork := 0.0
-		for i := range results {
-			e.st.WorkParallel += results[i].work
-			if results[i].work > maxWork {
-				maxWork = results[i].work
+		for i := range evals {
+			e.st.WorkParallel += evals[i].work
+			if evals[i].work > maxWork {
+				maxWork = evals[i].work
 			}
-			e.st.FOP.Add(&results[i].fopStats)
-			e.st.RegionBuilds += results[i].builds
-			e.st.RegionCands += int64(results[i].cands)
-			e.st.RegionRows += int64(results[i].rows)
+			e.st.FOP.Add(&slots[i].stats)
+			e.st.RegionBuilds += evals[i].builds
+			e.st.RegionCands += int64(evals[i].cands)
+			e.st.RegionRows += int64(evals[i].rows)
 		}
 		e.st.WorkCritical += maxWork
 
 		// Serial commit phase.
-		committed = committed[:0]
-		for i := range results {
-			r := &results[i]
-			conflict := false
-			for _, w := range committed {
-				if w.Overlaps(r.expanded) {
-					conflict = true
-					break
-				}
-			}
-			if conflict || !r.cand.Feasible {
+		done := e.done[:0]
+		for i, id := range batch {
+			r := &evals[i]
+			if !r.cand.Feasible || overlapsAny(done, r.expanded) {
 				// Redo sequentially against the updated layout.
-				e.st.Deferred++
-				before := e.st.FOP
-				e.placeOne(r.id)
-				delta := fopDelta(e.st.FOP, before)
-				e.st.WorkSerial += e.w.FOPWork(delta)
-				committed = append(committed, e.window(&e.l.Cells[r.id], 0))
+				e.redo(id)
+				done = append(done, e.window(&e.l.Cells[id], 0))
 				continue
 			}
-			if !e.commit(r.id, r.reg, r.cand) {
-				e.st.Deferred++
-				before := e.st.FOP
-				e.placeOne(r.id)
-				delta := fopDelta(e.st.FOP, before)
-				e.st.WorkSerial += e.w.FOPWork(delta)
+			if !e.commit(id, r.reg, r.cand) {
+				e.redo(id)
 			}
-			committed = append(committed, r.expanded)
+			done = append(done, r.expanded)
 		}
+		e.done = done
 	}
 }
 
-// evaluateFrozen runs steps c)+d) for one target without committing,
-// expanding the window as needed, on slot's scratch. Safe to run
-// concurrently with other slots: the layout and placed flags are not
-// mutated during the parallel phase.
-func (e *engine) evaluateFrozen(id int, slot *mtSlot) mtResult {
+// redo places a deferred batch target serially, priced as serial work.
+func (e *engine) redo(id int) {
+	e.st.Deferred++
+	before := e.st.FOP
+	e.placeOne(id)
+	e.st.WorkSerial += e.w.FOPWork(fopDelta(e.st.FOP, before))
+}
+
+// evaluate runs steps c)+d) for one target without committing, expanding
+// the window until FOP finds a position or the die-wide fallback, on x,
+// f and cands as scratch, and adds its FOP counters to fst. The region
+// lives in x until x's next extraction. Safe to run concurrently on
+// distinct scratch: the layout and placed flags are not mutated while a
+// batch evaluates.
+func (e *engine) evaluate(id int, x *region.Extractor, f *fop.Finder, cands *[]int, fst *fop.Stats) evaluation {
 	c := &e.l.Cells[id]
-	tg := fop.Target{
-		GX: c.GX, GY: c.GY, W: c.W, H: c.H,
-		ParityOK: c.Parity.AllowsRow, RowHeight: e.l.RowHeight,
-	}
-	opts := fop.Options{Streamed: e.cfg.Streamed, MeasureOriginalShift: e.cfg.MeasureOriginalShift}
-	out := mtResult{id: id}
+	tg := e.target(c)
+	opts := e.fopOptions()
+	var out evaluation
 	for n := 0; ; n++ {
 		win := e.window(c, n)
-		if n >= e.cfg.MaxExpand {
-			win = e.l.Die()
-		}
-		slot.cands = e.idx.Query(win, slot.cands[:0])
-		cands := slot.cands
+		*cands = e.idx.Query(win, (*cands)[:0])
 		out.builds++
-		out.cands += len(cands)
+		out.cands += len(*cands)
 		out.rows += win.Intersect(e.l.Die()).H
-		out.work += e.w.RegionCand*float64(len(cands)) + e.w.RegionRow*float64(win.H)
-		reg := slot.ext.FromSoA(e.soa, e.placed, id, e.l.Die(), win, cands)
+		out.work += e.w.RegionCand*float64(len(*cands)) + e.w.RegionRow*float64(win.H)
+		reg := x.From(e.l, e.placed, id, win, *cands)
 		var st fop.Stats
-		cand := slot.fop.Best(reg, tg, opts, &st)
-		out.fopStats.Add(&st)
+		cand := f.Best(reg, tg, opts, &st)
+		fst.Add(&st)
 		out.work += e.w.FOPWork(st)
-		if cand.Feasible || n >= e.cfg.MaxExpand {
+		if cand.Feasible || n >= maxExpand {
 			out.reg = reg
 			out.cand = cand
 			out.expanded = win
@@ -561,11 +550,4 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

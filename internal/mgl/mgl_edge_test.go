@@ -92,27 +92,6 @@ func TestThreadsOneBoundary(t *testing.T) {
 	}
 }
 
-// TestWindowConfigOverride: a custom (tiny) initial window forces
-// expansions but must not break legality.
-func TestWindowConfigOverride(t *testing.T) {
-	l, err := gen.Small(200, 0.6, 112).Generate(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Legalize(l, Config{WindowW: 12, WindowH: 2})
-	if !res.Legal {
-		t.Fatalf("tiny-window run illegal: %v", res.Violations)
-	}
-	if res.Stats.Expansions == 0 {
-		t.Fatal("tiny windows should force expansions")
-	}
-	// Larger windows shrink (or keep) average displacement.
-	big := Legalize(l, Config{WindowW: 256, WindowH: 16})
-	if big.Metrics.AveDis > res.Metrics.AveDis*1.5 {
-		t.Fatalf("bigger windows much worse: %v vs %v", big.Metrics.AveDis, res.Metrics.AveDis)
-	}
-}
-
 // TestMetricsConsistency: the result metrics must match an independent
 // re-measurement of the returned layout.
 func TestMetricsConsistency(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/order"
+	"github.com/flex-eda/flex/internal/perf"
 )
 
 func testLayout(t *testing.T, n int, density float64, seed int64) *model.Layout {
@@ -66,22 +67,6 @@ func TestStreamedMatchesOriginalPipeline(t *testing.T) {
 		if a.Layout.Cells[i].X != b.Layout.Cells[i].X || a.Layout.Cells[i].Y != b.Layout.Cells[i].Y {
 			t.Fatalf("cell %d differs between curve pipelines", i)
 		}
-	}
-}
-
-func TestCommitOriginalMatchesSACS(t *testing.T) {
-	l := testLayout(t, 150, 0.6, 105)
-	a := Legalize(l, Config{CommitOriginal: false})
-	b := Legalize(l, Config{CommitOriginal: true})
-	for i := range a.Layout.Cells {
-		if a.Layout.Cells[i].X != b.Layout.Cells[i].X || a.Layout.Cells[i].Y != b.Layout.Cells[i].Y {
-			t.Fatalf("cell %d differs between commit algorithms", i)
-		}
-	}
-	// The original algorithm must have spent at least as many passes.
-	if b.Stats.Commit.Passes < a.Stats.Commit.Passes {
-		t.Fatalf("original commit passes %d < SACS passes %d",
-			b.Stats.Commit.Passes, a.Stats.Commit.Passes)
 	}
 }
 
@@ -169,7 +154,7 @@ func TestStatsBreakdownShiftDominates(t *testing.T) {
 	// counters reflect that on a realistic run.
 	l := testLayout(t, 300, 0.7, 110)
 	res := Legalize(l, Config{})
-	w := Config{}.weights()
+	w := perf.DefaultWeights
 	shiftWork := w.ShiftWork(res.Stats.FOP.Shift)
 	curveWork := w.CurveWork(res.Stats.FOP.Curve)
 	frac := shiftWork / (shiftWork + curveWork)

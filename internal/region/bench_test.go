@@ -69,19 +69,3 @@ func BenchmarkExtractFrom(b *testing.B) {
 		x.From(l, placed, target, win, cands)
 	}
 }
-
-// BenchmarkExtractFromSoA is BenchmarkExtractFrom reading candidate
-// geometry from the structure-of-arrays mirror, the mgl engine's path.
-func BenchmarkExtractFromSoA(b *testing.B) {
-	l, idx, placed, target, wins := benchExtraction(b)
-	soa := model.NewSoA(l)
-	var x region.Extractor
-	var cands []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		win := wins[i%len(wins)]
-		cands = idx.Query(win, cands[:0])
-		x.FromSoA(soa, placed, target, l.Die(), win, cands)
-	}
-}

@@ -166,32 +166,6 @@ func (r *Region) Clone() *Region {
 	return out
 }
 
-// Extract builds the localRegion for target inside the window win.
-// Only cells with placed[id] == true participate; placed cells fully
-// contained in the window's free runs become localCells, all other placed
-// cells intersecting the window act as obstacles that shrink the segments
-// (like fixed blockages). The fixpoint iteration resolves the mutual
-// dependence between segment extents and localCell containment.
-//
-// Extract scans the whole layout for window members and runs on a
-// throwaway Extractor, so the region is the caller's to keep; the
-// legalizer hot path keeps an Extractor and feeds it candidates from an
-// Index query.
-func Extract(l *model.Layout, placed []bool, targetID int, win geom.Rect) *Region {
-	var candidates []int
-	for i := range l.Cells {
-		c := &l.Cells[i]
-		if !c.Fixed && !placed[i] {
-			continue
-		}
-		if c.Rect().Overlaps(win.Intersect(l.Die())) {
-			candidates = append(candidates, i)
-		}
-	}
-	var x Extractor
-	return x.From(l, placed, targetID, win, candidates)
-}
-
 // candCell is one gathered extraction candidate: exactly the geometry the
 // fixpoint touches, packed densely so its iterations stay cache-resident
 // instead of striding through the layout's fat Cell structs.
@@ -206,26 +180,53 @@ func (c *candCell) rect() geom.Rect {
 }
 
 // Extractor builds local regions while reusing its working memory across
-// calls: the gathered candidates, the fixpoint's flags and blocked
-// intervals, and the returned region's segments, localCells and
+// calls: the scanned and gathered candidates, the fixpoint's flags and
+// blocked intervals, and the returned region's segments, localCells and
 // per-segment lists. The zero value is ready to use. Not safe for
 // concurrent use.
 //
 // A returned region is valid only until the next call on the same
 // Extractor. A serial place-and-commit loop, done with one target's region
-// before it extracts the next (mgl's placeOne, which serves FLEX, MGL and
-// MGL-MT's redo path, and the GPU engine's CPU side), keeps one. An engine
-// that holds several regions before committing them keeps one Extractor
-// per pending region: MGL-MT one per concurrent batch slot, the GPU engine
-// one per target of a kernel round.
+// before it extracts the next (mgl's serial paths, which serve FLEX, MGL,
+// MGL-MT's redo and the GPU engine's host side, and the analytical
+// engine's repair pass), keeps one. An engine that holds several regions
+// before committing them keeps one Extractor per pending region: MGL-MT
+// one per concurrent batch slot, the GPU engine one per target of a
+// kernel round.
 type Extractor struct {
 	reg     Region
+	ids     []int // Extract's layout scan
 	cands   []candCell
 	local   []bool
 	blocked [][]iv
 	sel     []int
 	segs    []Segment // every segment keeps its Cells capacity
 	cells   []LocalCell
+}
+
+// Extract builds the localRegion for target inside the window win.
+// Only cells with placed[id] == true participate; placed cells fully
+// contained in the window's free runs become localCells, all other placed
+// cells intersecting the window act as obstacles that shrink the segments
+// (like fixed blockages). The fixpoint iteration resolves the mutual
+// dependence between segment extents and localCell containment.
+//
+// Extract scans the whole layout for window members; the legalizer hot
+// path calls From with an Index query's candidates instead.
+func (x *Extractor) Extract(l *model.Layout, placed []bool, targetID int, win geom.Rect) *Region {
+	clip := win.Intersect(l.Die())
+	ids := x.ids[:0]
+	for i := range l.Cells {
+		c := &l.Cells[i]
+		if !c.Fixed && !placed[i] {
+			continue
+		}
+		if c.Rect().Overlaps(clip) {
+			ids = append(ids, i)
+		}
+	}
+	x.ids = ids
+	return x.From(l, placed, targetID, win, ids)
 }
 
 // From builds the localRegion for target inside the window win from a
@@ -258,42 +259,6 @@ func (x *Extractor) From(l *model.Layout, placed []bool, targetID int, win geom.
 	}
 	x.cands = cands
 	x.extract(target.GX)
-	return &x.reg
-}
-
-// FromSoA is From reading candidate geometry from a structure-of-arrays
-// mirror instead of the layout's cell structs; the mirror must be in sync
-// with the layout. Results are identical: the fixpoint sees the same
-// geometry either way.
-func (x *Extractor) FromSoA(soa *model.SoA, placed []bool, targetID int, die, win geom.Rect, rawCandidates []int) *Region {
-	win = win.Intersect(die)
-	x.reg = Region{
-		Target:  targetID,
-		TargetW: int(soa.W[targetID]),
-		TargetH: int(soa.H[targetID]),
-		Window:  win,
-	}
-	if win.Empty() {
-		return &x.reg
-	}
-	cands := resize(x.cands, len(rawCandidates))[:0]
-	for _, i := range rawCandidates {
-		if i == targetID {
-			continue
-		}
-		if !soa.Fixed[i] && !placed[i] {
-			continue
-		}
-		if soa.Rect(i).Overlaps(win) {
-			cands = append(cands, candCell{
-				id: int32(i), x: soa.X[i], y: soa.Y[i],
-				w: soa.W[i], h: soa.H[i], gx: soa.GX[i],
-				movable: !soa.Fixed[i],
-			})
-		}
-	}
-	x.cands = cands
-	x.extract(int(soa.GX[targetID]))
 	return &x.reg
 }
 

@@ -43,7 +43,7 @@ func TestExtractSegmentsPreferTargetRun(t *testing.T) {
 	// Window covering the whole die: the blockage splits each row into
 	// [0,18) and [20,40). The target's desired center (x=11) lies in the
 	// left run, so that run is chosen even though [20,40) is longer.
-	r := Extract(l, placed, 5, geom.NewRect(0, 0, 40, 4))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(0, 0, 40, 4))
 	if len(r.Segments) != 4 {
 		t.Fatalf("segments = %d, want 4", len(r.Segments))
 	}
@@ -72,7 +72,7 @@ func TestExtractFallsBackToLongestRun(t *testing.T) {
 	// no run contains it, so the longest run [20,40) is chosen.
 	l.Cells[5].GX = 18
 	l.Cells[5].W = 2
-	r := Extract(l, placed, 5, geom.NewRect(0, 0, 40, 4))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(0, 0, 40, 4))
 	for i, seg := range r.Segments {
 		if seg.Lo != 20 || seg.Hi != 40 {
 			t.Fatalf("segment %d = [%d,%d), want [20,40)", i, seg.Lo, seg.Hi)
@@ -83,7 +83,7 @@ func TestExtractFallsBackToLongestRun(t *testing.T) {
 func TestExtractWindowOnLeftSide(t *testing.T) {
 	l, placed := grid()
 	// Window covering only the left of the blockage: run [0,18).
-	r := Extract(l, placed, 5, geom.NewRect(0, 0, 18, 2))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(0, 0, 18, 2))
 	for _, seg := range r.Segments {
 		if seg.Lo != 0 || seg.Hi != 18 {
 			t.Fatalf("segment = [%d,%d), want [0,18)", seg.Lo, seg.Hi)
@@ -107,7 +107,7 @@ func TestExtractPartiallyContainedCellBecomesObstacle(t *testing.T) {
 	l, placed := grid()
 	// Window cutting cell d (3 rows tall) at its waist: d is not contained,
 	// so it must act as an obstacle shrinking the rows it crosses.
-	r := Extract(l, placed, 5, geom.NewRect(20, 0, 20, 2))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(20, 0, 20, 2))
 	// d occupies x [30,33): longest free run right of the blockage is
 	// [20,30) for rows 0..1.
 	for _, seg := range r.Segments {
@@ -125,7 +125,7 @@ func TestExtractPartiallyContainedCellBecomesObstacle(t *testing.T) {
 func TestExtractIgnoresUnplacedCells(t *testing.T) {
 	l, placed := grid()
 	placed[0] = false // a unplaced: invisible to the region
-	r := Extract(l, placed, 5, geom.NewRect(0, 0, 18, 1))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(0, 0, 18, 1))
 	for _, lc := range r.Cells {
 		if lc.ID == 0 {
 			t.Fatal("unplaced cell a leaked into the region")
@@ -135,7 +135,7 @@ func TestExtractIgnoresUnplacedCells(t *testing.T) {
 
 func TestExtractDensity(t *testing.T) {
 	l, placed := grid()
-	r := Extract(l, placed, 5, geom.NewRect(0, 0, 18, 2))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(0, 0, 18, 2))
 	// capacity = 2 rows × 18 sites = 36; used = a(4) + b(8) + target(3).
 	want := 15.0 / 36.0
 	if r.Density < want-1e-9 || r.Density > want+1e-9 {
@@ -145,7 +145,7 @@ func TestExtractDensity(t *testing.T) {
 
 func TestCellsInRows(t *testing.T) {
 	l, placed := grid()
-	r := Extract(l, placed, 5, geom.NewRect(20, 0, 20, 4))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(20, 0, 20, 4))
 	got := r.CellsInRows(1, 1)
 	// Row 1 holds c and d.
 	if len(got) != 2 {
@@ -160,7 +160,7 @@ func TestCellsInRows(t *testing.T) {
 
 func TestRegionClone(t *testing.T) {
 	l, placed := grid()
-	r := Extract(l, placed, 5, geom.NewRect(0, 0, 40, 4))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(0, 0, 40, 4))
 	cp := r.Clone()
 	if len(cp.Cells) > 0 {
 		cp.Cells[0].X = 999
@@ -322,7 +322,7 @@ func TestExtractFromRestrictsToCandidates(t *testing.T) {
 
 func TestExtractEmptyWindow(t *testing.T) {
 	l, placed := grid()
-	r := Extract(l, placed, 5, geom.NewRect(-10, -10, 5, 5))
+	r := new(Extractor).Extract(l, placed, 5, geom.NewRect(-10, -10, 5, 5))
 	if len(r.Cells) != 0 {
 		t.Fatal("empty window must produce empty region")
 	}
@@ -330,7 +330,7 @@ func TestExtractEmptyWindow(t *testing.T) {
 
 // extractorFixture is a generated design with every other movable cell
 // placed, and a spread of windows, some reaching past the die.
-func extractorFixture(t testing.TB) (*model.Layout, *Index, *model.SoA, []bool, []geom.Rect) {
+func extractorFixture(t testing.TB) (*model.Layout, *Index, []bool, []geom.Rect) {
 	t.Helper()
 	l, err := gen.Small(1500, 0.72, 5).Generate(1)
 	if err != nil {
@@ -345,24 +345,24 @@ func extractorFixture(t testing.TB) (*model.Layout, *Index, *model.SoA, []bool, 
 	for i := range wins {
 		wins[i] = geom.NewRect((i*53)%die.W-8, (i*17)%die.H-2, 16+(i*13)%96, 2+i%12)
 	}
-	return l, NewIndex(l, 32, 4, nil), model.NewSoA(l), placed, wins
+	return l, NewIndex(l, 32, 4, nil), placed, wins
 }
 
-// TestExtractorMatchesThrowaway checks both reusable gathers against a
-// fresh Extractor on every call, scrambling each returned region (as a
-// shift commit would) before the next call, so no state leaks between
-// calls.
+// TestExtractorMatchesThrowaway checks a reused Extractor, gathering from
+// an index query (From) and from a layout scan (Extract), against a fresh
+// one on every call, scrambling each returned region (as a shift commit
+// would) before the next call, so no state leaks between calls.
 func TestExtractorMatchesThrowaway(t *testing.T) {
-	l, idx, soa, placed, wins := extractorFixture(t)
-	var fromSoA, fromLayout Extractor
+	l, idx, placed, wins := extractorFixture(t)
+	var fromQuery, fromScan Extractor
 	var cands []int
 	for i, win := range wins {
 		target := (i * 7) % len(l.Cells)
 		cands = idx.Query(win, cands[:0])
 		want := new(Extractor).From(l, placed, target, win, cands).Clone()
 		for _, got := range []*Region{
-			fromSoA.FromSoA(soa, placed, target, l.Die(), win, cands),
-			fromLayout.From(l, placed, target, win, cands),
+			fromQuery.From(l, placed, target, win, cands),
+			fromScan.Extract(l, placed, target, win),
 		} {
 			if !reflect.DeepEqual(got.Clone(), want) {
 				t.Fatalf("window %d: reused region differs from a fresh one", i)
@@ -378,13 +378,13 @@ func TestExtractorMatchesThrowaway(t *testing.T) {
 }
 
 func TestExtractorAllocsAfterWarmUp(t *testing.T) {
-	l, idx, soa, placed, wins := extractorFixture(t)
+	l, idx, placed, wins := extractorFixture(t)
 	var x Extractor
 	var cands []int
 	run := func() {
 		for i, win := range wins {
 			cands = idx.Query(win, cands[:0])
-			x.FromSoA(soa, placed, (i*7)%len(l.Cells), l.Die(), win, cands)
+			x.From(l, placed, (i*7)%len(l.Cells), win, cands)
 		}
 	}
 	run() // grows every buffer to the largest window of the set

@@ -189,7 +189,7 @@ func TestOriginalEquivalentToSACS(t *testing.T) {
 		placed[target] = false
 		tc := &l.Cells[target]
 		win := geom.NewRect(tc.X-30, tc.Y-4, 60+tc.W, 8+tc.H)
-		reg := region.Extract(l, placed, target, win)
+		reg := new(region.Extractor).Extract(l, placed, target, win)
 		placed[target] = true
 		if len(reg.Cells) < 2 {
 			continue
