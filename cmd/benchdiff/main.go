@@ -13,8 +13,9 @@
 // repository, so the CI gate runs with -op-tol 0. A record present in the
 // old file but missing from the new one fails unless -allow-missing is
 // set (records added by the new file are reported but never fail — the
-// trajectory is allowed to grow). Legality may never regress: a record
-// that was legal and no longer is fails at any tolerance.
+// trajectory is allowed to grow). Legality and quality may never regress:
+// a record that was legal and no longer is, or whose aveDis or maxDis
+// rose, fails at any tolerance.
 //
 // There is deliberately no wall-clock tolerance flag: BENCH files never
 // contain wall-clock time (that is what keeps them byte-stable), so there
@@ -44,7 +45,7 @@ type diffOptions struct {
 // finding is one comparison outcome worth reporting.
 type finding struct {
 	key        string // "experiment/design|engine|config"
-	metric     string // op key, "modeledSeconds", "legal", or "record"
+	metric     string // op key, "modeledSeconds", "legal", "aveDis", "maxDis", or "record"
 	old, new   float64
 	regression bool
 	note       string
@@ -99,6 +100,14 @@ func diff(oldF, newF *benchjson.File, opt diffOptions) []finding {
 			if or.Legal && !nr.Legal {
 				out = append(out, finding{key: key, metric: "legal", regression: true,
 					note: "was legal, now illegal"})
+			}
+			for _, q := range []struct {
+				metric   string
+				old, new float64
+			}{{"aveDis", or.AveDis, nr.AveDis}, {"maxDis", or.MaxDis, nr.MaxDis}} {
+				if q.new > q.old {
+					out = append(out, finding{key: key, metric: q.metric, old: q.old, new: q.new, regression: true})
+				}
 			}
 			if exceeds(or.ModeledSeconds, nr.ModeledSeconds, opt.secTol) {
 				out = append(out, finding{key: key, metric: "modeledSeconds",

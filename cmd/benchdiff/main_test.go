@@ -75,6 +75,35 @@ func TestLegalityRegressionFailsAtAnyTolerance(t *testing.T) {
 	}
 }
 
+// TestQualityRiseFailsAtAnyTolerance: a record whose aveDis or maxDis
+// rises is a regression whatever the tolerances, like a legality loss; a
+// fall or an equal value passes.
+func TestQualityRiseFailsAtAnyTolerance(t *testing.T) {
+	const base = 1.2
+	set := map[string]func(r *benchjson.Record, v float64){
+		"aveDis": func(r *benchjson.Record, v float64) { r.AveDis = v },
+		"maxDis": func(r *benchjson.Record, v float64) { r.MaxDis = v },
+	}
+	for _, metric := range []string{"aveDis", "maxDis"} {
+		for _, c := range []struct {
+			next       float64
+			regression bool
+		}{{base + 0.001, true}, {base - 0.001, false}, {base, false}} {
+			old, next := trajectory(1000, true), trajectory(1000, true)
+			set[metric](&old.Experiments[0].Records[0], base)
+			set[metric](&next.Experiments[0].Records[0], c.next)
+			fs := diff(old, next, diffOptions{opTol: 100, secTol: 100})
+			want := 0
+			if c.regression {
+				want = 1
+			}
+			if n := regressions(fs); n != want || (n == 1 && fs[0].metric != metric) {
+				t.Errorf("%s %g -> %g: %d regressions, want %d: %+v", metric, base, c.next, n, want, fs)
+			}
+		}
+	}
+}
+
 func TestMissingRecordPolicies(t *testing.T) {
 	old := trajectory(1000, true)
 	empty := benchjson.New(old.Env, old.Config)

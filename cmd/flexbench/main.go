@@ -12,13 +12,13 @@
 //	          [-bench-out BENCH_n.json]
 //
 // -exp sharded runs the row-band sharding extension: each selected design
-// is split into -shards horizontal bands (with a -shard-halo seam window),
-// every band legalized by the FLEX engine as an independent pool job, and
-// the bands stitched back into one whole-die result. Designs run one after
-// another so only one design's bands are ever resident — the path that
-// fits paper-scale superblue runs (reach them with
-// -designs superblue19 -scale 0.5 or larger). Per-band wall and device
-// wait land on stderr; the table stays deterministic.
+// is submitted as one sharded job (-shards horizontal bands with a
+// -shard-halo seam window), whose bands the service legalizes with the
+// FLEX engine as independent pool jobs and stitches back into one
+// whole-die result. Designs run one after another so only one design's
+// bands are ever resident — the path that fits paper-scale superblue runs
+// (reach them with -designs superblue19 -scale 0.5 or larger). Per-band
+// wall and device wait land on stderr; the table stays deterministic.
 //
 // -workers bounds how many (design × engine) jobs run concurrently (0 =
 // GOMAXPROCS); -fpgas sets how many physical accelerator boards the host
@@ -27,10 +27,11 @@
 // Engines are deterministic, so every workers × fpgas combination prints
 // byte-identical tables; -workers 1 forces the old serial behaviour.
 //
-// One invocation runs every selected driver on one shared service: a
-// long-lived worker pool plus — with -cache-mb — a byte-bounded layout
-// cache memoizing generated benchmarks by (design, scale, seed), so
-// drivers that share designs skip regeneration. -repeat N re-runs the
+// One invocation submits every selected driver's jobs to one shared
+// flex.Service — the front door flexlg and flexserve use — and, with
+// -cache-mb, generates benchmarks through one byte-bounded layout cache
+// memoizing them by (design, scale, seed), so drivers that share designs
+// skip regeneration. -repeat N re-runs the
 // selected experiments N times on the same warm service, the measurement
 // mode for cache effectiveness (stdout repeats the identical tables; wall
 // time and cache hit/miss deltas land on stderr). Caching never changes a
@@ -38,14 +39,17 @@
 //
 // -exp eco measures the incremental (ECO) legalization path: each design is
 // legalized once across -eco-bands row bands, then -eco-edits single-cell
-// in-halo moves are served both incrementally (only the dirty bands
-// re-solve; the clean bands splice from the base run) and as full re-runs.
-// The driver fails hard unless every incremental result is byte-identical
-// to its full re-run; the table reports the modeled edit-stream speedup the
-// dirty-band path buys (T_full / T_inc — the flex.Service outcome cache
-// realizes the same reuse for served traffic).
+// in-halo moves are served both incrementally and as full re-runs. The
+// incremental runs reference the base by content hash on a second service
+// the driver builds with an outcome cache and the shared service's worker
+// and board counts, which re-solves only the dirty bands and splices the
+// clean bands from the base run; the full re-runs go to the shared
+// service. The driver fails hard unless every edit takes the incremental
+// path and its result is byte-identical to its full re-run; the table
+// reports the modeled edit-stream speedup the dirty-band path buys
+// (T_full / T_inc).
 //
-// -sched selects the pool's queue policy (priority, the default:
+// -sched selects the service's queue policy (priority, the default:
 // effective priority with aging, EDF within a level, fair share;
 // fifo restores strict arrival order); -priority stamps every driver job's
 // class, and -reconfig-ms charges a modeled board-programming delay
@@ -63,7 +67,10 @@
 //
 // Scheduling behaviour (device wait vs CPU overlap, cache hits vs misses)
 // is reported per driver and per repetition on stderr, leaving stdout
-// comparable across configurations.
+// comparable across configurations. A driver's job count counts the jobs
+// it submitted — a sharded design is one job, its bands one board acquire
+// each — and the drivers that only price traces (fig2b, fig2c, fig2g,
+// fig6g, fig8, fig9, scalability) submit none and print no such line.
 //
 // -bench-out path writes the run's perf-trajectory record: one
 // internal/benchjson document with the deterministic facts — op counts,
@@ -90,15 +97,15 @@ import (
 	"strings"
 	"time"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/cache"
 	"github.com/flex-eda/flex/internal/experiments"
 	"github.com/flex-eda/flex/internal/obs"
-	"github.com/flex-eda/flex/internal/sched"
 )
 
-// reportStats prints one driver's pool statistics — CPU overlap achieved by
+// reportStats prints one driver's batch statistics — CPU overlap achieved by
 // the workers and contention on the modeled FPGA boards — to stderr so that
 // stdout stays byte-identical across scheduling configurations.
 func reportStats(name string, st batch.Stats) {
@@ -148,22 +155,21 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write one span per driver run as Chrome trace-viewer JSON (chrome://tracing / Perfetto) to this path")
 	flag.Parse()
 
-	policy, err := sched.ParsePolicy(*schedName)
+	scheduler, err := flex.ParseScheduler(*schedName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	// One shared service per invocation: every driver batch runs on this
-	// pool, and (with -cache-mb) resolves generated layouts through this
-	// cache — so repeated designs, within a repetition and across -repeat
-	// runs, are built once.
-	pool := batch.NewPool(batch.PoolConfig{
-		Workers: *workers, FPGAs: *fpgas,
-		Policy:       policy,
-		ReconfigCost: time.Duration(*reconfigMS) * time.Millisecond,
-	})
-	defer pool.Close()
+	// One shared service per invocation: every driver batch is submitted
+	// to it, and (with -cache-mb) drivers resolve generated layouts
+	// through this cache — so repeated designs, within a repetition and
+	// across -repeat runs, are built once.
+	svc := flex.NewService(flex.WithWorkers(*workers), flex.WithFPGAs(*fpgas),
+		flex.WithScheduler(scheduler),
+		flex.WithReconfigCost(time.Duration(*reconfigMS)*time.Millisecond))
+	//flexvet:close shutdown close at CLI exit: every driver's Submit drained its batch, so there is no error left to act on
+	defer svc.Close()
 	var layouts *cache.LRU
 	if *cacheMB > 0 {
 		layouts = cache.New(int64(*cacheMB) << 20)
@@ -192,7 +198,7 @@ func main() {
 		Scale:           *scale,
 		Threads:         *threads,
 		MeasureOriginal: *measure,
-		Pool:            pool,
+		Service:         svc,
 		Layouts:         layouts,
 		Priority:        *priority,
 	}

@@ -231,6 +231,25 @@ func TestServiceSchedulerStats(t *testing.T) {
 	}
 }
 
+// TestParseScheduler: every CLI's -sched flag accepts "", "priority" and
+// "fifo", each name round-trips through String, and an unknown name fails.
+func TestParseScheduler(t *testing.T) {
+	for name, want := range map[string]flex.Scheduler{
+		"": flex.SchedulerPriority, "priority": flex.SchedulerPriority, "fifo": flex.SchedulerFIFO,
+	} {
+		got, err := flex.ParseScheduler(name)
+		if err != nil || got != want {
+			t.Fatalf("ParseScheduler(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		if name != "" && got.String() != name {
+			t.Fatalf("%v.String() = %q, want %q", got, got.String(), name)
+		}
+	}
+	if _, err := flex.ParseScheduler("sjf"); err == nil {
+		t.Fatal("unknown scheduler accepted")
+	}
+}
+
 // TestShardedWarmCacheSkipsResplit is the shard-aware cache-key satellite:
 // on a caching service, the second identical sharded submission reuses the
 // memoized band decomposition — no new cache misses — and still stitches

@@ -118,18 +118,3 @@ func (s *Stats) Add(o Stats) {
 	s.DeviceReconfigs += o.DeviceReconfigs
 	s.DeviceReconfigTime += o.DeviceReconfigTime
 }
-
-// Values unwraps a fully successful result set into plain values, in
-// submission order. It returns the first per-job error it finds, so callers
-// that want all-or-nothing semantics can collapse RunClassedOn's output in
-// one step.
-func Values[T any](results []Result[T]) ([]T, error) {
-	out := make([]T, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		out[i] = r.Value
-	}
-	return out, nil
-}

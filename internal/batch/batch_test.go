@@ -10,6 +10,19 @@ import (
 	"time"
 )
 
+// Values unwraps a fully successful result set into plain values, in
+// submission order, returning the first per-job error it finds.
+func Values[T any](results []Result[T]) ([]T, error) {
+	out := make([]T, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		out[i] = r.Value
+	}
+	return out, nil
+}
+
 // squares builds n jobs whose values depend only on their index, so any
 // worker count must reproduce the same result set.
 func squares(n int) []Job[int] {

@@ -463,8 +463,8 @@ func TestClassedResultsIdenticalAcrossPolicies(t *testing.T) {
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("policy %v workers %d: result[%d] = %d, want %d",
-							policy.Name(), workers, i, got[i], want[i])
+						t.Fatalf("policy %T workers %d: result[%d] = %d, want %d",
+							policy, workers, i, got[i], want[i])
 					}
 				}
 			}

@@ -3,8 +3,9 @@
 // baselines of Table 1. Each entry holds the engine's canonical name, its
 // Table 1 label, whether it holds a modeled FPGA board while it runs, and
 // a run function that prices the result in modeled seconds. The public
-// API, the service's executor and the experiment drivers all run engines
-// through Run, so an engine's configuration and pricing live here alone.
+// API and the service's executor, which the experiment drivers submit to,
+// run engines through Run, so an engine's configuration and pricing live
+// here alone.
 package engine
 
 import (
@@ -119,10 +120,23 @@ func Parse(name string) (Kind, bool) {
 	return 0, false
 }
 
+// observerKey carries a WithObserver callback through a context.
+type observerKey struct{}
+
+// WithObserver returns ctx carrying fn, which Run calls with every result it
+// returns under that context — the way a caller that submits jobs through
+// the service reads the op counts and breakdown its outcomes do not carry.
+// fn runs on the job's goroutine after the run, with no board held, and
+// may be called concurrently.
+func WithObserver(ctx context.Context, fn func(*Result)) context.Context {
+	return context.WithValue(ctx, observerKey{}, fn)
+}
+
 // Run legalizes a clone of l with k's engine. An engine that needs the FPGA
 // holds one modeled board of ctx's pool for the run (free outside a pool);
 // a canceled ctx starts no engine. A negative thread count fails for every
-// engine: MGL-MT would price its run in negative seconds.
+// engine: MGL-MT would price its run in negative seconds. A successful run
+// is reported to ctx's observer (WithObserver), if any.
 func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -134,12 +148,19 @@ func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, erro
 	if o.Threads < 0 {
 		return nil, fmt.Errorf("flex: threads must be >= 0, got %d", o.Threads)
 	}
-	if !e.FPGA {
-		return e.run(l, o), nil
-	}
 	var r *Result
-	err = batch.HoldDevice(ctx, func() { r = e.run(l, o) })
-	return r, err
+	if e.FPGA {
+		err = batch.HoldDevice(ctx, func() { r = e.run(l, o) })
+	} else {
+		r = e.run(l, o)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if observe, ok := ctx.Value(observerKey{}).(func(*Result)); ok {
+		observe(r)
+	}
+	return r, nil
 }
 
 func runFLEX(l *model.Layout, o Options) *Result {

@@ -75,6 +75,30 @@ func TestRunHoldsBoardsAndPricesOnRequest(t *testing.T) {
 	}
 }
 
+// TestRunReportsToObserver: the context's observer sees the result every
+// successful run returns, board-holding or not, and nothing from a run
+// that fails.
+func TestRunReportsToObserver(t *testing.T) {
+	l, err := gen.Small(60, 0.5, 3).Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []*Result
+	ctx := WithObserver(context.Background(), func(r *Result) { seen = append(seen, r) })
+	for k := range table {
+		r, err := Run(ctx, Kind(k), l, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", table[k].Name, err)
+		}
+		if len(seen) != k+1 || seen[k] != r {
+			t.Fatalf("%s: observer saw %d results, the last not the one returned", table[k].Name, len(seen))
+		}
+	}
+	if _, err := Run(ctx, MGL, l, Options{Threads: -1}); err == nil || len(seen) != len(table) {
+		t.Fatalf("a failed run (err %v) reached the observer: %d results", err, len(seen))
+	}
+}
+
 func TestRunStartsNothingOnCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

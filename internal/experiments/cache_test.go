@@ -3,25 +3,26 @@ package experiments
 import (
 	"testing"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/cache"
 )
 
-// withService returns tiny wired to a shared pool and layout cache, the way
-// flexbench runs every driver of one invocation.
-func withService(o Options, pool *batch.Pool, layouts *cache.LRU) Options {
-	o.Pool = pool
+// withService returns o wired to a shared service and layout cache, the
+// way flexbench runs every driver of one invocation.
+func withService(o Options, svc *flex.Service, layouts *cache.LRU) Options {
+	o.Service = svc
 	o.Layouts = layouts
 	return o
 }
 
 // TestSharedPoolAndCacheByteIdenticalTables is the caching acceptance gate:
-// running the drivers on one long-lived pool with a warm layout cache must
-// render byte-identical output to the throwaway-pool, cache-off baseline —
-// twice, so the second (fully warm) pass is covered too.
+// running the drivers on one long-lived service with a warm layout cache
+// must render byte-identical output to the throwaway-service, cache-off
+// baseline — twice, so the second (fully warm) pass is covered too.
 func TestSharedPoolAndCacheByteIdenticalTables(t *testing.T) {
-	pool := batch.NewPool(batch.PoolConfig{Workers: 4, FPGAs: 1})
-	defer pool.Close()
+	svc := flex.NewService(flex.WithWorkers(4), flex.WithFPGAs(1))
+	defer svc.Close()
 	layouts := cache.New(64 << 20)
 
 	drivers := []struct {
@@ -56,7 +57,7 @@ func TestSharedPoolAndCacheByteIdenticalTables(t *testing.T) {
 			t.Fatalf("%s baseline: %v", d.name, err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			got, err := d.run(withService(tiny, pool, layouts))
+			got, err := d.run(withService(tiny, svc, layouts))
 			if err != nil {
 				t.Fatalf("%s cached pass %d: %v", d.name, pass, err)
 			}
@@ -78,14 +79,15 @@ func TestSharedPoolAndCacheByteIdenticalTables(t *testing.T) {
 }
 
 // TestStatsSinkWithSharedPool checks that per-driver device stats stay
-// per-batch deltas on a shared pool: two Table1 runs each report their own
-// two FLEX acquires even though the pool's device history accumulates.
+// per-batch deltas on a shared service: two Table1 runs each report their
+// own two FLEX acquires even though the service's device history
+// accumulates.
 func TestStatsSinkWithSharedPool(t *testing.T) {
-	pool := batch.NewPool(batch.PoolConfig{Workers: 4, FPGAs: 1})
-	defer pool.Close()
+	svc := flex.NewService(flex.WithWorkers(4), flex.WithFPGAs(1))
+	defer svc.Close()
 	for i := 0; i < 2; i++ {
 		var st batch.Stats
-		o := withService(tiny, pool, nil)
+		o := withService(tiny, svc, nil)
 		o.Stats = &st
 		if _, err := Table1(o); err != nil {
 			t.Fatal(err)
@@ -97,7 +99,7 @@ func TestStatsSinkWithSharedPool(t *testing.T) {
 			t.Fatalf("run %d: FPGAs = %d", i, st.FPGAs)
 		}
 	}
-	if total := pool.Device().Stats().Acquires; total != 4 {
-		t.Fatalf("pool lifetime acquires = %d, want 4", total)
+	if total := svc.Stats().DeviceAcquires; total != 4 {
+		t.Fatalf("service lifetime acquires = %d, want 4", total)
 	}
 }

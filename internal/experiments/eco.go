@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/eco"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
 	"github.com/flex-eda/flex/internal/shard"
@@ -53,7 +54,7 @@ func (p EcoPoint) Speedup() float64 {
 // plan: the first movable parity-free cell whose halo-expanded row span
 // stays strictly inside the band (so exactly one band dirties), shifted
 // horizontally. Returns ok = false when the band has no eligible cell.
-func interiorEdit(l *model.Layout, p *shard.Plan, b int, used map[string]bool) (eco.Edit, bool) {
+func interiorEdit(l *model.Layout, p *shard.Plan, b int, used map[string]bool) (flex.Edit, bool) {
 	band := p.Bands[b]
 	for i := range l.Cells {
 		c := &l.Cells[i]
@@ -64,18 +65,26 @@ func interiorEdit(l *model.Layout, p *shard.Plan, b int, used map[string]bool) (
 			continue
 		}
 		gx := (c.GX + 7) % (l.NumSitesX - c.W + 1)
-		return eco.Edit{Op: eco.OpMove, Cell: c.Name, GX: gx, GY: c.GY}, true
+		return flex.Edit{Op: flex.EditMove, Cell: c.Name, GX: gx, GY: c.GY}, true
 	}
-	return eco.Edit{}, false
+	return flex.Edit{}, false
 }
+
+// ecoCacheBytes bounds the outcome cache of Eco's incremental service.
+const ecoCacheBytes = 256 << 20
 
 // Eco measures the incremental (ECO) legalization path over the (filtered,
 // scaled) suite: per design, legalize the whole die once across bands row
 // bands, then serve edits single-cell in-halo moves — each against the same
-// base — both incrementally (dirty bands only, clean bands spliced from the
-// base run) and as full re-runs. The two stitched results must be
-// byte-identical per edit; any disagreement fails the driver. The modeled
-// speedup is the full-stream cost over the incremental-stream cost.
+// base — both incrementally and as full re-runs. The incremental runs go,
+// by the base's content hash, to a service Eco builds with an outcome cache
+// and Options.Service's worker and board counts, which re-legalizes only
+// the dirty bands and splices the base run's clean bands in; the full
+// re-runs go to Options.Service, which caches no outcomes. The two stitched
+// results must be byte-identical per edit, and on a plan of two or more
+// bands every edit must take the incremental path; anything else fails the
+// driver. The modeled speedup is the full-stream cost over the
+// incremental-stream cost.
 func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 	opt = opt.withDefaults()
 	if bands < 1 {
@@ -91,6 +100,20 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("eco: empty suite")
 	}
+	if opt.Service == nil {
+		opt.Service = flex.NewService()
+		defer opt.Service.Close()
+	}
+	st := opt.Service.Stats()
+	fpgas := st.FPGAs
+	if fpgas == 0 { // unlimited boards
+		fpgas = -1
+	}
+	inc := opt
+	inc.Service = flex.NewService(flex.WithWorkers(st.Workers), flex.WithFPGAs(fpgas),
+		flex.WithOutcomeCacheBytes(ecoCacheBytes))
+	defer inc.Service.Close()
+
 	out := make([]EcoPoint, 0, len(suite))
 	for _, spec := range suite {
 		base, err := opt.generate(spec, opt.Scale)
@@ -101,11 +124,43 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
-		baseBands, err := shard.Split(base, plan)
+		used := map[string]bool{}
+		var incJobs, fullJobs []flex.BatchJob
+		for e := 0; e < edits; e++ {
+			edit, ok := interiorEdit(base, plan, e%len(plan.Bands), used)
+			if !ok {
+				// This band holds no eligible interior cell at this scale;
+				// smaller streams still measure, they just say so.
+				continue
+			}
+			used[edit.Cell] = true
+			incJob := opt.shardedJob(nil, bands, halo)
+			incJob.Edits = []flex.Edit{edit}
+			fullJob := opt.shardedJob(base, bands, halo)
+			fullJob.Edits = incJob.Edits
+			incJobs, fullJobs = append(incJobs, incJob), append(fullJobs, fullJob)
+		}
+		if len(incJobs) == 0 {
+			return nil, fmt.Errorf("eco %s: no band holds an interior movable cell at scale %g; raise -scale or lower -eco-bands", spec.Name, opt.Scale)
+		}
+		baseRun, _, err := inc.submit([]flex.BatchJob{opt.shardedJob(base, bands, halo)})
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
-		baseRuns, err := legalizeBands(opt, baseBands, nil)
+		for i := range incJobs {
+			incJobs[i].BaseHash = baseRun[0].Outcome.InputHash
+		}
+		fallbacks := inc.Service.Stats().Fallbacks
+		incRuns, ran, err := inc.submit(incJobs)
+		if err != nil {
+			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
+		}
+		// Each edit dirties one band, so with two or more every edit must
+		// splice; a one-band plan has no clean band and re-runs in full.
+		if n := inc.Service.Stats().Fallbacks - fallbacks; n > 0 && len(plan.Bands) > 1 {
+			return nil, fmt.Errorf("eco %s: %d edits fell back to a full run instead of splicing the base's clean bands", spec.Name, n)
+		}
+		fullRuns, _, err := opt.submit(fullJobs)
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
@@ -115,101 +170,30 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 			Rows:  base.NumRows,
 			Bands: len(plan.Bands),
 			Halo:  plan.Halo,
+			Edits: len(incJobs),
 			Match: true,
 			Ops:   benchjson.Ops{},
 		}
-		used := map[string]bool{}
-		for e := 0; e < edits; e++ {
-			edit, ok := interiorEdit(base, plan, e%len(plan.Bands), used)
-			if !ok {
-				// This band holds no eligible interior cell at this scale;
-				// smaller streams still measure, they just say so.
-				continue
-			}
-			used[edit.Cell] = true
-			edited, err := eco.Apply(base, []eco.Edit{edit})
-			if err != nil {
+		for e, incRun := range incRuns {
+			var incBytes, fullBytes bytes.Buffer
+			if err := errors.Join(model.Encode(&incBytes, incRun.Outcome.Layout), model.Encode(&fullBytes, fullRuns[e].Outcome.Layout)); err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
-			editedBands, err := shard.Split(edited, plan)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			spans, inHalo, err := eco.DirtySpans(base, []eco.Edit{edit}, plan.Halo)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			if !inHalo {
-				return nil, fmt.Errorf("eco %s: interior edit classified out of halo", spec.Name)
-			}
-			var dirtyIdx []int
-			for b, d := range eco.MarkDirty(plan, spans) {
-				if d {
-					dirtyIdx = append(dirtyIdx, b)
-				}
-			}
-			// Hash-verify the splice the way the service does: a predicted-
-			// clean band whose input changed would make reuse unsound.
-			dirty := make(map[int]bool, len(dirtyIdx))
-			for _, b := range dirtyIdx {
-				dirty[b] = true
-			}
-			for b := range plan.Bands {
-				if !dirty[b] && eco.Hash(editedBands[b]) != eco.Hash(baseBands[b]) {
-					return nil, fmt.Errorf("eco %s: clean band %d changed under an interior edit", spec.Name, b)
-				}
-			}
-
-			// Incremental: re-legalize the dirty bands, splice the rest.
-			incRuns, err := legalizeBands(opt, editedBands, dirtyIdx)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			incLayouts := make([]*model.Layout, len(plan.Bands))
-			for b := range plan.Bands {
-				incLayouts[b] = baseRuns[b].Value.Layout
-			}
-			for j, b := range dirtyIdx {
-				inc := incRuns[j].Value
-				incLayouts[b] = inc.Layout
-				pt.IncModeled += inc.ModeledSeconds
-				pt.Ops.Add(inc.Ops())
-			}
-			incStitched, err := shard.Stitch(edited, plan, incLayouts)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-
-			// Full re-run of the edited die, the baseline the splice must
-			// reproduce exactly.
-			fullRuns, err := legalizeBands(opt, editedBands, nil)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			fullLayouts := make([]*model.Layout, len(plan.Bands))
-			for b := range plan.Bands {
-				fullLayouts[b] = fullRuns[b].Value.Layout
-				pt.FullModeled += fullRuns[b].Value.ModeledSeconds
-			}
-			fullStitched, err := shard.Stitch(edited, plan, fullLayouts)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			var incBuf, fullBuf bytes.Buffer
-			if err := model.Encode(&incBuf, incStitched); err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			if err := model.Encode(&fullBuf, fullStitched); err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			if !bytes.Equal(incBuf.Bytes(), fullBuf.Bytes()) {
+			if !bytes.Equal(incBytes.Bytes(), fullBytes.Bytes()) {
 				return nil, fmt.Errorf("eco %s edit %d: incremental result differs from full re-run", spec.Name, e)
 			}
-			pt.Edits++
-			pt.Dirty += len(dirtyIdx)
-		}
-		if pt.Edits == 0 {
-			return nil, fmt.Errorf("eco %s: no band holds an interior movable cell at scale %g; raise -scale or lower -eco-bands", spec.Name, opt.Scale)
+			// The dirty bands are the ones that ran an engine; the rest
+			// were spliced from the base run.
+			for _, band := range incRun.Shards {
+				if r := ran[band.Outcome.Layout]; r != nil {
+					pt.Dirty++
+					pt.IncModeled += band.Outcome.ModeledSeconds
+					pt.Ops.Add(r.Ops())
+				}
+			}
+			for _, band := range fullRuns[e].Shards {
+				pt.FullModeled += band.Outcome.ModeledSeconds
+			}
 		}
 		if opt.Bench != nil {
 			opt.Bench.Add(benchjson.Record{

@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/cache"
@@ -34,21 +35,22 @@ type Options struct {
 	MeasureOriginal bool
 	// Threads is the CPU baseline's thread count (0 = 8, the paper's).
 	Threads int
-	// Stats, when non-nil, accumulates every driver batch's pool
-	// statistics — wall vs summed job wall (CPU overlap) and device
+	// Stats, when non-nil, accumulates every submitted batch's statistics
+	// — submitted jobs, wall vs summed job wall (CPU overlap) and device
 	// wait/hold/contention — so callers can report scheduling behaviour
-	// without perturbing the deterministic tables.
+	// without perturbing the deterministic tables. The trace-pricing
+	// drivers (Figs. 2b/c/g, 6g, 8, 9, Scalability) submit nothing.
 	Stats *batch.Stats
-	// Pool is the executor every driver batch runs on: workers, modeled
-	// FPGA boards and admission control, shared so one flexbench
-	// invocation keeps its workers and device history across drivers.
-	// FLEX jobs hold one board for their device phase and serialize when
-	// they outnumber boards; CPU-only jobs keep overlapping. Engines are
-	// deterministic, so no pool shape changes a rendered table. nil runs
-	// each batch on a throwaway default pool.
-	Pool *batch.Pool
+	// Service is the front door every driver batch is submitted to,
+	// shared so one flexbench invocation keeps its workers and device
+	// history across drivers. FLEX jobs hold one board for their device
+	// phase and serialize when they outnumber boards; CPU-only jobs keep
+	// overlapping. Engines are deterministic, so no service shape changes
+	// a rendered table. Drivers pass explicit layouts (see Layouts). nil
+	// runs each batch on a throwaway default service.
+	Service *flex.Service
 	// Priority stamps every driver job's scheduling class (flexbench's
-	// -priority flag): on a shared pool, a whole flexbench run can be
+	// -priority flag): on a shared service, a whole flexbench run can be
 	// demoted below (or promoted above) concurrent traffic. Sched's class
 	// ladder is its experiment and keeps its own levels. Scheduling order
 	// never changes a rendered table.
@@ -130,39 +132,39 @@ type Table1Row struct {
 
 // table1Engines orders the four Table-1 engine columns: Table1Row.MGL,
 // Date, Ispd and Flex.
-var table1Engines = [...]engine.Kind{engine.MGLMT, engine.GPU, engine.Analytical, engine.FLEX}
+var table1Engines = [...]flex.Engine{flex.EngineMGLMT, flex.EngineGPU, flex.EngineAnalytical, flex.EngineFLEX}
 
-// Table1 runs all four engines over the (filtered, scaled) suite, fanning
-// one job per (design × engine) pair across the worker pool. Each design is
-// generated lazily, exactly once, and the layout shared by its four engine
-// jobs — engines legalize clones.
+// Table1 runs all four engines over the (filtered, scaled) suite, one job
+// per (design × engine) pair on the service; a design's four jobs share its
+// layout — engines legalize clones.
 func Table1(opt Options) ([]Table1Row, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
-	layouts := lazyLayouts(opt, suite, opt.Scale)
-	jobs := make([]batch.Job[EngineCell], 0, len(suite)*len(table1Engines))
-	for _, layout := range layouts {
-		for _, kind := range table1Engines {
-			jobs = append(jobs, engineJob(layout, kind, engine.Options{Threads: opt.Threads},
-				func(r *engine.Result) EngineCell {
-					return EngineCell{AveDis: r.Metrics.AveDis, Seconds: r.ModeledSeconds, Legal: r.Legal,
-						MaxDis: r.Metrics.MaxDis, Ops: r.Ops(), Modeled: r.Breakdown()}
-				}))
-		}
-	}
-	cells, err := values(opt, jobs)
+	layouts, err := opt.generateAll(suite)
 	if err != nil {
 		return nil, fmt.Errorf("table1 %w", err)
 	}
+	jobs := make([]flex.BatchJob, 0, len(suite)*len(table1Engines))
+	for _, l := range layouts {
+		for _, e := range table1Engines {
+			jobs = append(jobs, opt.job(l, e, flex.Options{Threads: opt.Threads}))
+		}
+	}
+	results, runs, err := opt.submit(jobs)
+	if err != nil {
+		return nil, fmt.Errorf("table1 %w", err)
+	}
+	cells := make([]EngineCell, len(results))
+	for i, r := range results {
+		out, run := r.Outcome, runs[r.Outcome.Layout]
+		cells[i] = EngineCell{AveDis: out.Metrics.AveDis, Seconds: out.ModeledSeconds, Legal: out.Legal,
+			MaxDis: out.Metrics.MaxDis, Ops: run.Ops(), Modeled: run.Breakdown()}
+	}
 	rows := make([]Table1Row, len(suite))
 	for i, spec := range suite {
-		l, err := layouts[i]() // memoized: generated by this design's jobs
-		if err != nil {
-			return nil, fmt.Errorf("table1 %w", err)
-		}
 		d := cells[i*len(table1Engines) : (i+1)*len(table1Engines)]
 		row := Table1Row{
-			Name: spec.Name, Cells: len(l.MovableIDs()), Density: l.Density(),
+			Name: spec.Name, Cells: len(layouts[i].MovableIDs()), Density: layouts[i].Density(),
 			MGL: d[0], Date: d[1], Ispd: d[2], Flex: d[3],
 		}
 		if row.Flex.Seconds > 0 {
@@ -175,9 +177,9 @@ func Table1(opt Options) ([]Table1Row, error) {
 			continue
 		}
 		for k, kind := range table1Engines {
-			e, _ := engine.Lookup(kind) // a table kind: never fails
+			e, _ := engine.Lookup(engine.Kind(kind)) // a table kind: never fails
 			config := ""
-			if kind == engine.MGLMT {
+			if kind == flex.EngineMGLMT {
 				config = fmt.Sprintf("threads=%d", opt.Threads)
 			}
 			opt.Bench.Add(benchjson.Record{

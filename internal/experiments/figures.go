@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/flex-eda/flex/internal/batch"
-	"github.com/flex-eda/flex/internal/engine"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/mgl"
@@ -24,34 +23,37 @@ type ThreadPoint struct {
 var fig2aThreads = []int{1, 2, 4, 8, 10}
 
 // Fig2a measures the multi-threaded CPU baseline at 1/2/4/8/10 threads on
-// the first selected design (saturation behaviour, Fig. 2(a)). The layout is
-// generated once, by the first job to need it, and shared: engines legalize
-// clones, so one thread-count job per pool worker can run concurrently.
+// the first selected design (saturation behaviour, Fig. 2(a)), one job per
+// thread count sharing the design's layout — engines legalize clones.
 func Fig2a(opt Options) ([]ThreadPoint, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("fig2a: empty suite")
 	}
-	layout := lazyLayouts(opt, suite[:1], opt.Scale)[0]
-	jobs := make([]batch.Job[float64], len(fig2aThreads))
-	for i, th := range fig2aThreads {
-		// One thread is the sequential MGL reference; more run the
-		// multi-threaded baseline.
-		kind := engine.MGLMT
-		if th == 1 {
-			kind = engine.MGL
-		}
-		jobs[i] = engineJob(layout, kind, engine.Options{Threads: th}, modeledSeconds)
-	}
-	secs, err := values(opt, jobs)
+	l, err := opt.generate(suite[0], opt.Scale)
 	if err != nil {
 		return nil, err
 	}
-	base := secs[0]
+	jobs := make([]flex.BatchJob, len(fig2aThreads))
+	for i, th := range fig2aThreads {
+		// One thread is the sequential MGL reference; more run the
+		// multi-threaded baseline.
+		e := flex.EngineMGLMT
+		if th == 1 {
+			e = flex.EngineMGL
+		}
+		jobs[i] = opt.job(l, e, flex.Options{Threads: th})
+	}
+	results, _, err := opt.submit(jobs)
+	if err != nil {
+		return nil, err
+	}
+	base := results[0].Outcome.ModeledSeconds
 	out := make([]ThreadPoint, len(fig2aThreads))
 	for i, th := range fig2aThreads {
-		out[i] = ThreadPoint{Threads: th, Seconds: secs[i], Speedup: base / secs[i]}
+		secs := results[i].Outcome.ModeledSeconds
+		out[i] = ThreadPoint{Threads: th, Seconds: secs, Speedup: base / secs}
 	}
 	return out, nil
 }
@@ -289,27 +291,30 @@ type AssignPoint struct {
 	Ratio float64 // time(d+e on FPGA) / time(d on FPGA): >1 favours the paper's choice
 }
 
-// Fig10 compares the two task assignments end to end, fanning one job per
-// (design × assignment) pair over lazily shared per-design layouts.
+// Fig10 compares the two task assignments end to end, one job per
+// (design × assignment) pair sharing the design's layout.
 func Fig10(opt Options) ([]AssignPoint, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
-	layouts := lazyLayouts(opt, suite, opt.Scale)
+	layouts, err := opt.generateAll(suite)
+	if err != nil {
+		return nil, err
+	}
 	// Step (d) alone on the FPGA, then (d) and (e); both occupy the board.
-	assignments := []engine.Options{{}, {OffloadInsert: true}}
-	jobs := make([]batch.Job[float64], 0, len(suite)*len(assignments))
-	for _, layout := range layouts {
+	assignments := []flex.Options{{}, {OffloadInsert: true}}
+	jobs := make([]flex.BatchJob, 0, len(suite)*len(assignments))
+	for _, l := range layouts {
 		for _, a := range assignments {
-			jobs = append(jobs, engineJob(layout, engine.FLEX, a, modeledSeconds))
+			jobs = append(jobs, opt.job(l, flex.EngineFLEX, a))
 		}
 	}
-	secs, err := values(opt, jobs)
+	results, _, err := opt.submit(jobs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]AssignPoint, len(suite))
 	for i, spec := range suite {
-		dOnly, dAndE := secs[i*2], secs[i*2+1]
+		dOnly, dAndE := results[i*2].Outcome.ModeledSeconds, results[i*2+1].Outcome.ModeledSeconds
 		out[i] = AssignPoint{Name: spec.Name, Ratio: dAndE / dOnly}
 	}
 	return out, nil

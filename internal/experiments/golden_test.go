@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
 )
 
@@ -19,18 +19,19 @@ var update = flag.Bool("update", false, "rewrite testdata/drivers.golden from th
 // followed by the benchjson records the recording drivers emit.
 var goldenPath = filepath.Join("testdata", "drivers.golden")
 
-// renderAllDrivers runs every driver at the tiny scale on one shared pool,
-// in flexbench's section format, and appends the canonical benchjson
-// document of the recording drivers (table1, sched, eco, sharded).
+// renderAllDrivers runs every driver at the tiny scale on one shared
+// service, in flexbench's section format, and appends the canonical
+// benchjson document of the recording drivers (table1, sched, eco,
+// sharded).
 func renderAllDrivers(t *testing.T) string {
 	t.Helper()
-	pool := batch.NewPool(batch.PoolConfig{Workers: 2, FPGAs: 1})
-	defer pool.Close()
+	svc := flex.NewService(flex.WithWorkers(2), flex.WithFPGAs(1))
+	defer svc.Close()
 	bench := benchjson.New(benchjson.Env{}, benchjson.Config{})
 	var out strings.Builder
 	section := func(name string, record bool, f func(Options) error) {
 		o := tiny
-		o.Pool = pool
+		o.Service = svc
 		if record {
 			o.Bench = bench.Experiment(name)
 		}

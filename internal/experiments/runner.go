@@ -3,82 +3,115 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
-	"github.com/flex-eda/flex/internal/sched"
 )
 
-// run is every driver's executor: it fans jobs across Options.Pool and
-// returns their results in submission order, failing on the first job
-// error. Because the engines are deterministic and jobs are independent,
-// any worker count produces identical tables. Drivers want all-or-nothing
-// results, so the batch fails fast: one job error stops scheduling instead
-// of burning the rest of the suite. A nil pool runs the batch on a
-// throwaway default pool (GOMAXPROCS workers, one modeled board).
-//
-// classes gives each job its scheduling class; nil stamps every job with
+// job is one driver job: legalize l with engine e under eo, at the run's
 // Options.Priority, so a whole flexbench run schedules below or above
-// concurrent pool traffic. Jobs that run the FLEX engine hold a board
-// through engine.Run and contend on the pool's boards, while CPU-only jobs
-// overlap freely. Per-batch pool statistics accumulate into Options.Stats
-// when set — never into the returned values, which stay byte-identical
-// across workers × FPGAs × cache configurations.
-func run[T any](opt Options, jobs []batch.Job[T], classes []sched.Class) ([]batch.Result[T], error) {
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{})
-		defer pool.Close()
+// concurrent traffic on a shared service.
+func (o Options) job(l *model.Layout, e flex.Engine, eo flex.Options) flex.BatchJob {
+	return flex.BatchJob{Layout: l, Engine: e, Options: eo, Priority: o.Priority}
+}
+
+// shardedJob is a FLEX job over k row bands of l with the given seam halo.
+// A driver's halo of 0 means no halo, which the service spells as a
+// negative ShardHalo (its 0 is DefaultShardHalo).
+func (o Options) shardedJob(l *model.Layout, k, halo int) flex.BatchJob {
+	j := o.job(l, flex.EngineFLEX, flex.Options{})
+	j.Shards, j.ShardHalo = k, halo
+	if halo == 0 {
+		j.ShardHalo = -1
 	}
-	if classes == nil && opt.Priority != 0 {
-		classes = make([]sched.Class, len(jobs))
-		for i := range classes {
-			classes[i] = sched.Class{Priority: opt.Priority}
-		}
+	return j
+}
+
+// submit is every driver's executor: it runs jobs as one fail-fast batch on
+// Options.Service (nil: a throwaway default service) and returns their
+// results in submission order, failing on the first job error. Because the
+// engines are deterministic and jobs are independent, any service shape
+// produces identical tables. runs holds the engine result behind every
+// locally legalized job or band, keyed by its outcome's layout — the op
+// counts and modeled breakdown a BatchResult does not carry. A band served
+// from an outcome cache ran no engine and has no entry.
+//
+// The batch's statistics accumulate into Options.Stats when set — never
+// into the returned values. Board acquisitions are read as the service's
+// deltas across the batch, exact because a driver's service runs one batch
+// at a time.
+func (o Options) submit(jobs []flex.BatchJob) (results []flex.BatchResult, runs map[*model.Layout]*engine.Result, err error) {
+	svc := o.Service
+	if svc == nil {
+		svc = flex.NewService()
+		defer svc.Close()
 	}
-	results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, classes, true, nil)
-	if opt.Stats != nil {
-		opt.Stats.Add(st)
+	var mu sync.Mutex
+	runs = make(map[*model.Layout]*engine.Result)
+	ctx := engine.WithObserver(context.TODO(), func(r *engine.Result) {
+		mu.Lock()
+		runs[r.Layout] = r
+		mu.Unlock()
+	})
+	before := svc.Stats()
+	sum, err := svc.Submit(ctx, jobs, flex.SubmitOptions{FailFast: true})
+	if sum != nil && o.Stats != nil {
+		after := svc.Stats()
+		o.Stats.Add(batch.Stats{
+			Jobs: len(jobs), Errors: sum.Errors, Skipped: sum.Skipped, Workers: sum.Workers,
+			Wall: sum.Wall, WorkWall: sum.WorkWall, SchedWait: sum.SchedWait,
+			FPGAs: sum.FPGAs, DeviceWait: sum.DeviceWait, DeviceHold: sum.DeviceHold,
+			DeviceAcquires:     after.DeviceAcquires - before.DeviceAcquires,
+			DeviceContended:    after.DeviceContended - before.DeviceContended,
+			DeviceReconfigs:    sum.Reconfigs,
+			DeviceReconfigTime: after.ReconfigTime - before.ReconfigTime,
+		})
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return results, nil
-}
-
-// values runs jobs like run and returns their values in submission order.
-func values[T any](opt Options, jobs []batch.Job[T]) ([]T, error) {
-	results, err := run(opt, jobs, nil)
-	if err != nil {
-		return nil, err
-	}
-	return batch.Values(results)
-}
-
-// engineJob is one driver job: legalize layout() with kind's engine and
-// keep what pick reads off the result.
-func engineJob[T any](layout func() (*model.Layout, error), kind engine.Kind, o engine.Options, pick func(*engine.Result) T) batch.Job[T] {
-	return func(ctx context.Context) (T, error) {
-		var zero T
-		l, err := layout()
-		if err != nil {
-			return zero, err
+	for _, r := range sum.Results {
+		if r.Err != nil {
+			return nil, nil, r.Err
 		}
-		r, err := engine.Run(ctx, kind, l, o)
-		if err != nil {
-			return zero, err
-		}
-		return pick(r), nil
 	}
+	return sum.Results, runs, nil
 }
 
-// modeledSeconds and aveDis are the engineJob picks of drivers that keep
-// one number per run.
-func modeledSeconds(r *engine.Result) float64 { return r.ModeledSeconds }
-func aveDis(r *engine.Result) float64         { return r.Metrics.AveDis }
+// fanOut is the executor of the drivers that price traces and run no table
+// engine: f(i) for every i in [0, n), on at most the service's worker count
+// of goroutines (GOMAXPROCS without a service), values in index order. It
+// returns the lowest-indexed error.
+func fanOut[T any](o Options, n int, f func(i int) (T, error)) ([]T, error) {
+	workers := runtime.GOMAXPROCS(0)
+	if o.Service != nil {
+		workers = o.Service.Stats().Workers
+	}
+	out := make([]T, n)
+	errs := make([]error, n)
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range out {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			out[i], errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 // generate builds spec at scale, through the shared layout cache when the
 // caller wired one (Options.Layouts). Cached layouts are shared across
@@ -91,38 +124,20 @@ func (o Options) generate(spec gen.Spec, scale float64) (*model.Layout, error) {
 	return l, nil
 }
 
-// lazyLayouts returns one memoized generator per spec for drivers whose
-// jobs share a design across several engine/config variants: each design is
-// generated at most once per call, on first use, by whichever job reaches
-// it first — and at most once per process when a shared layout cache is
-// wired (engines legalize clones, so sharing the pointer is safe). Compared
-// to generating up front this keeps only touched designs resident and lets
-// a fail-fast batch stop before generating the rest of the suite; compared
-// to generating per job it never duplicates work.
-func lazyLayouts(opt Options, specs []gen.Spec, scale float64) []func() (*model.Layout, error) {
-	out := make([]func() (*model.Layout, error), len(specs))
-	for i, spec := range specs {
-		out[i] = sync.OnceValues(func() (*model.Layout, error) {
-			return opt.generate(spec, scale)
-		})
-	}
-	return out
+// perSpec generates each design spec at scale and measures it, one design
+// per fanOut slot (through the shared cache when wired).
+func perSpec[T any](opt Options, specs []gen.Spec, scale float64, measure func(spec gen.Spec, l *model.Layout) (T, error)) ([]T, error) {
+	return fanOut(opt, len(specs), func(i int) (T, error) {
+		l, err := opt.generate(specs[i], scale)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return measure(specs[i], l)
+	})
 }
 
-// perSpec builds one job per design spec — generate at scale on the worker
-// (through the shared cache when wired), then measure — and runs them
-// through the pool.
-func perSpec[T any](opt Options, specs []gen.Spec, scale float64, measure func(spec gen.Spec, l *model.Layout) (T, error)) ([]T, error) {
-	jobs := make([]batch.Job[T], len(specs))
-	for i, spec := range specs {
-		jobs[i] = func(context.Context) (T, error) {
-			l, err := opt.generate(spec, scale)
-			if err != nil {
-				var zero T
-				return zero, err
-			}
-			return measure(spec, l)
-		}
-	}
-	return values(opt, jobs)
+// generateAll generates every spec at the run's scale (see perSpec).
+func (o Options) generateAll(specs []gen.Spec) ([]*model.Layout, error) {
+	return perSpec(o, specs, o.Scale, func(_ gen.Spec, l *model.Layout) (*model.Layout, error) { return l, nil })
 }

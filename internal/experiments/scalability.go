@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"github.com/flex-eda/flex/internal/batch"
-	"github.com/flex-eda/flex/internal/engine"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/report"
 )
@@ -27,7 +25,7 @@ type ScalabilityPoint struct {
 // Scalability prices one design's trace set under growing PE counts —
 // the paper's "speedup can be further improved by increasing the number of
 // FOP PEs while BRAM may become a resource bound" projection. The trace is
-// captured once; one pricing job per PE count then fans across the pool.
+// captured once; one pricing job per PE count then fans out (see fanOut).
 func Scalability(opt Options, maxPE int) ([]ScalabilityPoint, error) {
 	opt = opt.withDefaults()
 	if maxPE < 2 {
@@ -48,24 +46,20 @@ func Scalability(opt Options, maxPE int) ([]ScalabilityPoint, error) {
 		resources   fpga.Resources
 		fitsURAM    bool
 	}
-	jobs := make([]batch.Job[priced], maxPE)
-	for n := 1; n <= maxPE; n++ {
-		n := n
-		jobs[n-1] = func(context.Context) (priced, error) {
-			cfg := fpga.PEConfig{Pipeline: fpga.MultiGranularity, SACS: fpga.SACSParal, NumPE: n}
-			cycles := sumCycles(cfg, traces)
-			uramCfg := cfg
-			uramCfg.ClockMHz = fpga.URAMClockMHz
-			uramRes, urams := fpga.EstimateURAM(n)
-			return priced{
-				seconds:     cfg.Seconds(cycles),
-				uramSeconds: uramCfg.Seconds(cycles),
-				resources:   fpga.Estimate(n),
-				fitsURAM:    uramRes.FitsIn(fpga.AlveoU50) && urams <= fpga.U50URAMs,
-			}, nil
-		}
-	}
-	pricedPts, err := values(opt, jobs)
+	pricedPts, err := fanOut(opt, maxPE, func(i int) (priced, error) {
+		n := i + 1
+		cfg := fpga.PEConfig{Pipeline: fpga.MultiGranularity, SACS: fpga.SACSParal, NumPE: n}
+		cycles := sumCycles(cfg, traces)
+		uramCfg := cfg
+		uramCfg.ClockMHz = fpga.URAMClockMHz
+		uramRes, urams := fpga.EstimateURAM(n)
+		return priced{
+			seconds:     cfg.Seconds(cycles),
+			uramSeconds: uramCfg.Seconds(cycles),
+			resources:   fpga.Estimate(n),
+			fitsURAM:    uramRes.FitsIn(fpga.AlveoU50) && urams <= fpga.U50URAMs,
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -111,26 +105,28 @@ type OrderingPoint struct {
 var orderingWindows = []int{-1, 8}
 
 // OrderingAblation compares FLEX's quality with and without the
-// density-aware sliding-window ordering (Sec. 3.1.2's ~1% claim), fanning
-// one job per (design × ordering) pair over lazily shared per-design
-// layouts.
+// density-aware sliding-window ordering (Sec. 3.1.2's ~1% claim), one job
+// per (design × ordering) pair sharing the design's layout.
 func OrderingAblation(opt Options) ([]OrderingPoint, error) {
 	opt = opt.withDefaults()
 	suite := opt.suite()
-	layouts := lazyLayouts(opt, suite, opt.Scale)
-	jobs := make([]batch.Job[float64], 0, len(suite)*len(orderingWindows))
-	for _, layout := range layouts {
+	layouts, err := opt.generateAll(suite)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]flex.BatchJob, 0, len(suite)*len(orderingWindows))
+	for _, l := range layouts {
 		for _, w := range orderingWindows {
-			jobs = append(jobs, engineJob(layout, engine.FLEX, engine.Options{SlidingWindow: w}, aveDis))
+			jobs = append(jobs, opt.job(l, flex.EngineFLEX, flex.Options{SlidingWindow: w}))
 		}
 	}
-	ave, err := values(opt, jobs)
+	results, _, err := opt.submit(jobs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]OrderingPoint, len(suite))
 	for i, spec := range suite {
-		plain, sw := ave[i*2], ave[i*2+1]
+		plain, sw := results[i*2].Outcome.Metrics.AveDis, results[i*2+1].Outcome.Metrics.AveDis
 		gain := 0.0
 		if plain > 0 {
 			gain = (plain - sw) / plain * 100

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/report"
-	"github.com/flex-eda/flex/internal/sched"
 )
 
 // SchedPoint is one priority class's outcome in the scheduling experiment:
@@ -79,24 +76,13 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 		return nil, err
 	}
 
-	n := perClass * len(schedClasses)
-	jobs := make([]batch.Job[*engine.Result], 0, n)
-	classes := make([]sched.Class, 0, n)
-	owner := make([]int, 0, n) // job index -> class index
-	for ci, c := range schedClasses {
+	jobs := make([]flex.BatchJob, 0, perClass*len(schedClasses))
+	for _, c := range schedClasses {
 		for i := 0; i < perClass; i++ {
-			jobs = append(jobs, func(ctx context.Context) (*engine.Result, error) {
-				return engine.Run(ctx, engine.FLEX, l, engine.Options{})
-			})
-			classes = append(classes, sched.Class{
-				Priority: c.priority,
-				Client:   c.label,
-				Job:      fmt.Sprintf("sched-%s-%d", c.label, i),
-			})
-			owner = append(owner, ci)
+			jobs = append(jobs, flex.BatchJob{Layout: l, Engine: flex.EngineFLEX, Priority: c.priority, Client: c.label})
 		}
 	}
-	results, err := run(opt, jobs, classes)
+	results, runs, err := opt.submit(jobs)
 	if err != nil {
 		return nil, fmt.Errorf("sched %s: %w", spec.Name, err)
 	}
@@ -108,13 +94,13 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 			Cells: len(l.MovableIDs()), Ops: benchjson.Ops{}}
 	}
 	for i, r := range results {
-		ci := owner[i]
+		ci := i / perClass
 		pts[ci].Jobs++
-		if r.Value.Legal {
+		if r.Outcome.Legal {
 			pts[ci].Legal++
 		}
-		pts[ci].ModeledSeconds += r.Value.ModeledSeconds
-		pts[ci].Ops.Add(r.Value.Ops())
+		pts[ci].ModeledSeconds += r.Outcome.ModeledSeconds
+		pts[ci].Ops.Add(runs[r.Outcome.Layout].Ops())
 		pts[ci].DeviceWait += r.DeviceWait
 		waits[ci] = append(waits[ci], r.SchedWait)
 	}

@@ -6,7 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
+	"github.com/flex-eda/flex/internal/engine"
 )
 
 // TestSchedExperimentPriorityBeatsBulk pins the acceptance criterion on a
@@ -15,9 +16,7 @@ import (
 // strictly below the bulk class's (bulk was submitted first — the
 // adversarial order), and every class's table columns stay deterministic.
 func TestSchedExperimentPriorityBeatsBulk(t *testing.T) {
-	pool := batch.NewPool(batch.PoolConfig{Workers: 1, FPGAs: 1})
-	defer pool.Close()
-	opt := Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Pool: pool}
+	opt := withPool(t, Options{Scale: 0.008, Designs: []string{"fft_a_md2"}}, 1, 1)
 	pts, err := Sched(opt, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func TestSchedExperimentPriorityBeatsBulk(t *testing.T) {
 }
 
 // TestSchedExperimentTableDeterministic pins the stdout contract: the
-// rendered columns are identical across pools and schedules.
+// rendered columns are identical across services and schedules.
 func TestSchedExperimentTableDeterministic(t *testing.T) {
 	var want []SchedPoint
 	for _, workers := range []int{1, 4} {
@@ -85,10 +84,16 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 // TestPriorityReachesEveryDriverJob: Options.Priority sets the scheduling
-// class of every job a driver queues, band jobs included. Each driver runs
-// with priority 7 on a one-worker pool whose worker is held busy, so its
-// jobs wait in the queue, where their levels can be read.
+// class of every job a driver submits, band jobs included. Each driver runs
+// with priority 7 on a one-worker service whose worker is held by a
+// CPU-only job whose engine observer blocks, so the driver's jobs wait in
+// the queue, where their levels can be read. Eco runs its base and edits on
+// a service of its own; its full re-runs are the jobs that wait here.
 func TestPriorityReachesEveryDriverJob(t *testing.T) {
+	blocker, err := flex.GenerateCustom(40, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	drivers := []struct {
 		name string
 		run  func(Options) error
@@ -99,35 +104,37 @@ func TestPriorityReachesEveryDriverJob(t *testing.T) {
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			pool := batch.NewPool(batch.PoolConfig{Workers: 1, FPGAs: 1})
-			defer pool.Close()
+			svc := flex.NewService(flex.WithWorkers(1), flex.WithFPGAs(1))
+			defer svc.Close()
 			started, release := make(chan struct{}), make(chan struct{})
 			var once sync.Once
 			unblock := func() { once.Do(func() { close(release) }) }
 			defer unblock() // before Close, which waits for the batches
-			blocker := []batch.Job[int]{func(context.Context) (int, error) {
+			hold := engine.WithObserver(context.Background(), func(*engine.Result) {
 				close(started)
 				<-release
-				return 0, nil
-			}}
+			})
 			blocked := make(chan error, 1)
 			go func() {
-				_, _, err := batch.RunClassedOn(context.Background(), pool, blocker, nil, false, nil)
+				_, err := svc.Submit(hold, []flex.BatchJob{{Layout: blocker, Engine: flex.EngineMGL}}, flex.SubmitOptions{})
 				blocked <- err
 			}()
 			<-started
 
-			o := Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Pool: pool, Priority: 7}
+			o := Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Service: svc, Priority: 7}
 			done := make(chan error, 1)
 			go func() { done <- d.run(o) }()
+			// QueuedJobs rises at admission, before the jobs are pushed:
+			// wait for the first pushed job instead.
 			deadline := time.Now().Add(10 * time.Second)
-			for pool.Depths().Waiting == 0 {
+			var queued map[int]int
+			for len(queued) == 0 {
 				if time.Now().After(deadline) {
 					t.Fatal("no driver job ever queued")
 				}
 				time.Sleep(time.Millisecond)
+				queued = svc.Stats().QueuedByPriority
 			}
-			depths := pool.Depths()
 			unblock()
 			if err := <-blocked; err != nil {
 				t.Fatal(err)
@@ -135,8 +142,8 @@ func TestPriorityReachesEveryDriverJob(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			if n := depths.WaitingByPriority[7]; n != depths.Waiting {
-				t.Fatalf("%d of %d queued jobs at priority 7: %v", n, depths.Waiting, depths.WaitingByPriority)
+			if len(queued) != 1 || queued[7] == 0 {
+				t.Fatalf("queued jobs by priority %v, want every one at 7", queued)
 			}
 		})
 	}

@@ -1,24 +1,20 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/engine"
-	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
-	"github.com/flex-eda/flex/internal/shard"
 )
 
 // ShardedPoint is one design's row-band sharded legalization run (the
 // "Sharded full-scale runs" extension; see docs/ARCHITECTURE.md): the
 // design is split into Bands horizontal row bands, each band legalized by
-// the FLEX engine as an independent pool job, and the bands stitched back
-// into one whole-die layout whose quality is measured against the original
-// global placement.
+// the FLEX engine as an independent pool job of one sharded service job,
+// and the bands stitched back into one whole-die layout whose quality is
+// measured against the original global placement.
 type ShardedPoint struct {
 	Name  string
 	Cells int // movable cells
@@ -50,13 +46,13 @@ type ShardedPoint struct {
 }
 
 // Sharded runs the row-band sharding path over the (filtered, scaled)
-// suite: per design, plan/split into shards bands with the given halo, fan
-// one FLEX-engine job per band through the worker pool (each band holds a
-// modeled board for its engine phase), stitch, and measure the whole-die
-// result. Designs run one after another so only one design's bands are
-// resident at a time — the memory shape that lets paper-scale superblue
-// runs fit. Superblue designs join the suite by explicit Options.Designs
-// name.
+// suite: per design, one FLEX job split into shards bands with the given
+// halo, submitted to the service, which legalizes each band as its own pool
+// job (each band holds a modeled board for its engine phase) and stitches
+// the whole-die result. Designs run one after another so only one design's
+// bands are resident at a time — the memory shape that lets paper-scale
+// superblue runs fit. Superblue designs join the suite by explicit
+// Options.Designs name.
 func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 	opt = opt.withDefaults()
 	if shards < 1 {
@@ -75,52 +71,30 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := shard.PlanBands(l, shards, halo)
+		results, runs, err := opt.submit([]flex.BatchJob{opt.shardedJob(l, shards, halo)})
 		if err != nil {
 			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
 		}
-		bands, err := shard.Split(l, plan)
-		if err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
-		}
-		results, err := legalizeBands(opt, bands, nil)
-		if err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
-		}
+		r := results[0]
 		pt := ShardedPoint{
-			Name:  spec.Name,
-			Cells: len(l.MovableIDs()),
-			Rows:  l.NumRows,
-			Bands: len(bands),
-			Halo:  halo,
-			Legal: true,
-			Ops:   benchjson.Ops{},
+			Name:   spec.Name,
+			Cells:  len(l.MovableIDs()),
+			Rows:   l.NumRows,
+			Bands:  len(r.Shards),
+			Halo:   halo,
+			Legal:  r.Outcome.Legal,
+			AveDis: r.Outcome.Metrics.AveDis,
+			MaxDis: r.Outcome.Metrics.MaxDis,
+			Ops:    benchjson.Ops{},
 		}
-		legalized := make([]*model.Layout, len(bands))
-		for b, r := range results {
-			band := r.Value
-			legalized[b] = band.Layout
-			if !band.Legal {
-				pt.Legal = false
-			}
-			pt.ModeledSum += band.ModeledSeconds
-			if band.ModeledSeconds > pt.ModeledMax {
-				pt.ModeledMax = band.ModeledSeconds
-			}
-			pt.BandCells = append(pt.BandCells, plan.Bands[b].Movable)
-			pt.BandWall = append(pt.BandWall, r.Wall)
-			pt.BandWait = append(pt.BandWait, r.DeviceWait)
-			pt.Ops.Add(band.Ops())
+		for _, band := range r.Shards {
+			pt.ModeledSum += band.Outcome.ModeledSeconds
+			pt.ModeledMax = max(pt.ModeledMax, band.Outcome.ModeledSeconds)
+			pt.BandCells = append(pt.BandCells, len(band.Outcome.Layout.MovableIDs()))
+			pt.BandWall = append(pt.BandWall, band.Wall)
+			pt.BandWait = append(pt.BandWait, band.DeviceWait)
+			pt.Ops.Add(runs[band.Outcome.Layout].Ops())
 		}
-		stitched, err := shard.Stitch(l, plan, legalized)
-		if err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
-		}
-		if len(stitched.Check(1)) > 0 {
-			pt.Legal = false
-		}
-		m := model.Measure(stitched)
-		pt.AveDis, pt.MaxDis = m.AveDis, m.MaxDis
 		if opt.Bench != nil {
 			// ModeledSum is the record's time: the serial cost of all
 			// bands, the quantity the op counts price. ModeledMax (the
@@ -136,27 +110,6 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// legalizeBands is the sharded and eco drivers' band runner: one FLEX job
-// per listed band (nil idx = every band), run as one batch on the driver's
-// executor, results in idx order. Every band holds a modeled board like
-// any other FLEX job.
-func legalizeBands(opt Options, bands []*model.Layout, idx []int) ([]batch.Result[*engine.Result], error) {
-	if idx == nil {
-		idx = make([]int, len(bands))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	jobs := make([]batch.Job[*engine.Result], len(idx))
-	for j, b := range idx {
-		band := bands[b]
-		jobs[j] = func(ctx context.Context) (*engine.Result, error) {
-			return engine.Run(ctx, engine.FLEX, band, engine.Options{})
-		}
-	}
-	return run(opt, jobs, nil)
 }
 
 // RenderSharded renders the sharded runs. Only deterministic columns go to

@@ -3,23 +3,23 @@ package experiments
 import (
 	"testing"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 )
 
-// withPool returns o running on a fresh pool with the given worker and
-// modeled FPGA board counts, closed when the test ends.
+// withPool returns o submitting to a fresh service with the given worker
+// and modeled FPGA board counts, closed when the test ends.
 func withPool(t testing.TB, o Options, workers, fpgas int) Options {
-	pool := batch.NewPool(batch.PoolConfig{Workers: workers, FPGAs: fpgas})
-	t.Cleanup(pool.Close)
-	o.Pool = pool
+	svc := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas))
+	t.Cleanup(func() { svc.Close() })
+	o.Service = svc
 	return o
 }
 
 // TestWorkersByteIdenticalTables is the acceptance gate of the concurrent
 // runner: every driver must render byte-identical output at 1 worker and at
-// N workers, and — since the device scheduler landed — at any modeled FPGA
-// board count. Workers and boards may only change wall-clock and wait
-// statistics, never results.
+// N workers, and at any modeled FPGA board count. Workers and boards may
+// only change wall-clock and wait statistics, never results.
 func TestWorkersByteIdenticalTables(t *testing.T) {
 	type render struct {
 		name string
@@ -75,6 +75,15 @@ func TestWorkersByteIdenticalTables(t *testing.T) {
 			}
 			return RenderScalability(pts).String(), nil
 		}},
+		// Eco's incremental service copies Options.Service's worker and
+		// board counts, so the grid covers both of its services.
+		{"eco", func(o Options) (string, error) {
+			pts, err := Eco(o, 2, 1, 2)
+			if err != nil {
+				return "", err
+			}
+			return RenderEco(pts).String(), nil
+		}},
 	}
 	grid := []struct {
 		workers, fpgas int
@@ -107,9 +116,9 @@ func TestWorkersByteIdenticalTables(t *testing.T) {
 }
 
 // TestStatsSinkObservesDeviceScheduling checks the Options.Stats plumbing:
-// a Table1 run over the shared board records pool size, board occupancy by
-// the FLEX jobs, and — the overlap argument — summed job wall at least at
-// batch wall.
+// a Table1 run over the shared board records worker count, board occupancy
+// by the FLEX jobs, and — the overlap argument — summed job wall at least
+// at batch wall.
 func TestStatsSinkObservesDeviceScheduling(t *testing.T) {
 	var st batch.Stats
 	o := withPool(t, tiny, 4, 1)

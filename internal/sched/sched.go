@@ -28,7 +28,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -84,8 +83,6 @@ type Waiter struct {
 // before b at time now; implementations must be a strict weak ordering for
 // any fixed now.
 type Policy interface {
-	// Name is the canonical policy name (ParsePolicy accepts it).
-	Name() string
 	// Less reports whether a runs before b at time now.
 	Less(a, b Waiter, now time.Time) bool
 }
@@ -100,40 +97,18 @@ const DefaultAgeStep = 500 * time.Millisecond
 // overflow the effective priority arithmetic.
 const maxAgeBoost = 1 << 20
 
-// PriorityConfig tunes the Prioritized policy.
-type PriorityConfig struct {
-	// AgeStep is the aging interval: one effective priority level gained
-	// per AgeStep waited. 0 = DefaultAgeStep; negative disables aging
-	// (strict priorities, starvation possible).
-	AgeStep time.Duration
-}
-
 // priorityPolicy is EDF-within-priority with aging and fair-share
-// tie-breaking.
+// tie-breaking. ageStep is the aging interval: one effective priority level
+// gained per ageStep waited; 0 disables aging (strict priorities,
+// starvation possible), which only tests ask for.
 type priorityPolicy struct {
 	ageStep time.Duration
 }
 
-// Prioritized builds the priority scheduler: effective priority (base +
-// aging boost) descending, then earliest deadline first (no deadline sorts
-// last), then lowest fair-share load, then arrival order.
-func Prioritized(cfg PriorityConfig) Policy {
-	step := cfg.AgeStep
-	if step == 0 {
-		step = DefaultAgeStep
-	}
-	if step < 0 {
-		step = 0 // aging disabled
-	}
-	return priorityPolicy{ageStep: step}
-}
-
-// Default is the scheduler used when no policy is configured: Prioritized
-// with the default aging step.
-func Default() Policy { return Prioritized(PriorityConfig{}) }
-
-// Name implements Policy.
-func (priorityPolicy) Name() string { return "priority" }
+// Default is the priority scheduler: effective priority (base + one level
+// per DefaultAgeStep waited) descending, then earliest deadline first (no
+// deadline sorts last), then lowest fair-share load, then arrival order.
+func Default() Policy { return priorityPolicy{ageStep: DefaultAgeStep} }
 
 // effective is the waiter's aged priority at now.
 func (p priorityPolicy) effective(w Waiter, now time.Time) int {
@@ -180,23 +155,8 @@ type fifoPolicy struct{}
 // the ordering ignores priority, deadline and fairness.
 func FIFO() Policy { return fifoPolicy{} }
 
-// Name implements Policy.
-func (fifoPolicy) Name() string { return "fifo" }
-
 // Less implements Policy.
 func (fifoPolicy) Less(a, b Waiter, _ time.Time) bool { return a.Seq < b.Seq }
-
-// ParsePolicy maps a policy name to its Policy ("" = the default priority
-// scheduler) — the shared knob parser of every CLI's -sched flag.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "", "priority":
-		return Default(), nil
-	case "fifo":
-		return FIFO(), nil
-	}
-	return nil, fmt.Errorf("sched: unknown policy %q (want priority, fifo)", name)
-}
 
 // Config tunes a scheduled queue (TaskQueue or Semaphore).
 type Config struct {

@@ -87,7 +87,7 @@ func TestAgingBoundsStarvation(t *testing.T) {
 	clk := newFakeClock()
 	step := time.Second
 	q := NewTaskQueue(Config{
-		Policy: Prioritized(PriorityConfig{AgeStep: step}),
+		Policy: priorityPolicy{ageStep: step},
 		Now:    clk.Now,
 	})
 	var mu sync.Mutex
@@ -120,7 +120,7 @@ func TestAgingBoundsStarvation(t *testing.T) {
 func TestAgingDisabledStarves(t *testing.T) {
 	clk := newFakeClock()
 	q := NewTaskQueue(Config{
-		Policy: Prioritized(PriorityConfig{AgeStep: -1}),
+		Policy: priorityPolicy{}, // aging disabled
 		Now:    clk.Now,
 	})
 	var mu sync.Mutex
@@ -384,17 +384,6 @@ func TestQueueDropRemovesOnlyQueued(t *testing.T) {
 	}
 	if again := q.Drop([]*Ticket{t1, nil}); len(again) != 0 {
 		t.Fatalf("second drop reported %v", again)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for _, name := range []string{"", "priority", "fifo"} {
-		if _, err := ParsePolicy(name); err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", name, err)
-		}
-	}
-	if _, err := ParsePolicy("sjf"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 
