@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/model -run=NONE -fuzz=FuzzCheckMatchesReference -fuzztime=10s
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzSplitStitch -fuzztime=10s
 	$(GO) test ./internal/eco -run=NONE -fuzz=FuzzDecodeValue -fuzztime=10s
+	$(GO) test . -run=NONE -fuzz=FuzzEditSpliceMatchesFullRun -fuzztime=10s
 	$(GO) test ./internal/curve -run=NONE -fuzz=FuzzSortAndMergeMatchesReference -fuzztime=10s
 
 race:

@@ -175,7 +175,8 @@ type statsResponse struct {
 	DeviceContended int     `json:"deviceContended"`
 	// Outcome-cache accounting (zero unless -outcome-cache-mb or
 	// -cache-dir is set): incremental counts edit jobs that spliced cached
-	// clean bands; fallbacks edit jobs that ran in full; outcomeHits jobs
+	// bands; fallbacks edit jobs that ran in full (base outcome cold, a
+	// different band count, or every band's input changed); outcomeHits jobs
 	// served wholly or partly from a cached outcome; outcomeDiskHits
 	// lookups that re-warmed from -cache-dir files; outcomeLoaded entries
 	// restored at start; outcomeErrors corrupt files skipped.

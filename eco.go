@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 
 	"github.com/flex-eda/flex/internal/cache"
 	"github.com/flex-eda/flex/internal/eco"
@@ -34,10 +35,10 @@ func LayoutHash(l *Layout) string { return eco.Hash(l) }
 // WithOutcomeCacheBytes turns on the outcome cache: finished legalizations
 // are memoized up to b resident bytes, keyed by (input-layout content hash,
 // engine, options, band count, halo), so a repeated request is served from
-// cache and an edited request (BatchJob.Edits) re-legalizes only its dirty
-// row bands, splicing the cached base outcome's clean bands in. b <= 0
-// disables the cache, the default (WithCacheDir alone also enables it, with
-// a 256 MiB default bound).
+// cache and an edited request (BatchJob.Edits) re-legalizes only the row
+// bands whose input changed, splicing the cached base outcome's other bands
+// in. b <= 0 disables the cache, the default (WithCacheDir alone also
+// enables it, with a 256 MiB default bound).
 func WithOutcomeCacheBytes(b int64) ServiceOption {
 	return func(c *serviceConfig) { c.outcomeBytes = b }
 }
@@ -154,21 +155,23 @@ type ecoInfo struct {
 	store  bool   // fold should store a fresh entry (false on an exact hit)
 }
 
-// ecoPrep computes the reuse decision for one job. An unsharded job is one
-// band whose input is the whole layout: its key keeps bands=0 and its band
-// hash is the input hash, so it hashes once and reuses only on an exact
-// repeat. For a sharded job the halo-based dirty prediction chooses which
-// bands to re-solve; every band it predicts clean must hash-match the
-// cached entry's band input, or the whole job falls back to a full run —
-// reuse is only ever hash-verified, so an incremental result is
-// byte-identical to the full re-run by construction.
+// ecoPrep computes the reuse decision for one job. A job reuses the entry
+// cached under its own input's key (an exact repeat); a sharded edited job
+// without one splices from its base layout's cached outcome. Either way
+// band i serves the entry's band i exactly when their input hashes are
+// equal, since an engine's result is a pure function of its input bytes,
+// and every other band re-runs — so an incremental result is
+// byte-identical to the full re-run by construction. An edited job falls
+// back to a full run when the base outcome is cold, has a different band
+// count, or no band's input hash matches. An unsharded job is one band
+// whose input is the whole layout: its key keeps bands=0 and its band hash
+// is the input hash, so it hashes once and reuses only on an exact repeat.
 func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 	nb := len(p.bands)
 	info := &ecoInfo{
 		hash:   eco.Hash(p.layout),
 		bandIn: make([]string, nb),
 		reuse:  make([]bool, nb),
-		store:  true,
 	}
 	if p.plan == nil {
 		info.bandIn[0] = info.hash
@@ -183,75 +186,39 @@ func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 	}
 	info.key = key
 
-	// Exact repeat: this input already ran under this configuration.
-	if ent := s.lookupEntry(key, nb, info.bandIn, nil); ent != nil {
-		info.entry = ent
-		for i := range info.reuse {
-			info.reuse[i] = true
-		}
-		info.store = false
-		s.accountEco(job, true)
-		return info, nil
+	ent := s.lookupEntry(key, nb)
+	exact := ent != nil
+	if !exact && len(job.Edits) > 0 && p.plan != nil {
+		ent = s.baseEntry(job, p)
 	}
-
-	// Base splice: reuse the base outcome's hash-verified clean bands.
-	if len(job.Edits) > 0 && p.plan != nil {
-		if s.spliceFromBase(job, p, info) {
-			s.accountEco(job, true)
-			return info, nil
+	for i, in := range info.bandIn {
+		if ent != nil && ent.Bands[i].InHash == in {
+			info.reuse[i], info.entry = true, ent
 		}
 	}
-	s.accountEco(job, false)
+	// An exact repeat that reuses every band has nothing new to store.
+	info.store = !exact || slices.Contains(info.reuse, false)
+	s.accountEco(job, info.entry != nil)
 	return info, nil
 }
 
-// spliceFromBase fills info.reuse from the base layout's cached outcome.
-// It reports false — leaving the job on the full-run path — when the base
-// outcome is cold, the edit batch ripples past the halo, or the dirty
-// prediction disagrees with the band hashes.
-func (s *Service) spliceFromBase(job BatchJob, p *shardPrep, info *ecoInfo) bool {
-	nb := len(p.plan.Bands)
+// baseEntry returns the cached outcome of the job's base layout under the
+// job's band count, or nil when there is none.
+func (s *Service) baseEntry(job BatchJob, p *shardPrep) *eco.Entry {
 	baseHash := job.BaseHash
 	if baseHash == "" {
 		baseHash = eco.Hash(p.base)
 	}
 	bkey, err := s.outcomeKey(job, baseHash, p.plan)
 	if err != nil {
-		return false
+		return nil
 	}
-	halo := job.effectiveHalo()
-	spans, inHalo, err := eco.DirtySpans(p.base, job.Edits, halo)
-	if err != nil || !inHalo {
-		return false
-	}
-	dirty := eco.MarkDirty(p.plan, spans)
-	clean := make([]int, 0, nb)
-	for i, d := range dirty {
-		if !d {
-			clean = append(clean, i)
-		}
-	}
-	if len(clean) == 0 {
-		return false
-	}
-	// The entry's predicted-clean bands must hash-match this job's band
-	// inputs; any disagreement means the prediction was unsound and the
-	// whole job re-runs.
-	ent := s.lookupEntry(bkey, nb, info.bandIn, clean)
-	if ent == nil {
-		return false
-	}
-	info.entry = ent
-	for _, i := range clean {
-		info.reuse[i] = true
-	}
-	return true
+	return s.lookupEntry(bkey, len(p.bands))
 }
 
-// lookupEntry fetches a cached outcome entry and validates its shape: the
-// band count must match, and the bands listed in verify (nil = all) must
-// hash-match wantIn. Anything else is treated as a miss.
-func (s *Service) lookupEntry(key string, bands int, wantIn []string, verify []int) *eco.Entry {
+// lookupEntry fetches a cached outcome entry with the given band count;
+// anything else is treated as a miss.
+func (s *Service) lookupEntry(key string, bands int) *eco.Entry {
 	v, ok := s.outcomes.Get(key)
 	if !ok {
 		return nil
@@ -259,19 +226,6 @@ func (s *Service) lookupEntry(key string, bands int, wantIn []string, verify []i
 	ent, ok := v.(*eco.Entry)
 	if !ok || len(ent.Bands) != bands {
 		return nil
-	}
-	if verify == nil {
-		for i := range wantIn {
-			if ent.Bands[i].InHash != wantIn[i] {
-				return nil
-			}
-		}
-		return ent
-	}
-	for _, i := range verify {
-		if ent.Bands[i].InHash != wantIn[i] {
-			return nil
-		}
 	}
 	return ent
 }

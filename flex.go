@@ -209,11 +209,12 @@ type BatchJob struct {
 	// Edits perturbs the job's input before legalization: each edit moves,
 	// inserts or deletes a movable cell of the base layout (BaseHash,
 	// Layout, or the generated Design, in that precedence). On a service
-	// with an outcome cache a sharded edited job re-legalizes only the
-	// dirty row bands and splices the cached base outcome's clean bands in
-	// — byte-identical to a full re-run of the edited layout; without a
-	// cache (or when the delta ripples past the halo, or the base outcome
-	// is cold) the edited layout takes an ordinary full run.
+	// with an outcome cache a sharded edited job re-legalizes only the row
+	// bands whose input changed and splices the cached base outcome's other
+	// bands in — byte-identical to a full re-run of the edited layout;
+	// without a cache (or when the base outcome is cold, plans a different
+	// band count, or shares no band input with the edit) the edited layout
+	// takes an ordinary full run.
 	Edits []Edit
 	// BaseHash names the job's input layout by content hash (LayoutHash, or
 	// a previous Outcome.InputHash) instead of re-sending it: the layout is

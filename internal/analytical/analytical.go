@@ -196,6 +196,7 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 func repair(l *model.Layout) (int64, int) {
 	var relocated int64
 	var fp forcePlacer
+	var obs obstacles
 	for attempt := 0; attempt < 8; attempt++ {
 		vs := l.Check(0)
 		offenders := map[int]bool{}
@@ -225,9 +226,13 @@ func repair(l *model.Layout) (int64, int) {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
+		obs.build(l)
 		for _, id := range ids {
-			if relocate(l, id) || fp.place(l, id) {
+			if relocate(l, id, &obs) {
 				relocated++
+			} else if fp.place(l, id) {
+				relocated++
+				obs.build(l) // the placement shifted neighbours too
 			}
 		}
 	}
@@ -288,21 +293,54 @@ func (fp *forcePlacer) place(l *model.Layout, id int) bool {
 	return false
 }
 
-// relocate moves cell id to the nearest free legal slot, treating every
-// other cell as an obstacle.
-func relocate(l *model.Layout, id int) bool {
-	c := &l.Cells[id]
-	type iv struct{ lo, hi int }
-	rowIv := make([][]iv, l.NumRows)
-	for i := range l.Cells {
-		if i == id {
-			continue
-		}
-		o := &l.Cells[i]
-		for row := maxI(0, o.Y); row < minI(l.NumRows, o.Y+o.H); row++ {
-			rowIv[row] = append(rowIv[row], iv{o.X, o.X + o.W})
-		}
+// obstacles indexes, for one repair attempt, the sites each cell occupies
+// on every die row it covers; relocate patches the cell it moves.
+type obstacles struct {
+	rows    [][]span
+	blocked []span // relocate's merge scratch
+}
+
+// span is cell id's occupied interval [lo, hi) on one row.
+type span struct{ lo, hi, id int }
+
+// build indexes every cell of l at its current position.
+func (o *obstacles) build(l *model.Layout) {
+	if o.rows == nil {
+		o.rows = make([][]span, l.NumRows)
 	}
+	for r := range o.rows {
+		o.rows[r] = o.rows[r][:0]
+	}
+	for id := range l.Cells {
+		o.add(l, id)
+	}
+}
+
+// add indexes cell id at its current position.
+func (o *obstacles) add(l *model.Layout, id int) {
+	c := &l.Cells[id]
+	for row := maxI(0, c.Y); row < minI(l.NumRows, c.Y+c.H); row++ {
+		o.rows[row] = append(o.rows[row], span{c.X, c.X + c.W, id})
+	}
+}
+
+// remove drops cell id's spans at its current position.
+func (o *obstacles) remove(l *model.Layout, id int) {
+	c := &l.Cells[id]
+	for row := maxI(0, c.Y); row < minI(l.NumRows, c.Y+c.H); row++ {
+		i := slices.IndexFunc(o.rows[row], func(s span) bool { return s.id == id })
+		o.rows[row] = slices.Delete(o.rows[row], i, i+1)
+	}
+}
+
+// relocate moves cell id to the nearest free legal slot, treating every
+// other cell in obs as an obstacle, and re-indexes the cell where it ends.
+// The merged gaps depend only on the set of a row span's intervals, not on
+// their order, so the slot is the one a freshly built index would give.
+func relocate(l *model.Layout, id int, obs *obstacles) bool {
+	c := &l.Cells[id]
+	obs.remove(l, id)
+	defer obs.add(l, id)
 	bestX, bestY, bestCost := -1, -1, 1<<60
 	for y := 0; y+c.H <= l.NumRows; y++ {
 		if !c.Parity.AllowsRow(y) {
@@ -313,11 +351,12 @@ func relocate(l *model.Layout, id int) bool {
 			continue
 		}
 		// Merge the blocked intervals of the row span.
-		var blocked []iv
+		blocked := obs.blocked[:0]
 		for row := y; row < y+c.H; row++ {
-			blocked = append(blocked, rowIv[row]...)
+			blocked = append(blocked, obs.rows[row]...)
 		}
-		slices.SortFunc(blocked, func(a, b iv) int { return cmp.Compare(a.lo, b.lo) })
+		obs.blocked = blocked
+		slices.SortFunc(blocked, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 		cur := 0
 		tryGap := func(lo, hi int) {
 			if hi-lo < c.W {

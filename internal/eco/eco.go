@@ -1,16 +1,15 @@
 // Package eco is the substrate of the incremental (ECO) legalization path:
 // content hashing of canonical layout bytes, the edit vocabulary that
-// perturbs a placed design (move / insert / delete), the halo rule that
-// decides whether an edit batch is local enough for a banded re-solve, and
-// the cached-outcome entry format the service persists between requests.
+// perturbs a placed design (move / insert / delete), and the cached-outcome
+// entry format the service persists between requests.
 //
 // The correctness contract is hash-verification, not prediction: a band of
-// the edited layout may reuse a cached band outcome only when its canonical
+// the edited layout reuses a cached band outcome exactly when its canonical
 // input bytes hash-match the bytes the cached outcome was computed from.
 // Engines are pure functions of their input layout, so equal input bytes
-// imply equal output bytes; the halo-based dirty prediction merely decides
-// *which* bands to re-solve, and any disagreement between prediction and
-// hashes degrades to a full re-run, never to wrong bytes.
+// imply equal output bytes. The halo-based dirty prediction (DirtySpans,
+// MarkDirty) decides nothing on the serving path; it serves only
+// perfbench's eco.dirty_bands replay.
 package eco
 
 import (

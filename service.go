@@ -598,12 +598,12 @@ type ServiceStats struct {
 	// OutcomeHits counts jobs served wholly or partly from a cached
 	// outcome; OutcomeMisses jobs that ran with the cache on but found
 	// nothing reusable. Incremental counts eco jobs (edits or a base
-	// reference) that spliced cached clean bands; Fallbacks eco jobs that
-	// had to run in full — base cold, edits past the halo, or a dirty
-	// prediction contradicted by a band hash. OutcomeDiskHits counts
-	// lookups served from the -cache-dir files after missing memory;
-	// OutcomeLoaded entries restored at start; OutcomeErrors corrupt or
-	// unwritable files skipped with a warning.
+	// reference) that spliced cached bands; Fallbacks eco jobs that had to
+	// run in full — base outcome cold, a different band count, or no band
+	// whose input hash matches. OutcomeDiskHits counts lookups served from
+	// the -cache-dir files after missing memory; OutcomeLoaded entries
+	// restored at start; OutcomeErrors corrupt or unwritable files skipped
+	// with a warning.
 	Incremental, Fallbacks                        int64
 	OutcomeHits, OutcomeMisses                    int64
 	OutcomeEntries                                int

@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	flex "github.com/flex-eda/flex"
+	"github.com/flex-eda/flex/internal/eco"
+	"github.com/flex-eda/flex/internal/engine"
+	"github.com/flex-eda/flex/internal/shard"
 )
 
 // submitOne runs one job on svc and returns its outcome, failing the test
@@ -66,8 +71,8 @@ func inHaloEdits(t *testing.T, l *flex.Layout, n, maxDY int, rng *rand.Rand) []f
 // randomized in-halo edit batches, the incremental result (cached base,
 // spliced clean bands) must be byte-identical to a full re-run of the
 // edited layout, across worker and board configurations, cold and warm.
-// Out-of-halo edits must take the fallback path — observed via the
-// Fallbacks stat — and still match.
+// A move far past the halo also splices — the bands it leaves untouched
+// still hash-match the base's — and still matches its full re-run.
 func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 	base, err := flex.GenerateCustom(600, 0.6, 33)
 	if err != nil {
@@ -123,37 +128,37 @@ func TestIncrementalByteIdenticalToFullRun(t *testing.T) {
 			}
 
 			// Warm repeat: the identical request is an exact outcome hit.
-			before := svc.Stats().OutcomeHits
+			before := svc.Stats()
 			warmOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edits, Engine: flex.EngineFLEX, Shards: shards})
 			if got := encodeLayout(t, warmOut.Layout); !bytes.Equal(want, got) {
 				t.Fatalf("workers=%d fpgas=%d: warm repeat differs from full re-run", workers, fpgas)
 			}
-			if st := svc.Stats(); st.OutcomeHits <= before {
+			if st := svc.Stats(); st.OutcomeHits <= before.OutcomeHits {
 				t.Fatalf("workers=%d fpgas=%d: warm repeat did not hit the outcome cache", workers, fpgas)
 			}
 
-			// Out-of-halo edit: must fall back (stat-asserted) and match its
-			// own full re-run.
+			// Out-of-halo edit: must splice the bands it leaves untouched
+			// (stat-asserted) and match its own full re-run.
 			far := farEdit(t, base)
 			ref2 := flex.NewService(flex.WithWorkers(workers), flex.WithFPGAs(fpgas))
 			farWant := encodeLayout(t, submitOne(t, ref2, flex.BatchJob{Layout: base, Edits: far, Engine: flex.EngineFLEX, Shards: shards}).Layout)
 			ref2.Close()
-			fb := svc.Stats().Fallbacks
+			before = svc.Stats()
 			farOut := submitOne(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: far, Engine: flex.EngineFLEX, Shards: shards})
 			if got := encodeLayout(t, farOut.Layout); !bytes.Equal(farWant, got) {
 				t.Fatalf("workers=%d fpgas=%d: out-of-halo result differs from full re-run", workers, fpgas)
 			}
-			if st := svc.Stats(); st.Fallbacks != fb+1 {
-				t.Fatalf("workers=%d fpgas=%d: out-of-halo edit did not take the fallback path (fallbacks %d -> %d)",
-					workers, fpgas, fb, st.Fallbacks)
+			if st := svc.Stats(); st.Incremental != before.Incremental+1 || st.Fallbacks != before.Fallbacks {
+				t.Fatalf("workers=%d fpgas=%d: out-of-halo edit did not splice (incremental %d -> %d, fallbacks %d -> %d)",
+					workers, fpgas, before.Incremental, st.Incremental, before.Fallbacks, st.Fallbacks)
 			}
 			svc.Close()
 		}
 	}
 }
 
-// farEdit builds one move that ripples far past any halo: the first
-// movable cell jumps half the die away.
+// farEdit builds one move far past any halo: the first movable cell jumps
+// half the die away.
 func farEdit(t *testing.T, l *flex.Layout) []flex.Edit {
 	t.Helper()
 	for _, c := range l.Cells {
@@ -171,6 +176,265 @@ func farEdit(t *testing.T, l *flex.Layout) []flex.Edit {
 	}
 	t.Fatal("no cell admits an out-of-halo move")
 	return nil
+}
+
+// submitCounted runs one job on svc and returns its outcome and the number
+// of engine runs it took, counted through engine.WithObserver: a band the
+// outcome cache serves runs no engine.
+func submitCounted(t *testing.T, svc *flex.Service, job flex.BatchJob) (*flex.Outcome, int) {
+	t.Helper()
+	var runs atomic.Int64
+	ctx := engine.WithObserver(context.Background(), func(*engine.Result) { runs.Add(1) })
+	sum, err := svc.Submit(ctx, []flex.BatchJob{job}, flex.SubmitOptions{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if r := sum.Results[0]; r.Err != nil {
+		t.Fatalf("job failed: %v", r.Err)
+	}
+	return sum.Results[0].Outcome, int(runs.Load())
+}
+
+// bandHashes plans and splits l as a job with Shards k and the default
+// halo does, returning the plan and each band's input hash.
+func bandHashes(t *testing.T, l *flex.Layout, k int) (*shard.Plan, []string) {
+	t.Helper()
+	plan, err := shard.PlanBands(l, k, flex.DefaultShardHalo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bands, err := shard.Split(l, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := make([]string, len(bands))
+	for i, b := range bands {
+		hashes[i] = flex.LayoutHash(b)
+	}
+	return plan, hashes
+}
+
+// changedBands counts the edited layout's bands whose input differs from
+// the base's band at the same index — every band, when the two plans have
+// different band counts and so nothing can be reused.
+func changedBands(base, edited []string) int {
+	if len(base) != len(edited) {
+		return len(edited)
+	}
+	n := 0
+	for i := range edited {
+		if edited[i] != base[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// movableIn returns a movable any-parity cell owned by band b that lies
+// wholly inside the band and satisfies ok, failing the test when none does.
+func movableIn(t *testing.T, l *flex.Layout, band shard.Band, ok func(c flex.Cell) bool) flex.Cell {
+	t.Helper()
+	for _, i := range band.Source {
+		if i < 0 {
+			continue
+		}
+		c := l.Cells[i]
+		if c.Parity == flex.ParityAny && c.GY >= band.LoRow && c.GY+c.H <= band.HiRow && ok(c) {
+			return c
+		}
+	}
+	t.Fatalf("band %d holds no eligible cell", band.Index)
+	return flex.Cell{}
+}
+
+// TestEditRerunsOnlyChangedBands: an edit against a cached base runs the
+// engine once per band whose input hash changed — not once per band the
+// halo prediction (eco.DirtySpans, eco.MarkDirty) flags — and every result
+// equals a cacheless full re-run byte for byte. A cold base still falls
+// back to a full run of every band.
+func TestEditRerunsOnlyChangedBands(t *testing.T) {
+	const shards = 4
+	base, err := flex.GenerateCustom(600, 0.6, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, baseIn := bandHashes(t, base, shards)
+	if len(plan.Bands) != shards {
+		t.Fatalf("base plans %d bands, want %d", len(plan.Bands), shards)
+	}
+	halo := flex.DefaultShardHalo
+	top, bottom := plan.Bands[shards-1], plan.Bands[0]
+
+	// A horizontal move of a cell whose halo-widened span reaches over its
+	// band's upper seam: the prediction flags both bands, one changes.
+	seam := movableIn(t, base, plan.Bands[1], func(c flex.Cell) bool {
+		return c.GY+c.H+halo > plan.Bands[1].HiRow && c.GX+c.W+6 <= base.NumSitesX
+	})
+	nearSeam := []flex.Edit{{Op: flex.EditMove, Cell: seam.Name, GX: seam.GX + 6, GY: seam.GY}}
+	spans, inHalo, err := eco.DirtySpans(base, nearSeam, halo)
+	if err != nil || !inHalo {
+		t.Fatalf("near-seam move: in halo %t, err %v", inHalo, err)
+	}
+	predicted := 0
+	for _, d := range eco.MarkDirty(plan, spans) {
+		if d {
+			predicted++
+		}
+	}
+	if predicted != 2 {
+		t.Fatalf("near-seam move: prediction flags %d bands, want 2", predicted)
+	}
+
+	// A move from the bottom band into the top one, past any halo.
+	low := movableIn(t, base, bottom, func(flex.Cell) bool { return true })
+	across := []flex.Edit{{Op: flex.EditMove, Cell: low.Name, GX: low.GX, GY: top.LoRow + 2}}
+	victim := movableIn(t, base, plan.Bands[2], func(flex.Cell) bool { return true })
+
+	cases := []struct {
+		name  string
+		edits []flex.Edit
+		runs  int
+	}{
+		{"move near a seam", nearSeam, 1},
+		{"move across bands", across, 2},
+		{"insert", []flex.Edit{{Op: flex.EditInsert, Cell: "eco_new", GX: 10, GY: plan.Bands[1].LoRow + 2, W: 3, H: 1}}, 1},
+		{"delete", []flex.Edit{{Op: flex.EditDelete, Cell: victim.Name}}, 1},
+	}
+	svc := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
+	defer svc.Close()
+	baseOut := submitOne(t, svc, flex.BatchJob{Layout: base, Shards: shards})
+	ref := flex.NewService(flex.WithWorkers(2))
+	defer ref.Close()
+	for _, tc := range cases {
+		edited, err := eco.Apply(base, tc.edits)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, editIn := bandHashes(t, edited, shards)
+		if got := changedBands(baseIn, editIn); got != tc.runs {
+			t.Fatalf("%s: %d bands changed input, want %d", tc.name, got, tc.runs)
+		}
+		before := svc.Stats()
+		out, runs := submitCounted(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: tc.edits, Shards: shards})
+		if runs != tc.runs {
+			t.Fatalf("%s: %d engine runs, want %d (the bands whose input changed)", tc.name, runs, tc.runs)
+		}
+		if st := svc.Stats(); st.Incremental != before.Incremental+1 || st.Fallbacks != before.Fallbacks {
+			t.Fatalf("%s: incremental %d -> %d, fallbacks %d -> %d; want a splice",
+				tc.name, before.Incremental, st.Incremental, before.Fallbacks, st.Fallbacks)
+		}
+		want := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: tc.edits, Shards: shards})
+		if !bytes.Equal(encodeLayout(t, want.Layout), encodeLayout(t, out.Layout)) {
+			t.Fatalf("%s: incremental result differs from full re-run", tc.name)
+		}
+	}
+
+	// Cold base: nothing to splice from, so every band runs.
+	cold := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
+	defer cold.Close()
+	out, runs := submitCounted(t, cold, flex.BatchJob{Layout: base, Edits: nearSeam, Shards: shards})
+	if st := cold.Stats(); runs != shards || st.Fallbacks != 1 || st.Incremental != 0 {
+		t.Fatalf("cold base: %d runs, fallbacks %d, incremental %d; want %d/1/0", runs, st.Fallbacks, st.Incremental, shards)
+	}
+	want := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: nearSeam, Shards: shards})
+	if !bytes.Equal(encodeLayout(t, want.Layout), encodeLayout(t, out.Layout)) {
+		t.Fatal("cold base: result differs from full re-run")
+	}
+}
+
+// FuzzEditSpliceMatchesFullRun is the ECO differential target. The fuzz
+// input picks a small generated base (shape: cell count, density and band
+// count 2–6; seed) and a script of 1–3 edits of any op and distance. The
+// base is legalized on a caching service and the edits are submitted
+// against it by BaseHash: the result must have the bytes of a cacheless
+// full re-run, and the engine must run exactly once per band whose input
+// changed (every band, when the edits change the band count).
+func FuzzEditSpliceMatchesFullRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape uint8, seed int64, script []byte) {
+		cells := 100 + 40*int(shape%8)
+		density := 0.4 + 0.1*float64(shape/8%4)
+		shards := 2 + int(shape/32)%5
+		base, err := flex.GenerateCustom(cells, density, seed)
+		if err != nil {
+			return
+		}
+		edits := scriptEdits(base, script)
+		if len(edits) == 0 {
+			return
+		}
+		edited, err := eco.Apply(base, edits)
+		if err != nil {
+			t.Fatalf("script built invalid edits %+v: %v", edits, err)
+		}
+		_, baseIn := bandHashes(t, base, shards)
+		_, editIn := bandHashes(t, edited, shards)
+
+		svc := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(16<<20))
+		defer svc.Close()
+		baseOut := submitOne(t, svc, flex.BatchJob{Layout: base, Shards: shards})
+		out, runs := submitCounted(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edits, Shards: shards})
+		ref := flex.NewService(flex.WithWorkers(2))
+		defer ref.Close()
+		want := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: edits, Shards: shards})
+		if !bytes.Equal(encodeLayout(t, want.Layout), encodeLayout(t, out.Layout)) {
+			t.Fatalf("edits %+v: incremental result differs from full re-run", edits)
+		}
+		if out.Legal != want.Legal || out.Metrics != want.Metrics || out.ModeledSeconds != want.ModeledSeconds {
+			t.Fatalf("edits %+v: incremental outcome fields differ from full re-run", edits)
+		}
+		if changed := changedBands(baseIn, editIn); runs != changed {
+			t.Fatalf("edits %+v: %d engine runs, want %d (bands %d -> %d)", edits, runs, changed, len(baseIn), len(editIn))
+		}
+	})
+}
+
+// scriptEdits decodes a fuzz script into 1–3 valid edits of base: the
+// first byte picks the count, then each edit reads an op, a cell, and a
+// position anywhere on the die. An inserted cell is up to 4 sites by 6 rows,
+// so it can raise the tallest-cell height and with it change the band
+// count. A cell is edited at most once; a short script reads as zeros.
+func scriptEdits(base *flex.Layout, script []byte) []flex.Edit {
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	var movable []flex.Cell
+	for _, c := range base.Cells {
+		if !c.Fixed {
+			movable = append(movable, c)
+		}
+	}
+	n := 1 + next()%3
+	edits := make([]flex.Edit, 0, n)
+	used := make(map[string]bool)
+	for i := 0; i < n; i++ {
+		op, pick, x, y := next()%3, next()<<8|next(), next(), next()
+		if op == 2 {
+			w, h := 1+x%4, 1+y%6
+			edits = append(edits, flex.Edit{Op: flex.EditInsert, Cell: fmt.Sprintf("fz%d", i),
+				GX: (x * 31) % (base.NumSitesX - w + 1), GY: y % (base.NumRows - h + 1), W: w, H: h})
+			continue
+		}
+		if len(movable) == 0 {
+			continue
+		}
+		c := movable[pick%len(movable)]
+		if used[c.Name] {
+			continue
+		}
+		used[c.Name] = true
+		if op == 1 {
+			edits = append(edits, flex.Edit{Op: flex.EditDelete, Cell: c.Name})
+			continue
+		}
+		edits = append(edits, flex.Edit{Op: flex.EditMove, Cell: c.Name,
+			GX: (x * 31) % (base.NumSitesX - c.W + 1), GY: y % (base.NumRows - c.H + 1)})
+	}
+	return edits
 }
 
 // TestBaseHashRequiresOutcomeCache: naming a base by hash on a service
