@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/eco -run=NONE -fuzz=FuzzDecodeValue -fuzztime=10s
 	$(GO) test . -run=NONE -fuzz=FuzzEditSpliceMatchesFullRun -fuzztime=10s
 	$(GO) test ./internal/curve -run=NONE -fuzz=FuzzSortAndMergeMatchesReference -fuzztime=10s
+	$(GO) test ./cmd/flexserve -run=NONE -fuzz=FuzzParseJobs -fuzztime=10s
 
 race:
 	$(GO) test -shuffle=on -race ./...

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -220,5 +222,53 @@ func TestRawPayloadSchedulingParams(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range priority: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestHugeDeadlineRejected: a deadlineMs whose duration would overflow
+// time.Duration (and wrap into the past) is a 400 on both request paths,
+// while the largest one that fits is accepted and the job runs.
+func TestHugeDeadlineRejected(t *testing.T) {
+	ts := newTestServer(t)
+	layout, err := flex.GenerateCustom(100, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := flex.WriteLayout(&sb, layout); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("deadlineMs must be in [0, %d]", maxDeadlineMs)
+	post := func(path, ctype, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for _, ms := range []int64{maxDeadlineMs + 1, math.MaxInt64} {
+		jsonBody := fmt.Sprintf(`{"jobs":[{"design":"fft_a_md2","scale":0.01,"engine":"mgl","deadlineMs":%d}]}`, ms)
+		for _, c := range []struct{ path, ctype, body string }{
+			{"/v1/legalize", "application/json", jsonBody},
+			{fmt.Sprintf("/v1/legalize?engine=mgl&deadlineMs=%d", ms), "text/plain", sb.String()},
+		} {
+			if code, body := post(c.path, c.ctype, c.body); code != http.StatusBadRequest || !strings.Contains(body, want) {
+				t.Fatalf("%s deadlineMs=%d: status %d %q, want 400 naming %q", c.ctype, ms, code, body, want)
+			}
+		}
+	}
+	jsonBody := fmt.Sprintf(`{"jobs":[{"design":"fft_a_md2","scale":0.01,"engine":"mgl","deadlineMs":%d}]}`, maxDeadlineMs)
+	for _, c := range []struct{ path, ctype, body string }{
+		{"/v1/legalize", "application/json", jsonBody},
+		{fmt.Sprintf("/v1/legalize?engine=mgl&deadlineMs=%d", maxDeadlineMs), "text/plain", sb.String()},
+	} {
+		code, body := post(c.path, c.ctype, c.body)
+		results, _ := decodeNDJSON(t, bufio.NewScanner(strings.NewReader(body)))
+		if code != http.StatusOK || len(results) != 1 || results[0].Error != "" {
+			t.Fatalf("%s deadlineMs=%d: status %d, results %+v; want the job to run", c.ctype, maxDeadlineMs, code, results)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -40,7 +41,8 @@ type jobRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMs is a relative completion target in milliseconds from
 	// request arrival; a job still queued when it expires fails fast in
-	// its result line instead of running. 0 = no deadline.
+	// its result line instead of running. 0 = no deadline; at most
+	// maxDeadlineMs.
 	DeadlineMs int64 `json:"deadlineMs,omitempty"`
 	// Client is the submitting tenant: per-client quotas, fair sharing,
 	// and the per-client admission bound (429) key off it. Empty is the
@@ -425,8 +427,8 @@ func (s *server) parseJobs(r *http.Request) ([]flex.BatchJob, legalizeRequest, e
 			return nil, req, fmt.Errorf("job %d: priority must be in [%d, %d], got %d",
 				i, -maxPriority, maxPriority, jr.Priority)
 		}
-		if jr.DeadlineMs < 0 {
-			return nil, req, fmt.Errorf("job %d: deadlineMs must be >= 0, got %d", i, jr.DeadlineMs)
+		if jr.DeadlineMs < 0 || jr.DeadlineMs > maxDeadlineMs {
+			return nil, req, fmt.Errorf("job %d: deadlineMs must be in [0, %d], got %d", i, maxDeadlineMs, jr.DeadlineMs)
 		}
 		j := flex.BatchJob{
 			Engine:    e,
@@ -544,6 +546,11 @@ func parsePriority(v string) (int, error) {
 	return n, nil
 }
 
+// maxDeadlineMs is the largest deadlineMs whose duration fits a
+// time.Duration (about 292 years); a larger one would wrap negative and
+// put the deadline in the past.
+const maxDeadlineMs = int64(math.MaxInt64 / time.Millisecond)
+
 // parseDeadlineMs maps an optional relative deadline query parameter
 // ("" or "0" = none) to the absolute deadline the scheduler uses.
 func parseDeadlineMs(v string) (time.Time, error) {
@@ -551,8 +558,8 @@ func parseDeadlineMs(v string) (time.Time, error) {
 		return time.Time{}, nil
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return time.Time{}, fmt.Errorf("deadlineMs must be a non-negative integer, got %q", v)
+	if err != nil || n < 0 || n > maxDeadlineMs {
+		return time.Time{}, fmt.Errorf("deadlineMs must be in [0, %d], got %q", maxDeadlineMs, v)
 	}
 	if n == 0 {
 		return time.Time{}, nil

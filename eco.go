@@ -8,6 +8,7 @@ import (
 
 	"github.com/flex-eda/flex/internal/cache"
 	"github.com/flex-eda/flex/internal/eco"
+	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
 	"github.com/flex-eda/flex/internal/shard"
@@ -37,8 +38,12 @@ func LayoutHash(l *Layout) string { return eco.Hash(l) }
 // engine, options, band count, halo), so a repeated request is served from
 // cache and an edited request (BatchJob.Edits) re-legalizes only the row
 // bands whose input changed, splicing the cached base outcome's other bands
-// in. b <= 0 disables the cache, the default (WithCacheDir alone also
-// enables it, with a 256 MiB default bound).
+// in. Entries also hold, in memory only, each band's record of the
+// insertion-point searches its run made, so a changed band's re-run replays
+// the searches whose local region the edit left alone; every entry counts
+// the records it references against b. b <= 0 disables the cache, the
+// default (WithCacheDir alone also enables it, with a 256 MiB default
+// bound).
 func WithOutcomeCacheBytes(b int64) ServiceOption {
 	return func(c *serviceConfig) { c.outcomeBytes = b }
 }
@@ -50,7 +55,9 @@ func WithOutcomeCacheBytes(b int64) ServiceOption {
 // eviction is memory-only — files survive for the next start. A file that
 // fails to read or decode is skipped with a warning, never served, and the
 // recomputed value replaces it. Warnings go to the WithLogger logger at
-// warn level, or to stderr without one.
+// warn level, or to stderr without one. The bands' search records are
+// never written to disk, so after a restart an edit against a base loaded
+// from disk re-runs its changed bands in full.
 func WithCacheDir(dir string) ServiceOption {
 	return func(c *serviceConfig) { c.cacheDir = dir }
 }
@@ -144,34 +151,43 @@ func newOutcomeCache(cfg *serviceConfig) *cache.Disk {
 
 // ecoInfo is one job's incremental-reuse decision, computed once next to
 // the job's decomposition: the input's content identity, the per-band input
-// hashes, and — when a usable cached entry exists — which bands may reuse
-// its outcomes instead of re-legalizing.
+// hashes, the cached entry the job matched (its own or its base's), and
+// which bands may reuse that entry's outcomes instead of re-legalizing.
 type ecoInfo struct {
-	hash   string   // input layout content hash
-	key    string   // outcome cache key for this run
-	bandIn []string // per-band input layout hashes
-	entry  *eco.Entry
-	reuse  []bool // per band: serve entry.Bands[b] instead of legalizing
-	store  bool   // fold should store a fresh entry (false on an exact hit)
+	hash   string     // input layout content hash
+	key    string     // outcome cache key for this run
+	bandIn []string   // per-band input layout hashes
+	entry  *eco.Entry // the matched entry; nil when none was cached
+	reuse  []bool     // per band: serve entry.Bands[b] instead of legalizing
+	store  bool       // fold should store a fresh entry (false on an exact hit)
+	// memos holds each band's FOP search record for the fold to store:
+	// the sealed memo of a band run by the local executor, the entry's
+	// memo for a served band, nil for a band run on the fleet. Band b's
+	// job writes memos[b] before its result reaches the fold.
+	memos []*fop.Memo
 }
 
 // ecoPrep computes the reuse decision for one job. A job reuses the entry
-// cached under its own input's key (an exact repeat); a sharded edited job
-// without one splices from its base layout's cached outcome. Either way
-// band i serves the entry's band i exactly when their input hashes are
-// equal, since an engine's result is a pure function of its input bytes,
-// and every other band re-runs — so an incremental result is
-// byte-identical to the full re-run by construction. An edited job falls
-// back to a full run when the base outcome is cold, has a different band
-// count, or no band's input hash matches. An unsharded job is one band
-// whose input is the whole layout: its key keeps bands=0 and its band hash
-// is the input hash, so it hashes once and reuses only on an exact repeat.
+// cached under its own input's key (an exact repeat); an edited job without
+// one matches its base layout's cached outcome. Either way band i serves
+// the entry's band i exactly when their input hashes are equal, since an
+// engine's result is a pure function of its input bytes, and every other
+// band re-runs — so an incremental result is byte-identical to the full
+// re-run by construction. A band that re-runs still replays the FOP
+// searches of the entry's band i whose regions it meets unchanged
+// (bandMemo). An edited job falls back to a full run when the base outcome
+// is cold, has a different band count, or no band's input hash matches. An
+// unsharded job is one band whose input is the whole layout: its key keeps
+// bands=0 and its band hash is the input hash, so it hashes once and
+// reuses only on an exact repeat, while an unsharded edit replays the
+// unsharded base's searches.
 func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 	nb := len(p.bands)
 	info := &ecoInfo{
 		hash:   eco.Hash(p.layout),
 		bandIn: make([]string, nb),
 		reuse:  make([]bool, nb),
+		memos:  make([]*fop.Memo, nb),
 	}
 	if p.plan == nil {
 		info.bandIn[0] = info.hash
@@ -188,18 +204,36 @@ func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 
 	ent := s.lookupEntry(key, nb)
 	exact := ent != nil
-	if !exact && len(job.Edits) > 0 && p.plan != nil {
+	if !exact && len(job.Edits) > 0 {
 		ent = s.baseEntry(job, p)
 	}
+	info.entry = ent
 	for i, in := range info.bandIn {
-		if ent != nil && ent.Bands[i].InHash == in {
-			info.reuse[i], info.entry = true, ent
-		}
+		info.reuse[i] = ent != nil && ent.Bands[i].InHash == in
 	}
 	// An exact repeat that reuses every band has nothing new to store.
 	info.store = !exact || slices.Contains(info.reuse, false)
-	s.accountEco(job, info.entry != nil)
+	s.accountEco(job, slices.Contains(info.reuse, true))
 	return info, nil
+}
+
+// bandMemo returns a fresh memo for band b's run on the local executor,
+// replaying from the matched entry's band b when it has a record, and
+// keeps it for the fold.
+func (info *ecoInfo) bandMemo(b int) *fop.Memo {
+	var from *fop.Memo
+	if info.entry != nil {
+		from = info.entry.Bands[b].Memo
+	}
+	info.memos[b] = fop.NewMemo(from)
+	return info.memos[b]
+}
+
+// sealMemo seals a band run's memo and counts its searches by path.
+func (s *Service) sealMemo(m *fop.Memo) {
+	m.Seal()
+	s.searchesReplayed.Add(float64(m.Hits()))
+	s.searchesRun.Add(float64(m.Misses()))
 }
 
 // baseEntry returns the cached outcome of the job's base layout under the
@@ -284,6 +318,7 @@ func (s *Service) storeOutcome(job BatchJob, info *ecoInfo, p *shardPrep, bandOu
 			Layout:         o.Layout.Clone(),
 			Legal:          o.Legal,
 			ModeledSeconds: o.ModeledSeconds,
+			Memo:           info.memos[b],
 		})
 	}
 	s.outcomes.Add(info.key, ent, ent.ApproxBytes())
@@ -299,5 +334,6 @@ func servedBand(ctx context.Context, job BatchJob, info *ecoInfo, b int) *Outcom
 	_, end := obs.StartSpan(ctx, "eco-splice", fmt.Sprintf("band %d from cached outcome", b))
 	defer end()
 	bo := &info.entry.Bands[b]
+	info.memos[b] = bo.Memo
 	return rebuildOutcome(bo.Layout.Clone(), bo.Legal, bo.ModeledSeconds, job.Engine)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -197,6 +198,11 @@ func (fw *FleetWorker) Handler() http.Handler { return fw.w.Handler() }
 // finish. Call it when graceful shutdown begins.
 func (fw *FleetWorker) Drain() { fw.w.Drain() }
 
+// maxDeadlineMs is the largest wire deadline whose duration fits a
+// time.Duration (about 292 years); a larger one would wrap negative and
+// put the deadline in the past.
+const maxDeadlineMs = int64(math.MaxInt64 / time.Millisecond)
+
 // serviceExecutor is the fleet.Executor over a Service.
 type serviceExecutor struct {
 	svc *Service
@@ -237,6 +243,9 @@ func (x *serviceExecutor) parse(j fleet.Job) (BatchJob, error) {
 		job.Design, job.Scale = j.Design, j.Scale
 	default:
 		return BatchJob{}, fmt.Errorf("%w: job carries neither a layout nor a design reference", fleet.ErrInvalidJob)
+	}
+	if j.DeadlineMs > maxDeadlineMs {
+		return BatchJob{}, fmt.Errorf("%w: deadlineMs must be in [0, %d], got %d", fleet.ErrInvalidJob, maxDeadlineMs, j.DeadlineMs)
 	}
 	if j.DeadlineMs > 0 {
 		// Re-anchor the coordinator's relative deadline on this host's

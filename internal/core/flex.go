@@ -22,6 +22,7 @@
 package core
 
 import (
+	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/geom"
 	"github.com/flex-eda/flex/internal/mgl"
@@ -66,6 +67,9 @@ type Config struct {
 	CPU *perf.CPUModel
 	// MeasureOriginalShift threads the instrumentation flag through to FOP.
 	MeasureOriginalShift bool
+	// Memo, when set, replays and records the run's FOP searches
+	// (mgl.Config.Memo); the result and its pricing do not change.
+	Memo *fop.Memo
 }
 
 func (c Config) pe() fpga.PEConfig {
@@ -131,6 +135,7 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 		Streamed:             true,
 		SlidingWindow:        sw,
 		MeasureOriginalShift: cfg.MeasureOriginalShift,
+		Memo:                 cfg.Memo,
 		TraceFn: func(tt mgl.TargetTrace) {
 			ftr := fpga.TraceFromFOP(tt.FOP, int(tt.CommitMoved))
 			fopCycles += pe.RegionCycles(ftr)

@@ -54,6 +54,9 @@ type Config struct {
 	// sequential engine with that target's isolated work trace. The FLEX
 	// accelerator model consumes these traces.
 	TraceFn func(TargetTrace)
+	// Memo, when set, replays and records the serial FOP searches
+	// (fop.Memo). Results, stats and traces are those of a run without it.
+	Memo *fop.Memo
 }
 
 // TargetTrace is the per-target work record handed to Config.TraceFn.
@@ -186,6 +189,7 @@ func (e *engine) scheduler() order.Scheduler {
 }
 
 func (e *engine) runSequential() {
+	e.cfg.Memo.Reserve(int(e.st.PreMoveCells))
 	e.sched = e.scheduler()
 	for {
 		id, ok := e.sched.Next()
@@ -252,7 +256,7 @@ func (e *engine) placeOne(id int) TargetTrace {
 		reg := e.extract(id, win)
 		tr.Window = win.Intersect(e.l.Die())
 		tr.LocalCells = len(reg.Cells)
-		cand := e.fop.Best(reg, tg, opts, &e.st.FOP)
+		cand := e.cfg.Memo.Best(&e.fop, reg, tg, opts, &e.st.FOP)
 		if cand.Feasible && e.commit(id, reg, cand) {
 			tr.Placed = true
 			return tr

@@ -283,6 +283,10 @@ type Service struct {
 	outcomeMisses  obs.Counter
 	ecoIncremental obs.Counter // flex_eco_jobs_total, by path
 	ecoFallback    obs.Counter
+	// flex_eco_fop_searches_total, by path: the FOP searches of band runs
+	// on an outcome-caching service, replayed from a memo or run.
+	searchesReplayed obs.Counter
+	searchesRun      obs.Counter
 
 	// outcomes is non-nil when the outcome cache is on
 	// (WithOutcomeCacheBytes / WithCacheDir): finished legalizations are
@@ -373,6 +377,12 @@ func (s *Service) instrument(cfg *serviceConfig) {
 			"Edit and base-reference jobs, by the path they took.", obs.Label{Key: "path", Value: path})
 	}
 	s.ecoIncremental, s.ecoFallback = ecoJobs("incremental"), ecoJobs("fallback")
+	searches := func(path string) obs.Counter {
+		return m.Counter("flex_eco_fop_searches_total",
+			"FOP searches of band runs on an outcome-caching service, replayed from the matched band's record or run.",
+			obs.Label{Key: "path", Value: path})
+	}
+	s.searchesReplayed, s.searchesRun = searches("replay"), searches("run")
 	m.CounterFunc("flex_device_reconfigs_total",
 		"Modeled reconfigurations of this process's FPGA boards.",
 		func() float64 { return float64(s.pool.Device().Stats().Reconfigs) })

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	flex "github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/eco"
 	"github.com/flex-eda/flex/internal/engine"
+	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/shard"
 )
 
@@ -348,7 +350,10 @@ func TestEditRerunsOnlyChangedBands(t *testing.T) {
 // base is legalized on a caching service and the edits are submitted
 // against it by BaseHash: the result must have the bytes of a cacheless
 // full re-run, and the engine must run exactly once per band whose input
-// changed (every band, when the edits change the band count).
+// changed (every band, when the edits change the band count). Each band
+// that re-runs replays the base band's FOP searches (fop.Memo), so the
+// target covers the replay too: its reference runs with no cache and so
+// no memo.
 func FuzzEditSpliceMatchesFullRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, script []byte) {
 		cells := 100 + 40*int(shape%8)
@@ -677,5 +682,212 @@ func TestTamperedCacheEntryNeverLegal(t *testing.T) {
 	}
 	if len(out.Violations) == 0 || out.Legal {
 		t.Fatalf("tampered entry served Legal=%v with %d violations", out.Legal, len(out.Violations))
+	}
+}
+
+// searchCounts reads svc's flex_eco_fop_searches_total, by path.
+func searchCounts(t *testing.T, svc *flex.Service) (replayed, ran int) {
+	t.Helper()
+	s := scrapeService(t, svc)
+	return int(s[`flex_eco_fop_searches_total{path="replay"}`]), int(s[`flex_eco_fop_searches_total{path="run"}`])
+}
+
+// submitSearches runs one job on svc and returns its outcome and the FOP
+// searches its band runs replayed and ran, by the service's own counts.
+func submitSearches(t *testing.T, svc *flex.Service, job flex.BatchJob) (out *flex.Outcome, replayed, ran int) {
+	t.Helper()
+	r0, n0 := searchCounts(t, svc)
+	out = submitOne(t, svc, job)
+	r1, n1 := searchCounts(t, svc)
+	return out, r1 - r0, n1 - n0
+}
+
+// requireBytes fails unless got has want's layout bytes and outcome fields.
+func requireBytes(t *testing.T, label string, want, got *flex.Outcome) {
+	t.Helper()
+	if !bytes.Equal(encodeLayout(t, want.Layout), encodeLayout(t, got.Layout)) {
+		t.Fatalf("%s: result differs from a cacheless full re-run", label)
+	}
+	if got.Legal != want.Legal || got.Metrics != want.Metrics || got.ModeledSeconds != want.ModeledSeconds {
+		t.Fatalf("%s: outcome fields differ from a cacheless full re-run", label)
+	}
+}
+
+// bandReplay legalizes band b of base with a fresh memo and then band b of
+// edited replaying from it, straight through engine.Run, and returns the
+// replay's hits and misses. The replayed run must equal a run without a
+// memo in layout, op counts and modeled seconds, and make one search per
+// region it builds.
+func bandReplay(t *testing.T, base, edited *flex.Layout, shards, b int) (hits, misses int) {
+	t.Helper()
+	band := func(l *flex.Layout) *flex.Layout {
+		plan, err := shard.PlanBands(l, shards, flex.DefaultShardHalo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bands, err := shard.Split(l, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bands[b]
+	}
+	run := func(l *flex.Layout, m *fop.Memo) *engine.Result {
+		ctx := context.Background()
+		if m != nil {
+			ctx = engine.WithMemo(ctx, m)
+		}
+		r, err := engine.Run(ctx, engine.FLEX, l, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rec := fop.NewMemo(nil)
+	run(band(base), rec)
+	rec.Seal()
+	m := fop.NewMemo(rec)
+	got, plain := run(band(edited), m), run(band(edited), nil)
+	if !bytes.Equal(encodeLayout(t, got.Layout), encodeLayout(t, plain.Layout)) ||
+		!reflect.DeepEqual(got.Ops(), plain.Ops()) || got.ModeledSeconds != plain.ModeledSeconds {
+		t.Fatal("a replayed band run differs from a run without a memo")
+	}
+	if builds := plain.Ops()["region.builds"]; int64(m.Hits()+m.Misses()) != builds {
+		t.Fatalf("replayed run made %d searches, a plain run builds %d regions", m.Hits()+m.Misses(), builds)
+	}
+	return m.Hits(), m.Misses()
+}
+
+// TestEditReplaysBaseSearches: an edit against a cached base re-runs its
+// changed band replaying the base band's FOP searches, so most of them do
+// not run again, and the result is a cacheless full re-run's, byte for
+// byte. The service counts exactly the searches an independent replay of
+// that band makes, and edits of the edited layout replay from its entry's
+// records, re-run and served bands alike. A cold base and a base loaded
+// from a cache directory have no search record, so they replay nothing and
+// still match; an unsharded edit replays from the unsharded base; and two
+// concurrent edits of one base share its record (run under -race).
+func TestEditReplaysBaseSearches(t *testing.T) {
+	const shards = 4
+	base, err := flex.GenerateCustom(400, 0.6, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, baseIn := bandHashes(t, base, shards)
+	if len(plan.Bands) != shards {
+		t.Fatalf("base plans %d bands, want %d", len(plan.Bands), shards)
+	}
+	halo := flex.DefaultShardHalo
+	moveIn := func(b, dx int) []flex.Edit {
+		band := plan.Bands[b]
+		c := movableIn(t, base, band, func(c flex.Cell) bool {
+			return c.GY >= band.LoRow+halo && c.GY+c.H+halo <= band.HiRow && c.GX+c.W+dx <= base.NumSitesX
+		})
+		return []flex.Edit{{Op: flex.EditMove, Cell: c.Name, GX: c.GX + dx, GY: c.GY}}
+	}
+	edit := moveIn(1, 3)
+	edited, err := eco.Apply(base, edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, editIn := bandHashes(t, edited, shards); changedBands(baseIn, editIn) != 1 || editIn[1] == baseIn[1] {
+		t.Fatal("the in-band move does not change exactly band 1")
+	}
+	ref := flex.NewService(flex.WithWorkers(2))
+	defer ref.Close()
+	want := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: edit, Shards: shards})
+
+	svc := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
+	defer svc.Close()
+	baseOut, replayed, ran := submitSearches(t, svc, flex.BatchJob{Layout: base, Shards: shards})
+	if replayed != 0 || ran == 0 {
+		t.Fatalf("base upload: %d searches replayed, %d ran; want none and some", replayed, ran)
+	}
+	job := flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edit, Shards: shards}
+	out, replayed, ran := submitSearches(t, svc, job)
+	requireBytes(t, "warm edit", want, out)
+	if share := float64(replayed) / float64(replayed+ran); share < 0.7 {
+		t.Fatalf("warm edit: %d of %d searches replayed (%.2f), want at least 70%%", replayed, replayed+ran, share)
+	}
+	if hits, misses := bandReplay(t, base, edited, shards, 1); replayed != hits || ran != misses {
+		t.Fatalf("warm edit: service counts %d replayed, %d run; the band's own replay %d, %d", replayed, ran, hits, misses)
+	}
+	// Repeating the edit is an exact hit on its own entry: no band runs.
+	if _, replayed, ran = submitSearches(t, svc, job); replayed != 0 || ran != 0 {
+		t.Fatalf("exact repeat: %d searches replayed, %d ran; want no band run", replayed, ran)
+	}
+	// The edit's entry keeps a record for every band, its re-run band's
+	// own and the base's for the bands it served, so edits of the edited
+	// layout replay from both.
+	for _, b := range []int{1, 2} {
+		next := moveIn(b, 1)
+		got, replayed, ran := submitSearches(t, svc, flex.BatchJob{BaseHash: out.InputHash, Edits: next, Shards: shards})
+		requireBytes(t, fmt.Sprintf("edit of the edit, band %d", b), submitOne(t, ref, flex.BatchJob{Layout: edited, Edits: next, Shards: shards}), got)
+		if share := float64(replayed) / float64(replayed+ran); share < 0.7 {
+			t.Fatalf("edit of the edit, band %d: %d of %d searches replayed (%.2f), want at least 70%%", b, replayed, replayed+ran, share)
+		}
+	}
+
+	cold := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
+	defer cold.Close()
+	out, replayed, ran = submitSearches(t, cold, flex.BatchJob{Layout: base, Edits: edit, Shards: shards})
+	requireBytes(t, "cold base", want, out)
+	if replayed != 0 || ran == 0 {
+		t.Fatalf("cold base: %d searches replayed, %d ran; want none and some", replayed, ran)
+	}
+
+	dir := t.TempDir()
+	disk := flex.NewService(flex.WithWorkers(2), flex.WithCacheDir(dir))
+	submitOne(t, disk, flex.BatchJob{Layout: base, Shards: shards})
+	disk.Close()
+	disk = flex.NewService(flex.WithWorkers(2), flex.WithCacheDir(dir))
+	defer disk.Close()
+	out, replayed, ran = submitSearches(t, disk, job)
+	requireBytes(t, "base loaded from disk", want, out)
+	if st := disk.Stats(); replayed != 0 || ran == 0 || st.Incremental != 1 {
+		t.Fatalf("base loaded from disk: %d searches replayed, %d ran, %d incremental; want a splice that replays nothing",
+			replayed, ran, st.Incremental)
+	}
+
+	whole, err := flex.GenerateCustom(1200, 0.6, 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unsharded []flex.Edit
+	for _, c := range whole.Cells {
+		if !c.Fixed && c.GX+c.W+3 <= whole.NumSitesX {
+			unsharded = []flex.Edit{{Op: flex.EditMove, Cell: c.Name, GX: c.GX + 3, GY: c.GY}}
+			break
+		}
+	}
+	wholeOut := submitOne(t, svc, flex.BatchJob{Layout: whole})
+	out, replayed, ran = submitSearches(t, svc, flex.BatchJob{BaseHash: wholeOut.InputHash, Edits: unsharded})
+	requireBytes(t, "unsharded edit", submitOne(t, ref, flex.BatchJob{Layout: whole, Edits: unsharded}), out)
+	if share := float64(replayed) / float64(replayed+ran); share < 0.9 {
+		t.Fatalf("unsharded edit: %d of %d searches replayed (%.2f), want at least 90%%", replayed, replayed+ran, share)
+	}
+
+	edits := [][]flex.Edit{moveIn(2, 2), moveIn(3, 4)}
+	outs := make([]*flex.Outcome, len(edits))
+	errs := make([]error, len(edits))
+	var wg sync.WaitGroup
+	for i, e := range edits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sum, err := svc.Submit(context.Background(), []flex.BatchJob{{BaseHash: baseOut.InputHash, Edits: e, Shards: shards}}, flex.SubmitOptions{})
+			if err == nil {
+				err = sum.Results[0].Err
+			}
+			if errs[i] = err; err == nil {
+				outs[i] = sum.Results[0].Outcome
+			}
+		}()
+	}
+	wg.Wait()
+	for i, e := range edits {
+		if errs[i] != nil {
+			t.Fatalf("concurrent edit %d: %v", i, errs[i])
+		}
+		requireBytes(t, fmt.Sprintf("concurrent edit %d", i), submitOne(t, ref, flex.BatchJob{Layout: base, Edits: e, Shards: shards}), outs[i])
 	}
 }

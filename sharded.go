@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex/internal/engine"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
@@ -357,6 +358,13 @@ func (s *Service) bandJob(job BatchJob, st *shardState, class sched.Class, k, b 
 			}
 			if info.reuse[b] {
 				return servedBand(ctx, job, info, b), nil
+			}
+			if s.router == nil {
+				// The local executor replays the matched band's searches
+				// and records its own for the entry the fold stores.
+				memo := info.bandMemo(b)
+				defer s.sealMemo(memo)
+				ctx = engine.WithMemo(ctx, memo)
 			}
 		}
 		return s.exec(ctx, job, p.bands[b], s.routingKey(job, class, k, b, info))

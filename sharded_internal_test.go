@@ -2,9 +2,13 @@ package flex
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex/internal/fleet"
 )
 
 // TestFoldIgnoresSkippedPaddingSlots: when a requested shard count exceeds
@@ -83,5 +87,25 @@ func TestAutoShardCap(t *testing.T) {
 	// An explicit request is the caller's own expansion and stays uncapped.
 	if k := svc.effectiveShards(BatchJob{Design: "superblue19", Scale: 1.0, Shards: 100}); k != 100 {
 		t.Fatalf("explicit shard count = %d, want 100", k)
+	}
+}
+
+// TestWireDeadlineOverflowRejected: a fleet job whose deadlineMs would
+// overflow time.Duration (and wrap into the past) is an invalid job, not
+// an expired one; the largest deadline that fits is re-anchored in the
+// future.
+func TestWireDeadlineOverflowRejected(t *testing.T) {
+	x := &serviceExecutor{}
+	for _, ms := range []int64{maxDeadlineMs + 1, math.MaxInt64} {
+		if _, err := x.parse(fleet.Job{Engine: "mgl", Design: "fft_a_md2", Scale: 0.01, DeadlineMs: ms}); !errors.Is(err, fleet.ErrInvalidJob) {
+			t.Fatalf("deadlineMs %d: err %v, want fleet.ErrInvalidJob", ms, err)
+		}
+	}
+	job, err := x.parse(fleet.Job{Engine: "mgl", Design: "fft_a_md2", Scale: 0.01, DeadlineMs: maxDeadlineMs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !job.Deadline.After(time.Now()) {
+		t.Fatalf("deadlineMs %d re-anchored at %v, in the past", maxDeadlineMs, job.Deadline)
 	}
 }
