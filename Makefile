@@ -58,6 +58,8 @@ fuzz:
 	$(GO) test . -run=NONE -fuzz=FuzzEditSpliceMatchesFullRun -fuzztime=10s
 	$(GO) test ./internal/curve -run=NONE -fuzz=FuzzSortAndMergeMatchesReference -fuzztime=10s
 	$(GO) test ./cmd/flexserve -run=NONE -fuzz=FuzzParseJobs -fuzztime=10s
+	$(GO) test ./internal/mgl -run=NONE -fuzz=FuzzTrailReplayMatchesPlainRun -fuzztime=10s
+	$(GO) test . -run=NONE -fuzz=FuzzWireJob -fuzztime=10s
 
 race:
 	$(GO) test -shuffle=on -race ./...

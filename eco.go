@@ -8,7 +8,7 @@ import (
 
 	"github.com/flex-eda/flex/internal/cache"
 	"github.com/flex-eda/flex/internal/eco"
-	"github.com/flex-eda/flex/internal/fop"
+	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/obs"
 	"github.com/flex-eda/flex/internal/shard"
@@ -38,10 +38,11 @@ func LayoutHash(l *Layout) string { return eco.Hash(l) }
 // engine, options, band count, halo), so a repeated request is served from
 // cache and an edited request (BatchJob.Edits) re-legalizes only the row
 // bands whose input changed, splicing the cached base outcome's other bands
-// in. Entries also hold, in memory only, each band's record of the
-// insertion-point searches its run made, so a changed band's re-run replays
-// the searches whose local region the edit left alone; every entry counts
-// the records it references against b. b <= 0 disables the cache, the
+// in. Entries also hold, in memory only, each band's step-by-step record of
+// its run, so a changed band's re-run replays every placement step the
+// edit does not reach; an edit's entry shares the layouts and records of
+// the bands it served with the entry it matched, and every entry counts
+// the layouts and records it references against b. b <= 0 disables the cache, the
 // default (WithCacheDir alone also enables it, with a 256 MiB default
 // bound).
 func WithOutcomeCacheBytes(b int64) ServiceOption {
@@ -55,9 +56,9 @@ func WithOutcomeCacheBytes(b int64) ServiceOption {
 // eviction is memory-only — files survive for the next start. A file that
 // fails to read or decode is skipped with a warning, never served, and the
 // recomputed value replaces it. Warnings go to the WithLogger logger at
-// warn level, or to stderr without one. The bands' search records are
-// never written to disk, so after a restart an edit against a base loaded
-// from disk re-runs its changed bands in full.
+// warn level, or to stderr without one. The bands' step records are never
+// written to disk, so after a restart an edit against a base loaded from
+// disk re-runs its changed bands in full.
 func WithCacheDir(dir string) ServiceOption {
 	return func(c *serviceConfig) { c.cacheDir = dir }
 }
@@ -160,11 +161,11 @@ type ecoInfo struct {
 	entry  *eco.Entry // the matched entry; nil when none was cached
 	reuse  []bool     // per band: serve entry.Bands[b] instead of legalizing
 	store  bool       // fold should store a fresh entry (false on an exact hit)
-	// memos holds each band's FOP search record for the fold to store:
-	// the sealed memo of a band run by the local executor, the entry's
-	// memo for a served band, nil for a band run on the fleet. Band b's
-	// job writes memos[b] before its result reaches the fold.
-	memos []*fop.Memo
+	// trails holds each band's step record for the fold to store: the
+	// sealed trail of a band run by the local executor, the entry's trail
+	// for a served band, nil for a band run on the fleet. Band b's job
+	// writes trails[b] before its result reaches the fold.
+	trails []*mgl.Trail
 }
 
 // ecoPrep computes the reuse decision for one job. A job reuses the entry
@@ -173,21 +174,20 @@ type ecoInfo struct {
 // the entry's band i exactly when their input hashes are equal, since an
 // engine's result is a pure function of its input bytes, and every other
 // band re-runs — so an incremental result is byte-identical to the full
-// re-run by construction. A band that re-runs still replays the FOP
-// searches of the entry's band i whose regions it meets unchanged
-// (bandMemo). An edited job falls back to a full run when the base outcome
+// re-run by construction. A band that re-runs still replays the placement
+// steps of the entry's band i that its edit does not reach (bandTrail). An edited job falls back to a full run when the base outcome
 // is cold, has a different band count, or no band's input hash matches. An
 // unsharded job is one band whose input is the whole layout: its key keeps
 // bands=0 and its band hash is the input hash, so it hashes once and
 // reuses only on an exact repeat, while an unsharded edit replays the
-// unsharded base's searches.
+// unsharded base's steps.
 func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 	nb := len(p.bands)
 	info := &ecoInfo{
 		hash:   eco.Hash(p.layout),
 		bandIn: make([]string, nb),
 		reuse:  make([]bool, nb),
-		memos:  make([]*fop.Memo, nb),
+		trails: make([]*mgl.Trail, nb),
 	}
 	if p.plan == nil {
 		info.bandIn[0] = info.hash
@@ -217,23 +217,23 @@ func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 	return info, nil
 }
 
-// bandMemo returns a fresh memo for band b's run on the local executor,
+// bandTrail returns a fresh trail for band b's run on the local executor,
 // replaying from the matched entry's band b when it has a record, and
 // keeps it for the fold.
-func (info *ecoInfo) bandMemo(b int) *fop.Memo {
-	var from *fop.Memo
+func (info *ecoInfo) bandTrail(b int) *mgl.Trail {
+	var from *mgl.Trail
 	if info.entry != nil {
-		from = info.entry.Bands[b].Memo
+		from = info.entry.Bands[b].Trail
 	}
-	info.memos[b] = fop.NewMemo(from)
-	return info.memos[b]
+	info.trails[b] = mgl.NewTrail(from)
+	return info.trails[b]
 }
 
-// sealMemo seals a band run's memo and counts its searches by path.
-func (s *Service) sealMemo(m *fop.Memo) {
-	m.Seal()
-	s.searchesReplayed.Add(float64(m.Hits()))
-	s.searchesRun.Add(float64(m.Misses()))
+// sealTrail seals a band run's trail and counts its steps by path.
+func (s *Service) sealTrail(t *mgl.Trail) {
+	t.Seal()
+	s.stepsReplayed.Add(float64(t.Replayed()))
+	s.stepsRun.Add(float64(t.Ran()))
 }
 
 // baseEntry returns the cached outcome of the job's base layout under the
@@ -303,9 +303,10 @@ func rebuildOutcome(l *model.Layout, legal bool, modeled float64, engine Engine)
 
 // storeOutcome publishes one finished run into the outcome cache: the
 // per-band entry under the run's key, and the input layout under its own
-// content address so future requests can name it as a base. Band layouts
-// are cloned into the entry — the caller owns the result layouts it was
-// handed.
+// content address so future requests can name it as a base. A band served
+// from the matched entry shares that entry's layout, since entries are
+// never written again; a band that ran is cloned into the entry, because
+// the caller owns the result layouts it was handed.
 func (s *Service) storeOutcome(job BatchJob, info *ecoInfo, p *shardPrep, bandOuts []*Outcome) {
 	name, err := engineWireName(job.Engine)
 	if err != nil {
@@ -313,13 +314,18 @@ func (s *Service) storeOutcome(job BatchJob, info *ecoInfo, p *shardPrep, bandOu
 	}
 	ent := &eco.Entry{Engine: name, Options: optionsKey(job.Options)}
 	for b, o := range bandOuts {
-		ent.Bands = append(ent.Bands, eco.BandOutcome{
+		band := eco.BandOutcome{
 			InHash:         info.bandIn[b],
-			Layout:         o.Layout.Clone(),
 			Legal:          o.Legal,
 			ModeledSeconds: o.ModeledSeconds,
-			Memo:           info.memos[b],
-		})
+			Trail:          info.trails[b],
+		}
+		if info.reuse[b] {
+			band.Layout = info.entry.Bands[b].Layout
+		} else {
+			band.Layout = o.Layout.Clone()
+		}
+		ent.Bands = append(ent.Bands, band)
 	}
 	s.outcomes.Add(info.key, ent, ent.ApproxBytes())
 	s.outcomes.Add(eco.LayoutKey(info.hash), p.layout, p.layout.ApproxBytes())
@@ -334,6 +340,6 @@ func servedBand(ctx context.Context, job BatchJob, info *ecoInfo, b int) *Outcom
 	_, end := obs.StartSpan(ctx, "eco-splice", fmt.Sprintf("band %d from cached outcome", b))
 	defer end()
 	bo := &info.entry.Bands[b]
-	info.memos[b] = bo.Memo
+	info.trails[b] = bo.Trail
 	return rebuildOutcome(bo.Layout.Clone(), bo.Legal, bo.ModeledSeconds, job.Engine)
 }

@@ -244,7 +244,10 @@ func (x *serviceExecutor) parse(j fleet.Job) (BatchJob, error) {
 	default:
 		return BatchJob{}, fmt.Errorf("%w: job carries neither a layout nor a design reference", fleet.ErrInvalidJob)
 	}
-	if j.DeadlineMs > maxDeadlineMs {
+	if j.Threads < 0 {
+		return BatchJob{}, fmt.Errorf("%w: threads must be >= 0, got %d", fleet.ErrInvalidJob, j.Threads)
+	}
+	if j.DeadlineMs < 0 || j.DeadlineMs > maxDeadlineMs {
 		return BatchJob{}, fmt.Errorf("%w: deadlineMs must be in [0, %d], got %d", fleet.ErrInvalidJob, maxDeadlineMs, j.DeadlineMs)
 	}
 	if j.DeadlineMs > 0 {

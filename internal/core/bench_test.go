@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
-	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/gen"
+	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 )
 
@@ -36,23 +36,24 @@ func BenchmarkLegalize(b *testing.B) {
 	}
 }
 
-// BenchmarkLegalizeMemo prices the FOP memo on BenchmarkLegalize's input:
-// "record" runs with a fresh memo, as a band run on an outcome-caching
-// service does with no base to replay; "replay" runs with a memo built on
-// a finished run of the same input, so every search replays.
-func BenchmarkLegalizeMemo(b *testing.B) {
+// BenchmarkLegalizeTrail prices the step trail on BenchmarkLegalize's
+// input: "record" runs with a fresh trail, as a band run on an
+// outcome-caching service does with no base to replay; "replay" runs with
+// a trail built on a finished run of the same input, so every step
+// replays.
+func BenchmarkLegalizeTrail(b *testing.B) {
 	l := benchLayout(b)
-	rec := fop.NewMemo(nil)
-	Legalize(l, Config{Memo: rec})
+	rec := mgl.NewTrail(nil)
+	Legalize(l, Config{Trail: rec})
 	rec.Seal()
 	for _, c := range []struct {
 		name string
-		from *fop.Memo
+		from *mgl.Trail
 	}{{"record", nil}, {"replay", rec}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := Legalize(l, Config{Memo: fop.NewMemo(c.from)}); !res.Legal {
+				if res := Legalize(l, Config{Trail: mgl.NewTrail(c.from)}); !res.Legal {
 					b.Fatal("not legal")
 				}
 			}

@@ -22,7 +22,6 @@
 package core
 
 import (
-	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/geom"
 	"github.com/flex-eda/flex/internal/mgl"
@@ -67,9 +66,10 @@ type Config struct {
 	CPU *perf.CPUModel
 	// MeasureOriginalShift threads the instrumentation flag through to FOP.
 	MeasureOriginalShift bool
-	// Memo, when set, replays and records the run's FOP searches
-	// (mgl.Config.Memo); the result and its pricing do not change.
-	Memo *fop.Memo
+	// Trail, when set, records the run's steps and replays those of the
+	// trail it was built from (mgl.Config.Trail); the result and its
+	// pricing do not change.
+	Trail *mgl.Trail
 }
 
 func (c Config) pe() fpga.PEConfig {
@@ -135,7 +135,7 @@ func Legalize(l *model.Layout, cfg Config) *Result {
 		Streamed:             true,
 		SlidingWindow:        sw,
 		MeasureOriginalShift: cfg.MeasureOriginalShift,
-		Memo:                 cfg.Memo,
+		Trail:                cfg.Trail,
 		TraceFn: func(tt mgl.TargetTrace) {
 			ftr := fpga.TraceFromFOP(tt.FOP, int(tt.CommitMoved))
 			fopCycles += pe.RegionCycles(ftr)

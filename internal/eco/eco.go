@@ -1,8 +1,8 @@
 // Package eco is the substrate of the incremental (ECO) legalization path:
 // content hashing of canonical layout bytes, the edit vocabulary that
 // perturbs a placed design (move / insert / delete), and the cached-outcome
-// entry format the service persists between requests (each band's FOP
-// search record stays in memory only).
+// entry format the service persists between requests (each band's step
+// record, an mgl.Trail, stays in memory only).
 //
 // The correctness contract is hash-verification, not prediction: a band of
 // the edited layout reuses a cached band outcome exactly when its canonical
@@ -22,7 +22,7 @@ import (
 	"strings"
 	"unicode"
 
-	"github.com/flex-eda/flex/internal/fop"
+	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/shard"
 )
@@ -204,14 +204,15 @@ type BandOutcome struct {
 	// alone: engines also track placement failures).
 	Legal          bool
 	ModeledSeconds float64
-	// Memo is the sealed record of the FOP searches that produced Layout.
-	// A later edit that re-runs this band replays from it, so only the
-	// searches whose local region changed run again. A band served from
-	// the cache keeps the memo of the run that produced it. Nil when the
-	// band ran on a fleet worker or was loaded from disk: a memo never
-	// goes to disk or over the wire. Entries share memos, and each counts
-	// the memos it references in its ApproxBytes.
-	Memo *fop.Memo
+	// Trail is the sealed step record of the run that produced Layout. A
+	// later edit that re-runs this band replays from it, so only the
+	// placement steps the edit reaches run again. A band served from the
+	// cache keeps the trail of the run that produced it, and shares that
+	// run's Layout. Nil when the band ran on a fleet worker or was loaded
+	// from disk: a trail never goes to disk or over the wire. Entries
+	// share trails and layouts, and each counts those it references in
+	// its ApproxBytes.
+	Trail *mgl.Trail
 }
 
 // Entry is one memoized legalization outcome, stored per band: the bands
@@ -236,7 +237,7 @@ func (e *Entry) ApproxBytes() int64 {
 		if e.Bands[i].Layout != nil {
 			n += e.Bands[i].Layout.ApproxBytes()
 		}
-		n += e.Bands[i].Memo.ApproxBytes()
+		n += e.Bands[i].Trail.ApproxBytes()
 	}
 	return n
 }

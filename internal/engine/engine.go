@@ -16,7 +16,6 @@ import (
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/core"
-	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/model"
@@ -81,7 +80,7 @@ type Entry struct {
 	// FPGA reports that the engine holds a modeled board for its run; the
 	// other engines are priced host-side and overlap freely.
 	FPGA bool
-	run  func(l *model.Layout, o Options, m *fop.Memo) *Result
+	run  func(l *model.Layout, o Options, t *mgl.Trail) *Result
 }
 
 // table has one entry per Kind, indexed by it.
@@ -133,23 +132,24 @@ func WithObserver(ctx context.Context, fn func(*Result)) context.Context {
 	return context.WithValue(ctx, observerKey{}, fn)
 }
 
-// memoKey carries a WithMemo memo through a context.
-type memoKey struct{}
+// trailKey carries a WithTrail trail through a context.
+type trailKey struct{}
 
-// WithMemo returns ctx carrying m, the FOP memo (fop.Memo) that Run hands
-// to the engines built on mgl's serial search — FLEX, MGL and MGL-MT's
-// serial redo — so that the run replays and records its searches. The
-// result, op counts and modeled seconds are those of a run without it. m
-// serves one run at a time.
-func WithMemo(ctx context.Context, m *fop.Memo) context.Context {
-	return context.WithValue(ctx, memoKey{}, m)
+// WithTrail returns ctx carrying t, the step record (mgl.Trail) that Run
+// hands to the engines on mgl's serial schedule — FLEX and MGL — so that
+// the run records its steps and replays those of the trail t was built
+// from. The result, op counts and modeled seconds are those of a run
+// without it; the other engines ignore it and leave t empty. t serves one
+// run.
+func WithTrail(ctx context.Context, t *mgl.Trail) context.Context {
+	return context.WithValue(ctx, trailKey{}, t)
 }
 
 // Run legalizes a clone of l with k's engine. An engine that needs the FPGA
 // holds one modeled board of ctx's pool for the run (free outside a pool);
 // a canceled ctx starts no engine. A negative thread count fails for every
 // engine: MGL-MT would price its run in negative seconds. The run uses
-// ctx's memo (WithMemo), if any, and a successful run is reported to ctx's
+// ctx's trail (WithTrail), if any, and a successful run is reported to ctx's
 // observer (WithObserver), if any.
 func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -162,12 +162,12 @@ func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, erro
 	if o.Threads < 0 {
 		return nil, fmt.Errorf("flex: threads must be >= 0, got %d", o.Threads)
 	}
-	memo, _ := ctx.Value(memoKey{}).(*fop.Memo)
+	trail, _ := ctx.Value(trailKey{}).(*mgl.Trail)
 	var r *Result
 	if e.FPGA {
-		err = batch.HoldDevice(ctx, func() { r = e.run(l, o, memo) })
+		err = batch.HoldDevice(ctx, func() { r = e.run(l, o, trail) })
 	} else {
-		r = e.run(l, o, memo)
+		r = e.run(l, o, trail)
 	}
 	if err != nil {
 		return nil, err
@@ -178,8 +178,8 @@ func Run(ctx context.Context, k Kind, l *model.Layout, o Options) (*Result, erro
 	return r, nil
 }
 
-func runFLEX(l *model.Layout, o Options, m *fop.Memo) *Result {
-	cfg := core.Config{SlidingWindow: o.SlidingWindow, Memo: m}
+func runFLEX(l *model.Layout, o Options, t *mgl.Trail) *Result {
+	cfg := core.Config{SlidingWindow: o.SlidingWindow, Trail: t}
 	if o.OnePE {
 		cfg.PE = fpga.PEConfig{Pipeline: fpga.MultiGranularity, SACS: fpga.SACSParal, NumPE: 1}
 	}
@@ -195,8 +195,8 @@ func runFLEX(l *model.Layout, o Options, m *fop.Memo) *Result {
 	}
 }
 
-func runMGL(l *model.Layout, _ Options, m *fop.Memo) *Result {
-	r := mgl.Legalize(l, mgl.Config{Memo: m})
+func runMGL(l *model.Layout, _ Options, t *mgl.Trail) *Result {
+	r := mgl.Legalize(l, mgl.Config{Trail: t})
 	return &Result{
 		Layout: r.Layout, Metrics: r.Metrics, Legal: r.Legal, Violations: r.Violations,
 		ModeledSeconds: perf.DefaultCPU.Seconds(r.Stats.WorkSerial),
@@ -204,12 +204,12 @@ func runMGL(l *model.Layout, _ Options, m *fop.Memo) *Result {
 	}
 }
 
-func runMGLMT(l *model.Layout, o Options, m *fop.Memo) *Result {
+func runMGLMT(l *model.Layout, o Options, _ *mgl.Trail) *Result {
 	threads := o.Threads
 	if threads == 0 {
 		threads = 8
 	}
-	r := mgl.Legalize(l, mgl.Config{Threads: threads, Memo: m})
+	r := mgl.Legalize(l, mgl.Config{Threads: threads})
 	st := &r.Stats
 	// No batch holds more targets than there are movable cells (each of
 	// which pre-move counts), so no more threads than that are priced.
@@ -221,7 +221,7 @@ func runMGLMT(l *model.Layout, o Options, m *fop.Memo) *Result {
 	}
 }
 
-func runGPU(l *model.Layout, _ Options, _ *fop.Memo) *Result {
+func runGPU(l *model.Layout, _ Options, _ *mgl.Trail) *Result {
 	r := mgl.LegalizeGPU(l, mgl.GPUConfig{})
 	return &Result{
 		Layout: r.Layout, Metrics: r.Metrics, Legal: r.Legal, Violations: r.Violations,
@@ -230,7 +230,7 @@ func runGPU(l *model.Layout, _ Options, _ *fop.Memo) *Result {
 	}
 }
 
-func runAnalytical(l *model.Layout, _ Options, _ *fop.Memo) *Result {
+func runAnalytical(l *model.Layout, _ Options, _ *mgl.Trail) *Result {
 	r := analytical.Legalize(l, analytical.Config{})
 	return &Result{
 		Layout: r.Layout, Metrics: r.Metrics, Legal: r.Legal, Violations: r.Violations,

@@ -19,11 +19,6 @@
 // can connect to the target's rows — and charges their visits in bulk, so
 // the counts equal those of a dense sweep while the host does only the
 // work that can change the result.
-//
-// A Memo records a run's searches by content. An edited band's re-run
-// replays the searches of the base band's run whose region and target are
-// unchanged, so only the searches whose local region changed run again,
-// with the same results and the same Stats.
 package fop
 
 import (

@@ -16,7 +16,9 @@
 // rounds reproduce the DATE'22 CPU-GPU baseline (gpu.go). The schedules
 // share pre-move, the window ladder, the per-target evaluation, commit and
 // the disjoint-window batch collector, and differ only in order and
-// pricing.
+// pricing. The sequential schedule can also record its run step by step
+// in a Trail and replay, for an edited input, every step the edit does not
+// reach (trail.go).
 package mgl
 
 import (
@@ -54,9 +56,11 @@ type Config struct {
 	// sequential engine with that target's isolated work trace. The FLEX
 	// accelerator model consumes these traces.
 	TraceFn func(TargetTrace)
-	// Memo, when set, replays and records the serial FOP searches
-	// (fop.Memo). Results, stats and traces are those of a run without it.
-	Memo *fop.Memo
+	// Trail, when set, records the sequential engine's steps and replays
+	// those of the finished trail it was built from (see Trail). Results,
+	// stats and traces are those of a run without it; the batched engine
+	// ignores it.
+	Trail *Trail
 }
 
 // TargetTrace is the per-target work record handed to Config.TraceFn.
@@ -127,6 +131,7 @@ type engine struct {
 	ext     region.Extractor // serial-path region scratch
 	fop     fop.Finder       // serial-path FOP scratch
 	shift   shift.Shifter    // commit scratch; every commit is serial
+	rec     *Trail           // the sequential run's record; nil for none
 	// Per-batch buffers: a batch's targets and initial windows, their
 	// evaluations and the windows committed so far (sized once per run by
 	// sizeBatches), and the spare queue the next batch's leftovers fill.
@@ -189,7 +194,7 @@ func (e *engine) scheduler() order.Scheduler {
 }
 
 func (e *engine) runSequential() {
-	e.cfg.Memo.Reserve(int(e.st.PreMoveCells))
+	rp := e.cfg.Trail.begin(e)
 	e.sched = e.scheduler()
 	for {
 		id, ok := e.sched.Next()
@@ -198,23 +203,51 @@ func (e *engine) runSequential() {
 		}
 		e.st.OrderOps++
 		e.st.WorkSerial += e.w.OrderOp
-		beforeFOP := e.st.FOP
-		beforeCommit := e.st.Commit
-		beforeCommitCells := e.st.CommitCells
-		tr := e.placeOne(id)
+		tr := e.step(rp, id)
 		if tr.Placed {
 			// The commit moved only cells inside its window.
 			e.sched.Committed(tr.Window)
 		}
-		delta := fopDelta(e.st.FOP, beforeFOP)
-		e.st.WorkSerial += e.w.FOPWork(delta)
 		if e.cfg.TraceFn != nil {
-			tr.FOP = delta
-			tr.Commit = shiftDelta(e.st.Commit, beforeCommit)
-			tr.CommitMoved = e.st.CommitCells - beforeCommitCells
 			e.cfg.TraceFn(tr)
 		}
 	}
+}
+
+// step makes target id's step, replaying it from rp when rp allows, and
+// records it on the run's trail.
+func (e *engine) step(rp *replay, id int) TargetTrace {
+	t := e.rec
+	if t == nil {
+		return e.runStep(id)
+	}
+	cand0, move0 := len(t.cands), len(t.moves)
+	var tr TargetTrace
+	if s := rp.match(e, id); s != nil {
+		tr = e.replayStep(rp, id, s)
+		t.replayed++
+	} else {
+		tr = e.runStep(id)
+		rp.ran(e, id, t.moves[move0:])
+		t.ran++
+	}
+	c := &e.l.Cells[id]
+	t.record(&tr, c.X, c.Y, cand0, move0)
+	return tr
+}
+
+// runStep runs target id's step, adds its FOP work and returns its trace
+// with the step's FOP and commit work.
+func (e *engine) runStep(id int) TargetTrace {
+	beforeFOP := e.st.FOP
+	beforeCommit := e.st.Commit
+	beforeCommitCells := e.st.CommitCells
+	tr := e.placeOne(id)
+	tr.FOP = fopDelta(e.st.FOP, beforeFOP)
+	tr.Commit = shiftDelta(e.st.Commit, beforeCommit)
+	tr.CommitMoved = e.st.CommitCells - beforeCommitCells
+	e.st.WorkSerial += e.w.FOPWork(tr.FOP)
+	return tr
 }
 
 // window is the window ladder: the FOP window for a target after n
@@ -248,15 +281,11 @@ func (e *engine) placeOne(id int) TargetTrace {
 	tr := TargetTrace{ID: id}
 	for n := 0; ; n++ {
 		win := e.window(c, n)
-		if n >= maxExpand {
-			e.st.Fallbacks++
-		} else if n > 0 {
-			e.st.Expansions++
-		}
+		e.widen(n)
 		reg := e.extract(id, win)
 		tr.Window = win.Intersect(e.l.Die())
 		tr.LocalCells = len(reg.Cells)
-		cand := e.cfg.Memo.Best(&e.fop, reg, tg, opts, &e.st.FOP)
+		cand := e.fop.Best(reg, tg, opts, &e.st.FOP)
 		if cand.Feasible && e.commit(id, reg, cand) {
 			tr.Placed = true
 			return tr
@@ -268,6 +297,16 @@ func (e *engine) placeOne(id int) TargetTrace {
 	}
 }
 
+// widen counts the n-th window of a target's ladder: an expansion, or from
+// maxExpand on the die-wide fallback.
+func (e *engine) widen(n int) {
+	if n >= maxExpand {
+		e.st.Fallbacks++
+	} else if n > 0 {
+		e.st.Expansions++
+	}
+}
+
 func (e *engine) extract(id int, win geom.Rect) *region.Region {
 	// Reusing the query and region scratch is safe here: extract is only
 	// reached from placeOne, which runs serially (sequential engine, or the
@@ -275,11 +314,20 @@ func (e *engine) extract(id int, win geom.Rect) *region.Region {
 	// region, committed or not, before it extracts the next.
 	e.candBuf = e.idx.Query(win, e.candBuf[:0])
 	cands := e.candBuf
-	e.st.RegionBuilds++
-	e.st.RegionCands += int64(len(cands))
-	e.st.RegionRows += int64(win.Intersect(e.l.Die()).H)
-	e.st.WorkSerial += e.w.RegionCand*float64(len(cands)) + e.w.RegionRow*float64(win.H)
+	e.countRegion(win, len(cands))
+	if e.rec != nil {
+		e.rec.cands = append(e.rec.cands, int32(len(cands)))
+	}
 	return e.ext.From(e.l, e.placed, id, win, cands)
+}
+
+// countRegion adds one region build over win from cands candidates to the
+// run's counters and serial work.
+func (e *engine) countRegion(win geom.Rect, cands int) {
+	e.st.RegionBuilds++
+	e.st.RegionCands += int64(cands)
+	e.st.RegionRows += int64(win.Intersect(e.l.Die()).H)
+	e.st.WorkSerial += e.w.RegionCand*float64(cands) + e.w.RegionRow*float64(win.H)
 }
 
 // commit is step e): run SACS on the region and write the new positions
@@ -297,16 +345,25 @@ func (e *engine) commit(id int, reg *region.Region, cand fop.Candidate) bool {
 			cell.X = lc.X
 			e.idx.Update(lc.ID)
 			moved++
+			if e.rec != nil {
+				e.rec.moves = append(e.rec.moves, move{id: int32(lc.ID), x: lc.X})
+			}
 		}
 	}
+	e.place(id, cand.X, cand.Y, moved)
+	return true
+}
+
+// place puts target id at (x, y) after a commit that moved moved other
+// cells.
+func (e *engine) place(id, x, y, moved int) {
 	t := &e.l.Cells[id]
-	t.X, t.Y = cand.X, cand.Y
+	t.X, t.Y = x, y
 	e.placed[id] = true
 	e.idx.Add(id)
 	e.st.Placed++
 	e.st.CommitCells += int64(moved) + 1
 	e.st.WorkSerial += e.w.CommitCell * float64(moved+1)
-	return true
 }
 
 func (e *engine) finish() *Result {

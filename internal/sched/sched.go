@@ -28,6 +28,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"time"
 )
 
@@ -110,7 +111,10 @@ type priorityPolicy struct {
 // deadline sorts last), then lowest fair-share load, then arrival order.
 func Default() Policy { return priorityPolicy{ageStep: DefaultAgeStep} }
 
-// effective is the waiter's aged priority at now.
+// effective is the waiter's aged priority at now. It saturates at
+// math.MaxInt: priorities are unbounded at every entry point (BatchJob,
+// flexlg -priority, the fleet wire), and a wrapped sum would rank the
+// highest-priority job last.
 func (p priorityPolicy) effective(w Waiter, now time.Time) int {
 	if p.ageStep <= 0 {
 		return w.Class.Priority
@@ -122,6 +126,9 @@ func (p priorityPolicy) effective(w Waiter, now time.Time) int {
 	boost := int(waited / p.ageStep)
 	if boost > maxAgeBoost {
 		boost = maxAgeBoost
+	}
+	if w.Class.Priority > math.MaxInt-boost {
+		return math.MaxInt
 	}
 	return w.Class.Priority + boost
 }

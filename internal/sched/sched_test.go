@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,6 +115,19 @@ func TestAgingBoundsStarvation(t *testing.T) {
 	}
 	if order[5] != "old-bulk" {
 		t.Fatalf("after 5 aging steps the bulk job still starved: %v", order)
+	}
+}
+
+// TestAgingSaturates: the aged priority of a job at math.MaxInt saturates
+// instead of wrapping, so after waiting it still outranks a fresh
+// priority-0 job.
+func TestAgingSaturates(t *testing.T) {
+	now := time.Unix(1000, 0)
+	p := Default()
+	top := Waiter{Class: Class{Priority: math.MaxInt}, Seq: 1, Since: now.Add(-time.Second)}
+	fresh := Waiter{Class: Class{Priority: 0}, Seq: 2, Since: now}
+	if !p.Less(top, fresh, now) || p.Less(fresh, top, now) {
+		t.Fatal("a priority-MaxInt job that waited 1 s ranks after a fresh priority-0 job")
 	}
 }
 

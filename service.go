@@ -283,10 +283,10 @@ type Service struct {
 	outcomeMisses  obs.Counter
 	ecoIncremental obs.Counter // flex_eco_jobs_total, by path
 	ecoFallback    obs.Counter
-	// flex_eco_fop_searches_total, by path: the FOP searches of band runs
-	// on an outcome-caching service, replayed from a memo or run.
-	searchesReplayed obs.Counter
-	searchesRun      obs.Counter
+	// flex_eco_steps_total, by path: the placement steps of band runs on
+	// an outcome-caching service, replayed from a trail or run.
+	stepsReplayed obs.Counter
+	stepsRun      obs.Counter
 
 	// outcomes is non-nil when the outcome cache is on
 	// (WithOutcomeCacheBytes / WithCacheDir): finished legalizations are
@@ -377,12 +377,12 @@ func (s *Service) instrument(cfg *serviceConfig) {
 			"Edit and base-reference jobs, by the path they took.", obs.Label{Key: "path", Value: path})
 	}
 	s.ecoIncremental, s.ecoFallback = ecoJobs("incremental"), ecoJobs("fallback")
-	searches := func(path string) obs.Counter {
-		return m.Counter("flex_eco_fop_searches_total",
-			"FOP searches of band runs on an outcome-caching service, replayed from the matched band's record or run.",
+	steps := func(path string) obs.Counter {
+		return m.Counter("flex_eco_steps_total",
+			"Placement steps of band runs on an outcome-caching service, replayed from the matched band's trail or run.",
 			obs.Label{Key: "path", Value: path})
 	}
-	s.searchesReplayed, s.searchesRun = searches("replay"), searches("run")
+	s.stepsReplayed, s.stepsRun = steps("replay"), steps("run")
 	m.CounterFunc("flex_device_reconfigs_total",
 		"Modeled reconfigurations of this process's FPGA boards.",
 		func() float64 { return float64(s.pool.Device().Stats().Reconfigs) })

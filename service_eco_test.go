@@ -12,13 +12,12 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	flex "github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/eco"
 	"github.com/flex-eda/flex/internal/engine"
-	"github.com/flex-eda/flex/internal/fop"
+	"github.com/flex-eda/flex/internal/mgl"
 	"github.com/flex-eda/flex/internal/shard"
 )
 
@@ -180,13 +179,20 @@ func farEdit(t *testing.T, l *flex.Layout) []flex.Edit {
 	return nil
 }
 
-// submitCounted runs one job on svc and returns its outcome and the number
-// of engine runs it took, counted through engine.WithObserver: a band the
-// outcome cache serves runs no engine.
-func submitCounted(t *testing.T, svc *flex.Service, job flex.BatchJob) (*flex.Outcome, int) {
+// submitCounted runs one job on svc and returns its outcome and the engine
+// runs it took, observed through engine.WithObserver: a band the outcome
+// cache serves runs no engine.
+func submitCounted(t *testing.T, svc *flex.Service, job flex.BatchJob) (*flex.Outcome, []*engine.Result) {
 	t.Helper()
-	var runs atomic.Int64
-	ctx := engine.WithObserver(context.Background(), func(*engine.Result) { runs.Add(1) })
+	var (
+		mu   sync.Mutex
+		runs []*engine.Result
+	)
+	ctx := engine.WithObserver(context.Background(), func(r *engine.Result) {
+		mu.Lock()
+		runs = append(runs, r)
+		mu.Unlock()
+	})
 	sum, err := svc.Submit(ctx, []flex.BatchJob{job}, flex.SubmitOptions{})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -194,7 +200,40 @@ func submitCounted(t *testing.T, svc *flex.Service, job flex.BatchJob) (*flex.Ou
 	if r := sum.Results[0]; r.Err != nil {
 		t.Fatalf("job failed: %v", r.Err)
 	}
-	return sum.Results[0].Outcome, int(runs.Load())
+	return sum.Results[0].Outcome, runs
+}
+
+// requirePlainRuns fails unless every engine run in runs reports the op
+// counts and modeled seconds of a plain FLEX engine.Run of the band of l,
+// split as a job with Shards k splits it, whose result has its bytes.
+func requirePlainRuns(t *testing.T, l *flex.Layout, k int, runs []*engine.Result) {
+	t.Helper()
+	plan, err := shard.PlanBands(l, k, flex.DefaultShardHalo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bands, err := shard.Split(l, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make(map[string]*engine.Result, len(bands))
+	for _, b := range bands {
+		r, err := engine.Run(context.Background(), engine.FLEX, b, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain[string(encodeLayout(t, r.Layout))] = r
+	}
+	for _, r := range runs {
+		want, ok := plain[string(encodeLayout(t, r.Layout))]
+		if !ok {
+			t.Fatal("an engine run's result matches no band's plain run")
+		}
+		if !reflect.DeepEqual(r.Ops(), want.Ops()) || r.ModeledSeconds != want.ModeledSeconds {
+			t.Fatalf("an engine run reports ops %v and %v modeled seconds, a plain run of its band %v and %v",
+				r.Ops(), r.ModeledSeconds, want.Ops(), want.ModeledSeconds)
+		}
+	}
 }
 
 // bandHashes plans and splits l as a job with Shards k and the default
@@ -318,8 +357,8 @@ func TestEditRerunsOnlyChangedBands(t *testing.T) {
 		}
 		before := svc.Stats()
 		out, runs := submitCounted(t, svc, flex.BatchJob{BaseHash: baseOut.InputHash, Edits: tc.edits, Shards: shards})
-		if runs != tc.runs {
-			t.Fatalf("%s: %d engine runs, want %d (the bands whose input changed)", tc.name, runs, tc.runs)
+		if len(runs) != tc.runs {
+			t.Fatalf("%s: %d engine runs, want %d (the bands whose input changed)", tc.name, len(runs), tc.runs)
 		}
 		if st := svc.Stats(); st.Incremental != before.Incremental+1 || st.Fallbacks != before.Fallbacks {
 			t.Fatalf("%s: incremental %d -> %d, fallbacks %d -> %d; want a splice",
@@ -335,8 +374,8 @@ func TestEditRerunsOnlyChangedBands(t *testing.T) {
 	cold := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
 	defer cold.Close()
 	out, runs := submitCounted(t, cold, flex.BatchJob{Layout: base, Edits: nearSeam, Shards: shards})
-	if st := cold.Stats(); runs != shards || st.Fallbacks != 1 || st.Incremental != 0 {
-		t.Fatalf("cold base: %d runs, fallbacks %d, incremental %d; want %d/1/0", runs, st.Fallbacks, st.Incremental, shards)
+	if st := cold.Stats(); len(runs) != shards || st.Fallbacks != 1 || st.Incremental != 0 {
+		t.Fatalf("cold base: %d runs, fallbacks %d, incremental %d; want %d/1/0", len(runs), st.Fallbacks, st.Incremental, shards)
 	}
 	want := submitOne(t, ref, flex.BatchJob{Layout: base, Edits: nearSeam, Shards: shards})
 	if !bytes.Equal(encodeLayout(t, want.Layout), encodeLayout(t, out.Layout)) {
@@ -351,9 +390,10 @@ func TestEditRerunsOnlyChangedBands(t *testing.T) {
 // against it by BaseHash: the result must have the bytes of a cacheless
 // full re-run, and the engine must run exactly once per band whose input
 // changed (every band, when the edits change the band count). Each band
-// that re-runs replays the base band's FOP searches (fop.Memo), so the
-// target covers the replay too: its reference runs with no cache and so
-// no memo.
+// that re-runs replays the base band's placement steps (mgl.Trail), so
+// the target covers the replay too: its reference runs with no cache and
+// so no trail, and every engine run the incremental job makes must report
+// the op counts and modeled seconds of a plain run of its band's input.
 func FuzzEditSpliceMatchesFullRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, script []byte) {
 		cells := 100 + 40*int(shape%8)
@@ -387,9 +427,10 @@ func FuzzEditSpliceMatchesFullRun(f *testing.F) {
 		if out.Legal != want.Legal || out.Metrics != want.Metrics || out.ModeledSeconds != want.ModeledSeconds {
 			t.Fatalf("edits %+v: incremental outcome fields differ from full re-run", edits)
 		}
-		if changed := changedBands(baseIn, editIn); runs != changed {
-			t.Fatalf("edits %+v: %d engine runs, want %d (bands %d -> %d)", edits, runs, changed, len(baseIn), len(editIn))
+		if changed := changedBands(baseIn, editIn); len(runs) != changed {
+			t.Fatalf("edits %+v: %d engine runs, want %d (bands %d -> %d)", edits, len(runs), changed, len(baseIn), len(editIn))
 		}
+		requirePlainRuns(t, edited, shards, runs)
 	})
 }
 
@@ -685,20 +726,21 @@ func TestTamperedCacheEntryNeverLegal(t *testing.T) {
 	}
 }
 
-// searchCounts reads svc's flex_eco_fop_searches_total, by path.
-func searchCounts(t *testing.T, svc *flex.Service) (replayed, ran int) {
+// stepCounts reads svc's flex_eco_steps_total, by path.
+func stepCounts(t *testing.T, svc *flex.Service) (replayed, ran int) {
 	t.Helper()
 	s := scrapeService(t, svc)
-	return int(s[`flex_eco_fop_searches_total{path="replay"}`]), int(s[`flex_eco_fop_searches_total{path="run"}`])
+	return int(s[`flex_eco_steps_total{path="replay"}`]), int(s[`flex_eco_steps_total{path="run"}`])
 }
 
-// submitSearches runs one job on svc and returns its outcome and the FOP
-// searches its band runs replayed and ran, by the service's own counts.
-func submitSearches(t *testing.T, svc *flex.Service, job flex.BatchJob) (out *flex.Outcome, replayed, ran int) {
+// submitSteps runs one job on svc and returns its outcome and the
+// placement steps its band runs replayed and ran, by the service's own
+// counts.
+func submitSteps(t *testing.T, svc *flex.Service, job flex.BatchJob) (out *flex.Outcome, replayed, ran int) {
 	t.Helper()
-	r0, n0 := searchCounts(t, svc)
+	r0, n0 := stepCounts(t, svc)
 	out = submitOne(t, svc, job)
-	r1, n1 := searchCounts(t, svc)
+	r1, n1 := stepCounts(t, svc)
 	return out, r1 - r0, n1 - n0
 }
 
@@ -713,12 +755,12 @@ func requireBytes(t *testing.T, label string, want, got *flex.Outcome) {
 	}
 }
 
-// bandReplay legalizes band b of base with a fresh memo and then band b of
-// edited replaying from it, straight through engine.Run, and returns the
-// replay's hits and misses. The replayed run must equal a run without a
-// memo in layout, op counts and modeled seconds, and make one search per
-// region it builds.
-func bandReplay(t *testing.T, base, edited *flex.Layout, shards, b int) (hits, misses int) {
+// bandReplay legalizes band b of base with a fresh trail and then band b
+// of edited replaying from it, straight through engine.Run, and returns
+// the steps the replay replayed and ran. The replayed run must equal a run
+// without a trail in layout, op counts and modeled seconds, and make one
+// step per target it orders.
+func bandReplay(t *testing.T, base, edited *flex.Layout, shards, b int) (replayed, ran int) {
 	t.Helper()
 	band := func(l *flex.Layout) *flex.Layout {
 		plan, err := shard.PlanBands(l, shards, flex.DefaultShardHalo)
@@ -731,10 +773,10 @@ func bandReplay(t *testing.T, base, edited *flex.Layout, shards, b int) (hits, m
 		}
 		return bands[b]
 	}
-	run := func(l *flex.Layout, m *fop.Memo) *engine.Result {
+	run := func(l *flex.Layout, tr *mgl.Trail) *engine.Result {
 		ctx := context.Background()
-		if m != nil {
-			ctx = engine.WithMemo(ctx, m)
+		if tr != nil {
+			ctx = engine.WithTrail(ctx, tr)
 		}
 		r, err := engine.Run(ctx, engine.FLEX, l, engine.Options{})
 		if err != nil {
@@ -742,31 +784,31 @@ func bandReplay(t *testing.T, base, edited *flex.Layout, shards, b int) (hits, m
 		}
 		return r
 	}
-	rec := fop.NewMemo(nil)
+	rec := mgl.NewTrail(nil)
 	run(band(base), rec)
 	rec.Seal()
-	m := fop.NewMemo(rec)
-	got, plain := run(band(edited), m), run(band(edited), nil)
+	tr := mgl.NewTrail(rec)
+	got, plain := run(band(edited), tr), run(band(edited), nil)
 	if !bytes.Equal(encodeLayout(t, got.Layout), encodeLayout(t, plain.Layout)) ||
 		!reflect.DeepEqual(got.Ops(), plain.Ops()) || got.ModeledSeconds != plain.ModeledSeconds {
-		t.Fatal("a replayed band run differs from a run without a memo")
+		t.Fatal("a replayed band run differs from a run without a trail")
 	}
-	if builds := plain.Ops()["region.builds"]; int64(m.Hits()+m.Misses()) != builds {
-		t.Fatalf("replayed run made %d searches, a plain run builds %d regions", m.Hits()+m.Misses(), builds)
+	if targets := plain.Ops()["order.ops"]; int64(tr.Replayed()+tr.Ran()) != targets {
+		t.Fatalf("replayed run made %d steps, a plain run orders %d targets", tr.Replayed()+tr.Ran(), targets)
 	}
-	return m.Hits(), m.Misses()
+	return tr.Replayed(), tr.Ran()
 }
 
-// TestEditReplaysBaseSearches: an edit against a cached base re-runs its
-// changed band replaying the base band's FOP searches, so most of them do
-// not run again, and the result is a cacheless full re-run's, byte for
-// byte. The service counts exactly the searches an independent replay of
+// TestEditReplaysBaseSteps: an edit against a cached base re-runs its
+// changed band replaying the base band's placement steps, so most of them
+// do not run again, and the result is a cacheless full re-run's, byte for
+// byte. The service counts exactly the steps an independent replay of
 // that band makes, and edits of the edited layout replay from its entry's
-// records, re-run and served bands alike. A cold base and a base loaded
-// from a cache directory have no search record, so they replay nothing and
-// still match; an unsharded edit replays from the unsharded base; and two
-// concurrent edits of one base share its record (run under -race).
-func TestEditReplaysBaseSearches(t *testing.T) {
+// trails, re-run and served bands alike. A cold base and a base loaded
+// from a cache directory have no trail, so they replay nothing and still
+// match; an unsharded edit replays from the unsharded base; and two
+// concurrent edits of one base share its trails (run under -race).
+func TestEditReplaysBaseSteps(t *testing.T) {
 	const shards = 4
 	base, err := flex.GenerateCustom(400, 0.6, 33)
 	if err != nil {
@@ -798,41 +840,41 @@ func TestEditReplaysBaseSearches(t *testing.T) {
 
 	svc := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
 	defer svc.Close()
-	baseOut, replayed, ran := submitSearches(t, svc, flex.BatchJob{Layout: base, Shards: shards})
+	baseOut, replayed, ran := submitSteps(t, svc, flex.BatchJob{Layout: base, Shards: shards})
 	if replayed != 0 || ran == 0 {
-		t.Fatalf("base upload: %d searches replayed, %d ran; want none and some", replayed, ran)
+		t.Fatalf("base upload: %d steps replayed, %d ran; want none and some", replayed, ran)
 	}
 	job := flex.BatchJob{BaseHash: baseOut.InputHash, Edits: edit, Shards: shards}
-	out, replayed, ran := submitSearches(t, svc, job)
+	out, replayed, ran := submitSteps(t, svc, job)
 	requireBytes(t, "warm edit", want, out)
 	if share := float64(replayed) / float64(replayed+ran); share < 0.7 {
-		t.Fatalf("warm edit: %d of %d searches replayed (%.2f), want at least 70%%", replayed, replayed+ran, share)
+		t.Fatalf("warm edit: %d of %d steps replayed (%.2f), want at least 70%%", replayed, replayed+ran, share)
 	}
 	if hits, misses := bandReplay(t, base, edited, shards, 1); replayed != hits || ran != misses {
 		t.Fatalf("warm edit: service counts %d replayed, %d run; the band's own replay %d, %d", replayed, ran, hits, misses)
 	}
 	// Repeating the edit is an exact hit on its own entry: no band runs.
-	if _, replayed, ran = submitSearches(t, svc, job); replayed != 0 || ran != 0 {
-		t.Fatalf("exact repeat: %d searches replayed, %d ran; want no band run", replayed, ran)
+	if _, replayed, ran = submitSteps(t, svc, job); replayed != 0 || ran != 0 {
+		t.Fatalf("exact repeat: %d steps replayed, %d ran; want no band run", replayed, ran)
 	}
 	// The edit's entry keeps a record for every band, its re-run band's
 	// own and the base's for the bands it served, so edits of the edited
 	// layout replay from both.
 	for _, b := range []int{1, 2} {
 		next := moveIn(b, 1)
-		got, replayed, ran := submitSearches(t, svc, flex.BatchJob{BaseHash: out.InputHash, Edits: next, Shards: shards})
+		got, replayed, ran := submitSteps(t, svc, flex.BatchJob{BaseHash: out.InputHash, Edits: next, Shards: shards})
 		requireBytes(t, fmt.Sprintf("edit of the edit, band %d", b), submitOne(t, ref, flex.BatchJob{Layout: edited, Edits: next, Shards: shards}), got)
 		if share := float64(replayed) / float64(replayed+ran); share < 0.7 {
-			t.Fatalf("edit of the edit, band %d: %d of %d searches replayed (%.2f), want at least 70%%", b, replayed, replayed+ran, share)
+			t.Fatalf("edit of the edit, band %d: %d of %d steps replayed (%.2f), want at least 70%%", b, replayed, replayed+ran, share)
 		}
 	}
 
 	cold := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(64<<20))
 	defer cold.Close()
-	out, replayed, ran = submitSearches(t, cold, flex.BatchJob{Layout: base, Edits: edit, Shards: shards})
+	out, replayed, ran = submitSteps(t, cold, flex.BatchJob{Layout: base, Edits: edit, Shards: shards})
 	requireBytes(t, "cold base", want, out)
 	if replayed != 0 || ran == 0 {
-		t.Fatalf("cold base: %d searches replayed, %d ran; want none and some", replayed, ran)
+		t.Fatalf("cold base: %d steps replayed, %d ran; want none and some", replayed, ran)
 	}
 
 	dir := t.TempDir()
@@ -841,10 +883,10 @@ func TestEditReplaysBaseSearches(t *testing.T) {
 	disk.Close()
 	disk = flex.NewService(flex.WithWorkers(2), flex.WithCacheDir(dir))
 	defer disk.Close()
-	out, replayed, ran = submitSearches(t, disk, job)
+	out, replayed, ran = submitSteps(t, disk, job)
 	requireBytes(t, "base loaded from disk", want, out)
 	if st := disk.Stats(); replayed != 0 || ran == 0 || st.Incremental != 1 {
-		t.Fatalf("base loaded from disk: %d searches replayed, %d ran, %d incremental; want a splice that replays nothing",
+		t.Fatalf("base loaded from disk: %d steps replayed, %d ran, %d incremental; want a splice that replays nothing",
 			replayed, ran, st.Incremental)
 	}
 
@@ -860,10 +902,10 @@ func TestEditReplaysBaseSearches(t *testing.T) {
 		}
 	}
 	wholeOut := submitOne(t, svc, flex.BatchJob{Layout: whole})
-	out, replayed, ran = submitSearches(t, svc, flex.BatchJob{BaseHash: wholeOut.InputHash, Edits: unsharded})
+	out, replayed, ran = submitSteps(t, svc, flex.BatchJob{BaseHash: wholeOut.InputHash, Edits: unsharded})
 	requireBytes(t, "unsharded edit", submitOne(t, ref, flex.BatchJob{Layout: whole, Edits: unsharded}), out)
 	if share := float64(replayed) / float64(replayed+ran); share < 0.9 {
-		t.Fatalf("unsharded edit: %d of %d searches replayed (%.2f), want at least 90%%", replayed, replayed+ran, share)
+		t.Fatalf("unsharded edit: %d of %d steps replayed (%.2f), want at least 90%%", replayed, replayed+ran, share)
 	}
 
 	edits := [][]flex.Edit{moveIn(2, 2), moveIn(3, 4)}

@@ -360,11 +360,11 @@ func (s *Service) bandJob(job BatchJob, st *shardState, class sched.Class, k, b 
 				return servedBand(ctx, job, info, b), nil
 			}
 			if s.router == nil {
-				// The local executor replays the matched band's searches
-				// and records its own for the entry the fold stores.
-				memo := info.bandMemo(b)
-				defer s.sealMemo(memo)
-				ctx = engine.WithMemo(ctx, memo)
+				// The local executor replays the matched band's steps and
+				// records its own for the entry the fold stores.
+				trail := info.bandTrail(b)
+				defer s.sealTrail(trail)
+				ctx = engine.WithTrail(ctx, trail)
 			}
 		}
 		return s.exec(ctx, job, p.bands[b], s.routingKey(job, class, k, b, info))
