@@ -42,9 +42,9 @@ func LayoutHash(l *Layout) string { return eco.Hash(l) }
 // its run, so a changed band's re-run replays every placement step the
 // edit does not reach; an edit's entry shares the layouts and records of
 // the bands it served with the entry it matched, and every entry counts
-// the layouts and records it references against b. b <= 0 disables the cache, the
-// default (WithCacheDir alone also enables it, with a 256 MiB default
-// bound).
+// the layouts and records it references against b. b <= 0 disables the
+// cache, the default (WithCacheDir alone also enables it, with a 256 MiB
+// default bound).
 func WithOutcomeCacheBytes(b int64) ServiceOption {
 	return func(c *serviceConfig) { c.outcomeBytes = b }
 }
@@ -175,9 +175,9 @@ type ecoInfo struct {
 // engine's result is a pure function of its input bytes, and every other
 // band re-runs — so an incremental result is byte-identical to the full
 // re-run by construction. A band that re-runs still replays the placement
-// steps of the entry's band i that its edit does not reach (bandTrail). An edited job falls back to a full run when the base outcome
-// is cold, has a different band count, or no band's input hash matches. An
-// unsharded job is one band whose input is the whole layout: its key keeps
+// steps of the entry's band i that its edit does not reach (bandTrail). An
+// edited job falls back to a full run when the base outcome is cold, has a
+// different band count, or no band's input hash matches. An unsharded job is one band whose input is the whole layout: its key keeps
 // bands=0 and its band hash is the input hash, so it hashes once and
 // reuses only on an exact repeat, while an unsharded edit replays the
 // unsharded base's steps.

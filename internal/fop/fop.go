@@ -98,20 +98,12 @@ func (st *Stats) Add(other *Stats) {
 	for i := range st.ChainVisitsByH {
 		st.ChainVisitsByH[i] += other.ChainVisitsByH[i]
 	}
-	addShift(&st.Shift, &other.Shift)
+	st.Shift.Add(&other.Shift)
 	st.Curve.RawBps += other.Curve.RawBps
 	st.Curve.MergedBps += other.Curve.MergedBps
 	st.Curve.SortOps += other.Curve.SortOps
 	st.Curve.Traversal += other.Curve.Traversal
-	addShift(&st.OriginalShift, &other.OriginalShift)
-}
-
-func addShift(dst, src *shift.Stats) {
-	dst.Passes += src.Passes
-	dst.SubcellVisits += src.SubcellVisits
-	dst.Moves += src.Moves
-	dst.SortedCells += src.SortedCells
-	dst.SortOps += src.SortOps
+	st.OriginalShift.Add(&other.OriginalShift)
 }
 
 // chainEntry records one cell swept into a shift chain and its offset.

@@ -390,7 +390,7 @@ func (e *engine) replayStep(p *replay, id int, s *step) TargetTrace {
 		tr.Window = win.Intersect(e.l.Die())
 	}
 	e.st.FOP.Add(&s.fop)
-	addShift(&e.st.Commit, &s.commit)
+	e.st.Commit.Add(&s.commit)
 	if s.placed {
 		moves := p.src.moves[p.move : p.move+int(s.moved)]
 		for _, m := range moves {
@@ -408,12 +408,4 @@ func (e *engine) replayStep(p *replay, id int, s *step) TargetTrace {
 	p.done[id] = true
 	p.apply(e, s)
 	return tr
-}
-
-func addShift(dst, src *shift.Stats) {
-	dst.Passes += src.Passes
-	dst.SubcellVisits += src.SubcellVisits
-	dst.Moves += src.Moves
-	dst.SortedCells += src.SortedCells
-	dst.SortOps += src.SortOps
 }

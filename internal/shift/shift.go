@@ -51,6 +51,15 @@ type Stats struct {
 	SortOps       int // comparison units spent pre-sorting (SACS only)
 }
 
+// Add accumulates other into st.
+func (st *Stats) Add(other *Stats) {
+	st.Passes += other.Passes
+	st.SubcellVisits += other.SubcellVisits
+	st.Moves += other.Moves
+	st.SortedCells += other.SortedCells
+	st.SortOps += other.SortOps
+}
+
 // side classification relative to the insertion boundary.
 const (
 	sideLeft  = -1

@@ -850,8 +850,8 @@ func TestEditReplaysBaseSteps(t *testing.T) {
 	if share := float64(replayed) / float64(replayed+ran); share < 0.7 {
 		t.Fatalf("warm edit: %d of %d steps replayed (%.2f), want at least 70%%", replayed, replayed+ran, share)
 	}
-	if hits, misses := bandReplay(t, base, edited, shards, 1); replayed != hits || ran != misses {
-		t.Fatalf("warm edit: service counts %d replayed, %d run; the band's own replay %d, %d", replayed, ran, hits, misses)
+	if bandReplayed, bandRan := bandReplay(t, base, edited, shards, 1); replayed != bandReplayed || ran != bandRan {
+		t.Fatalf("warm edit: service counts %d replayed, %d run; the band's own replay %d, %d", replayed, ran, bandReplayed, bandRan)
 	}
 	// Repeating the edit is an exact hit on its own entry: no band runs.
 	if _, replayed, ran = submitSteps(t, svc, job); replayed != 0 || ran != 0 {
